@@ -179,9 +179,10 @@ SPOOF_DRAWS = 4096
 
 
 def _codeword_restrictions(code: DirectCode, j: JamSet) -> np.ndarray:
-    """(N, n) packed restriction codes of every codeword on the jammed links."""
+    """(N, n) restriction codes of every codeword on the jammed links."""
     restrict = indexing.restrict_codes(code.link_sizes, j.links)
-    parts = [restrict[block.astype(np.int64)] for _, block in code.chunks()]
+    restrict = restrict.astype(np.min_scalar_type(int(restrict.max())))
+    parts = [restrict[block] for _, block in code.chunks()]
     return np.concatenate(parts, axis=0)
 
 
@@ -198,7 +199,6 @@ class SpoofCodeword(JammingStrategy):
 
     def __init__(self, gamma: float = 0.1):
         self.gamma = float(gamma)
-        self._cache: dict = {}
 
     def _typical(self, mass: np.ndarray, sub: np.ndarray) -> np.ndarray:
         """Which rows of (rows, n) packed jammed-link restrictions are typical for `mass`."""
@@ -215,15 +215,13 @@ class SpoofCodeword(JammingStrategy):
         return indexing.restriction_matrix(code.link_sizes, j.links) @ code.p_x.mass
 
     def _candidates(self, code: DirectCode, j: JamSet) -> np.ndarray:
-        key = (id(code), j.links)
-        if key in self._cache:
-            return self._cache[key]
-        sub = _codeword_restrictions(code, j)
-        cand = np.nonzero(self._typical(self._jam_mass(code, j), sub))[0] + 1
-        if cand.size == 0:
-            cand = np.arange(1, sub.shape[0] + 1)
-        self._cache[key] = cand
-        return cand
+        """Candidate messages, kept in the code's cache."""
+        key = ("spoof-candidates", self.gamma, j.links)
+        if key not in code.cache:
+            sub = _codeword_restrictions(code, j)
+            cand = np.nonzero(self._typical(self._jam_mass(code, j), sub))[0] + 1
+            code.cache[key] = cand if cand.size else np.arange(1, sub.shape[0] + 1)
+        return code.cache[key]
 
     def _require_direct(self, code) -> DirectCode:
         if not isinstance(code, DirectCode):
@@ -276,7 +274,10 @@ class SpoofConsistent(JammingStrategy):
             exact = code.affine.matches(j.links, code.affine.pack(j.links, x_j), limit=1)
             if exact:
                 return exact[0]
-        sub = _codeword_restrictions(code, j)
+        key = ("codeword-restrictions", j.links)
+        if key not in code.cache:
+            code.cache[key] = _codeword_restrictions(code, j)
+        sub = code.cache[key]
         obs = indexing.pack_links(x_j, [code.link_sizes[i] for i in j.links])
         agreement = (sub == obs[None, :]).sum(axis=1)
         return int(np.argmax(agreement)) + 1  # ties -> smallest message

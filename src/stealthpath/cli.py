@@ -8,6 +8,7 @@ error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -33,6 +34,11 @@ def _load_config(path: str) -> dict:
     return obj
 
 
+def _seed(args) -> int:
+    """--seed, or 0 when omitted (simulate alone keeps the config's master_seed)."""
+    return 0 if args.seed is None else args.seed
+
+
 def _emit(payload, out: str):
     text = json.dumps(payload, indent=2)
     if out:
@@ -45,7 +51,7 @@ def _emit(payload, out: str):
 def _cmd_solve(args) -> int:
     obj = _load_config(args.config)
     model = model_from_config(obj["model"])
-    cfg = SolverConfig(seed=args.seed)
+    cfg = SolverConfig(seed=_seed(args))
     scheme = obj.get("scheme", "overwrite-direct")
     if scheme == "overwrite-direct":
         sol = solve_b(model, cfg)
@@ -70,8 +76,8 @@ def _cmd_solve(args) -> int:
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg = ExperimentConfig.from_json(fh.read())
-    if args.seed is not None and args.seed != 0:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "master_seed": args.seed})
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     rows = harness.run_experiment(cfg)
     if args.out:
         harness.export(rows, args.format, args.out)
@@ -115,7 +121,7 @@ def _cmd_oracle(args) -> int:
                "feasibility_margin": sol.feasibility_margin,
                "info": sol.info}, args.out)
         return EXIT_OK
-    code = _build_code_from_config(obj, model, args.seed)
+    code = _build_code_from_config(obj, model, _seed(args))
     j = JamSet(tuple(obj.get("jam_set", [])))
     if sub == "stealth-gap":
         gap = oracle.exact_stealth_gap(code, model, j)
@@ -146,7 +152,7 @@ def _cmd_stealth_scan(args) -> int:
     rows = []
     for n in ns:
         scan_obj = {**obj, "code": {**obj.get("code", {}), "n": n}}
-        code = _build_code_from_config(scan_obj, model, args.seed)
+        code = _build_code_from_config(scan_obj, model, _seed(args))
         for j in model.jam_family():
             if not j:
                 continue
@@ -158,9 +164,9 @@ def _cmd_stealth_scan(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stealthpath")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; results are independent of this value")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="simulate: overrides the config's master_seed; "
+                             "solve, oracle, stealth-scan: solver and code seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="compute achievable-rate bounds")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -292,13 +292,15 @@ class DirectCode:
     """Codewords over the network product alphabet: i.i.d. from p_x, or affine.
 
     An affine code's p_x is the uniform product law, the single-letter law of
-    each of its codewords.
+    each of its codewords. `cache` holds tables derived from the codewords
+    (restriction indices, strategy tables, oracle marginals) under tagged keys;
+    they live as long as the code.
     """
 
     params: CodeParams
     p_x: JointDistribution
     _store: Union[_ChunkedStore, AffineStore]
-    _restriction_cache: dict
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ensemble(self) -> str:
@@ -341,6 +343,7 @@ class LayeredCode:
     kernel: ConditionalKernel
     link_sizes: tuple
     _store: _ChunkedStore
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def message_count(self) -> int:
@@ -366,7 +369,7 @@ Code = Union[DirectCode, LayeredCode]
 
 def build_direct_code(p_x: JointDistribution, params: CodeParams) -> DirectCode:
     store = _build_store(p_x.mass, params, len(p_x.factor_sizes), "codeword-chunk")
-    return DirectCode(params=params, p_x=p_x, _store=store, _restriction_cache={})
+    return DirectCode(params=params, p_x=p_x, _store=store)
 
 
 def build_affine_code(link_sizes: Sequence[int], params: CodeParams) -> DirectCode:
@@ -374,7 +377,7 @@ def build_affine_code(link_sizes: Sequence[int], params: CodeParams) -> DirectCo
     store = AffineStore(link_sizes, params.n, params.seed, params.message_count)
     total = int(np.prod(store.link_sizes))
     p_x = JointDistribution(store.link_sizes, np.full(total, 1.0 / total))
-    return DirectCode(params=params, p_x=p_x, _store=store, _restriction_cache={})
+    return DirectCode(params=params, p_x=p_x, _store=store)
 
 
 def _uniform_is_optimal(model: NetworkModel, value: float, cfg: SolverConfig) -> bool:
@@ -531,24 +534,23 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
 
 
 def _packed_restrictions(code: DirectCode, links: tuple) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Per-message packed restriction values plus their sort order, cached."""
-    if links in code._restriction_cache:
-        return code._restriction_cache[links]
+    """Per-message packed restriction values plus their sort order, cached.
+
+    Only a materialised code gets this index; None when the restriction does
+    not pack into 63 bits or the code streams.
+    """
+    key = ("restriction-index", links)
+    if key in code.cache:
+        return code.cache[key]
     sub_sizes = [code.link_sizes[i] for i in links]
     sub_alpha = int(np.prod(sub_sizes))
-    if code.params.n * math.log2(sub_alpha) > 63:
-        code._restriction_cache[links] = None
+    if not code.materialized or code.params.n * math.log2(sub_alpha) > 63:
         return None
     restrict = indexing.restrict_codes(code.link_sizes, links)
-    values = np.empty(code.message_count, dtype=np.int64)
-    for start, block in code.chunks():
-        values[start:start + block.shape[0]] = indexing.pack_sequences(
-            restrict[block.astype(np.int64)], sub_alpha)
-    order = np.argsort(values, kind="stable")
-    result = (values, order)
-    if code.materialized:
-        code._restriction_cache[links] = result
-    return result
+    (_, block), = code.chunks()
+    values = indexing.pack_sequences(restrict[block.astype(np.int64)], sub_alpha)
+    code.cache[key] = (values, np.argsort(values, kind="stable"))
+    return code.cache[key]
 
 
 def matching_messages(code: DirectCode, links: Sequence[int],
@@ -578,11 +580,45 @@ def matching_messages(code: DirectCode, links: Sequence[int],
     return np.concatenate(hits) if hits else np.array([], dtype=np.int64)
 
 
+def _streaming_list(code: DirectCode, links: np.ndarray, unjammed_sets: list) -> set:
+    """Messages agreeing with the received `links` on any of `unjammed_sets`.
+
+    One pass over the chunks matches each chunk against every set at once:
+    bit b of table[t, x] says whether product symbol x agrees with the word at
+    position t on set b of its group of eight, so a codeword matches a set
+    where that bit survives an AND over its positions. The pass stops once two
+    messages are listed, which already makes the list decoder's verdict an
+    error.
+    """
+    n = code.params.n
+    tables = []
+    for g in range(0, len(unjammed_sets), 8):
+        table = np.zeros((n, code.p_x.mass.size), dtype=np.uint8)
+        for b, jc in enumerate(unjammed_sets[g:g + 8]):
+            target = indexing.pack_links(links[list(jc)], [code.link_sizes[i] for i in jc])
+            agree = indexing.restrict_codes(code.link_sizes, jc)[None, :] == target[:, None]
+            table |= agree.astype(np.uint8) << b
+        tables.append(table)
+    positions = np.arange(n)
+    listed: set = set()
+    for start, block in code.chunks():
+        hit = np.zeros(block.shape[0], dtype=bool)
+        for table in tables:
+            hit |= np.bitwise_and.reduce(table[positions, block], axis=1) != 0
+        listed.update((np.nonzero(hit)[0] + start + 1).tolist())
+        if len(listed) > 1:
+            break
+    return listed
+
+
 def decode_overwrite(code: DirectCode, rx: ReceivedWord,
                      model: NetworkModel) -> DecodeResult:
     """Erasure-like exhaustive list decoding over every candidate jam set.
 
-    An affine code lists at most two messages per jam set, by one solve each.
+    The verdict depends only on the union of the lists over the jam family:
+    none is innocent, one is that message, more is an error. An affine code
+    lists at most two messages per jam set, by one solve each; a streaming
+    i.i.d. code is read once for all jam sets.
     """
     if rx.erased.any():
         raise ValueError("overwrite decoding expects a fully symbol-valued word")
@@ -592,18 +628,22 @@ def decode_overwrite(code: DirectCode, rx: ReceivedWord,
         raise ResourceBudgetError(
             f"list decoding scans all {count} codewords; over the scan budget"
         )
-    if affine is not None:
-        x = affine.pack(range(model.link_count), rx.links)
     fam = model.jam_family()
-    listed: set = set()
-    for jhat in fam:
-        jc = tuple(i for i in range(model.link_count) if i not in jhat)
-        if affine is not None and jc:
-            listed.update(affine.matches(jc, x, limit=2))
-        else:
-            listed.update(int(m) for m in matching_messages(code, jc, rx.links[list(jc)]))
-        if len(listed) > 1:
-            return DecodeResult("error", examined_sets=len(fam))
+    unjammed_sets = [tuple(i for i in range(model.link_count) if i not in jhat)
+                     for jhat in fam]
+    if affine is None and not code.materialized:
+        listed = _streaming_list(code, rx.links, unjammed_sets)
+    else:
+        if affine is not None:
+            x = affine.pack(range(model.link_count), rx.links)
+        listed = set()
+        for jc in unjammed_sets:
+            if affine is not None and jc:
+                listed.update(affine.matches(jc, x, limit=2))
+            else:
+                listed.update(int(m) for m in matching_messages(code, jc, rx.links[list(jc)]))
+            if len(listed) > 1:
+                break
     if not listed:
         return DecodeResult("innocent", examined_sets=len(fam))
     if len(listed) == 1:

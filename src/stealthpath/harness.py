@@ -10,9 +10,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .adversary import (
     overwrite_jam,
 )
 from .codec import (
+    Code,
     CodeParams,
     ResourceBudgetError,
     build_code_for_bound,
@@ -137,19 +137,6 @@ def model_from_config(obj: dict) -> NetworkModel:
 
 
 @dataclass
-class TrialRecord:
-    sweep: int
-    hypothesis: int
-    message: int
-    jam_set: tuple
-    strategy: str
-    decode_verdict: str
-    decoded_message: int
-    detector_verdict: int
-    wall_time: float
-
-
-@dataclass
 class MetricsRow:
     scheme: str
     n: int
@@ -181,41 +168,93 @@ def _ci_halfwidth(p_hat: float, trials: int) -> float:
     return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def rate_rule_resolve(rule: dict, model: NetworkModel, scheme: str,
-                      cfg: Optional[SolverConfig] = None) -> float:
-    """Turn a rate rule into bits per use; may invoke the rate solvers."""
-    if rule["rule"] == "absolute":
-        return float(rule["bits"])
-    eps = float(rule["epsilon"])
+def _solve(model: NetworkModel, scheme: str, cfg: Optional[SolverConfig]):
+    """The bound behind a scheme's rate and code: solve_b for the direct scheme."""
     if scheme == "overwrite-direct":
         sol = solve_b(model, cfg)
     else:
         sol = solve_a(model, cfg=cfg)
     if not sol.feasible:
         raise ConfigError(f"infeasible: {sol.reason}")
-    rate = sol.value - eps
+    return sol
+
+
+def _rate(rule: dict, solved: Callable) -> float:
+    """Bits per use of a rate rule; `solved()` gives the bound, if the rule needs it."""
+    if rule["rule"] == "absolute":
+        return float(rule["bits"])
+    eps = float(rule["epsilon"])
+    rate = solved().value - eps
     if rate <= 0:
         raise ConfigError("bound minus epsilon is non-positive")
     return rate
 
 
-def _build_code(cfg: ExperimentConfig, n: int, rate: float, solver_cfg: SolverConfig):
-    params = CodeParams(n=n, rate=rate, seed=cfg.code_seed)
+def rate_rule_resolve(rule: dict, model: NetworkModel, scheme: str,
+                      cfg: Optional[SolverConfig] = None) -> float:
+    """Turn a rate rule into bits per use; may invoke the rate solvers."""
+    return _rate(rule, lambda: _solve(model, scheme, cfg))
+
+
+def _once(compute: Callable) -> Callable:
+    """A call of `compute` made on first use; a failure that becomes a row recurs."""
+    memo = []
+
+    def get():
+        if not memo:
+            try:
+                memo.append((compute(), None))
+            except (ConfigError, ResourceBudgetError) as exc:
+                memo.append((None, exc))
+        value, exc = memo[0]
+        if exc is not None:
+            raise exc
+        return value
+    return get
+
+
+@dataclass(frozen=True)
+class _Blocklength:
+    """What the sweep points of one blocklength share."""
+
+    rate: float
+    code: Code
+    jam_sets: List[JamSet]
+    stealth_gap: Optional[float]
+    note: str
+
+
+def _build(cfg: ExperimentConfig, n: int, solved: Callable,
+           solver_cfg: SolverConfig) -> _Blocklength:
+    rate = _rate(cfg.rate_rule, solved)
+    try:
+        params = CodeParams(n=n, rate=rate, seed=cfg.code_seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    sol = solved()
     if cfg.scheme == "overwrite-direct":
-        sol = solve_b(cfg.model, solver_cfg)
-        if not sol.feasible:
-            raise ConfigError(f"infeasible: {sol.reason}")
-        return build_code_for_bound(cfg.model, sol, params, solver_cfg)
-    sol = solve_a(cfg.model, cfg=solver_cfg)
-    if not sol.feasible:
-        raise ConfigError(f"infeasible: {sol.reason}")
-    return build_layered_code(sol.p_u, sol.kernel, params,
-                              cfg.model.link_alphabet_sizes)
+        code = build_code_for_bound(cfg.model, sol, params, solver_cfg)
+    else:
+        code = build_layered_code(sol.p_u, sol.kernel, params,
+                                  cfg.model.link_alphabet_sizes)
+    jam_sets = _candidate_jam_sets(cfg)
+    gap: Optional[float] = None
+    note = ""
+    try:
+        gap = max(oracle.exact_stealth_gap(code, cfg.model, j)
+                  for j in jam_sets if j.links) if \
+            any(j.links for j in jam_sets) else 0.0
+    except ResourceBudgetError:
+        note = "stealth gap outside oracle budget"
+    return _Blocklength(rate, code, jam_sets, gap, note)
 
 
 def _candidate_jam_sets(cfg: ExperimentConfig) -> List[JamSet]:
     if cfg.jam_rule == "fixed":
-        return [JamSet(cfg.jam_set).validate(cfg.model)]
+        try:
+            return [JamSet(cfg.jam_set).validate(cfg.model)]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return [JamSet(j) for j in cfg.model.jam_family()]
 
 
@@ -232,15 +271,15 @@ class _JamOutcome:
         return self.err0 + self.err1
 
 
-def _run_jam_set(cfg: ExperimentConfig, code, sweep: int, strategy_id: str,
+def _run_jam_set(cfg: ExperimentConfig, code: Code, sweep: int, strategy_id: str,
                  j: JamSet, tp: TypicalityParams) -> _JamOutcome:
     model = cfg.model
     strategy = get_strategy(strategy_id) if strategy_id else None
     detector = None
     if cfg.detector == "optimal-oracle" and j.links:
         try:
+            act_n = oracle.cached_active_marginal(code, j)
             inn_n = oracle.exact_innocent_marginal(model, j, code.params.n)
-            act_n = oracle.exact_active_marginal(code, j)
             sizes = [model.link_alphabet_sizes[i] for i in j.links]
             detector = lambda x_j: optimal_detect(x_j, sizes, inn_n, act_n)
         except ResourceBudgetError:
@@ -294,15 +333,23 @@ def _run_jam_set(cfg: ExperimentConfig, code, sweep: int, strategy_id: str,
 
 def run_experiment(cfg: ExperimentConfig,
                    solver_cfg: Optional[SolverConfig] = None) -> List[MetricsRow]:
-    """One MetricsRow per (blocklength, strategy) sweep point."""
+    """One MetricsRow per (blocklength, strategy) sweep point.
+
+    The bound is solved once per run and the code built once per blocklength;
+    only the current blocklength's code and its caches are kept.
+    """
     solver_cfg = solver_cfg or SolverConfig()
     tp = TypicalityParams(cfg.gamma)
+    solved = _once(lambda: _solve(cfg.model, cfg.scheme, solver_cfg))
     rows: List[MetricsRow] = []
+    built, built_n = None, None
     sweep_points = [(n, sid) for n in cfg.blocklengths for sid in cfg.strategies]
     for sweep, (n, strategy_id) in enumerate(sweep_points):
+        if n != built_n:  # the previous code is freed before the lazy build runs
+            built, built_n = _once(lambda n=n: _build(cfg, n, solved, solver_cfg)), n
         try:
-            rows.append(_run_sweep_point(cfg, sweep, n, strategy_id, tp, solver_cfg))
-        except (ConfigError, ResourceBudgetError, ValueError) as exc:
+            rows.append(_run_sweep_point(cfg, sweep, built(), strategy_id, tp))
+        except (ConfigError, ResourceBudgetError) as exc:
             nan = float("nan")
             rows.append(MetricsRow(
                 scheme=cfg.scheme, n=n, rate_bits=nan, gamma=cfg.gamma,
@@ -313,22 +360,11 @@ def run_experiment(cfg: ExperimentConfig,
     return rows
 
 
-def _run_sweep_point(cfg: ExperimentConfig, sweep: int, n: int, strategy_id: str,
-                     tp: TypicalityParams, solver_cfg: SolverConfig) -> MetricsRow:
-    rate = rate_rule_resolve(cfg.rate_rule, cfg.model, cfg.scheme, solver_cfg)
-    code = _build_code(cfg, n, rate, solver_cfg)
-    outcomes = [_run_jam_set(cfg, code, sweep, strategy_id, j, tp)
-                for j in _candidate_jam_sets(cfg)]
+def _run_sweep_point(cfg: ExperimentConfig, sweep: int, built: _Blocklength,
+                     strategy_id: str, tp: TypicalityParams) -> MetricsRow:
+    code = built.code
+    outcomes = [_run_jam_set(cfg, code, sweep, strategy_id, j, tp) for j in built.jam_sets]
     worst = max(outcomes, key=lambda o: o.p_err)  # first argmax in family order
-
-    gap: Optional[float] = None
-    note = ""
-    try:
-        gap = max(oracle.exact_stealth_gap(code, cfg.model, o.jam_set)
-                  for o in outcomes if o.jam_set.links) if \
-            any(o.jam_set.links for o in outcomes) else 0.0
-    except ResourceBudgetError:
-        note = "stealth gap outside oracle budget"
 
     err_ci = math.sqrt(_ci_halfwidth(worst.err0, cfg.trials) ** 2 +
                        _ci_halfwidth(worst.err1, cfg.trials) ** 2)
@@ -337,8 +373,8 @@ def _run_sweep_point(cfg: ExperimentConfig, sweep: int, n: int, strategy_id: str
         if not math.isnan(worst.alpha) else float("nan")
     return MetricsRow(
         scheme=cfg.scheme,
-        n=n,
-        rate_bits=rate,
+        n=code.params.n,
+        rate_bits=built.rate,
         gamma=cfg.gamma,
         jam_rule=cfg.jam_rule,
         jam_set="|".join(str(i) for i in worst.jam_set.links),
@@ -349,10 +385,10 @@ def _run_sweep_point(cfg: ExperimentConfig, sweep: int, n: int, strategy_id: str
         alpha_hat=worst.alpha,
         beta_hat=worst.beta,
         ab_ci=ab_ci,
-        stealth_gap=gap,
+        stealth_gap=built.stealth_gap,
         err_innocent_hat=worst.err0,
         err_active_hat=worst.err1,
-        note=note,
+        note=built.note,
         ensemble=code.ensemble,
     )
 

@@ -169,3 +169,18 @@ def test_estimate_alpha_beta_deterministic():
     a = estimate_alpha_beta(det, MODEL, CODE, j, 100, 5)
     b = estimate_alpha_beta(det, MODEL, CODE, j, 100, 5)
     assert (a.alpha, a.beta) == (b.alpha, b.beta)
+
+
+def test_strategy_tables_follow_their_code():
+    # one strategy instance across codes built and freed in turn, so a code can
+    # take the address of the one before it; its tables must not carry over
+    spoof, consistent = get_strategy("spoof-codeword"), get_strategy("spoof-consistent")
+    j = JamSet((1,))
+    for seed in range(8):
+        code = build_direct_code(MODEL.innocent, CodeParams(n=6, rate=1.0, seed=seed))
+        x_j = code.codeword_links(1)[[1]] ^ 1
+        for strategy in (spoof, consistent):
+            fresh = get_strategy(strategy.id)
+            assert np.array_equal(strategy.apply(x_j, j, MODEL, code, seed),
+                                  fresh.apply(x_j, j, MODEL, code, seed))
+        del code

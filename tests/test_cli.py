@@ -89,3 +89,22 @@ def test_validation_exit_code(tmp_path, capsys):
     assert main(["solve", "--config", missing]) == 1
     cfg = write_config(tmp_path, {"schema": 7, "model": model_obj()})
     assert main(["solve", "--config", cfg]) == 1
+
+
+def test_simulate_seed_zero_overrides_master_seed(tmp_path):
+    def rows(master_seed, *flags):
+        cfg = write_config(tmp_path, {
+            "schema": 1, "model": model_obj(), "scheme": "overwrite-direct",
+            "code": {"n": [6], "rate": {"rule": "absolute", "bits": 1.5}, "seed": 2},
+            "adversary": {"jam_rule": "fixed", "jam_set": [0],
+                          "strategies": ["uniform-random"]},
+            "trials": 40, "master_seed": master_seed})
+        out = tmp_path / "rows.json"
+        assert main([*flags, "simulate", "--config", cfg, "--out", str(out),
+                     "--format", "json"]) == 0
+        return json.loads(out.read_text())
+
+    seed5, seed0 = rows(5), rows(0)
+    assert seed5 != seed0  # the master seed moves the Monte Carlo estimates
+    assert rows(5, "--seed", "0") == seed0
+    assert rows(0, "--seed", "5") == seed5

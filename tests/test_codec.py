@@ -308,3 +308,30 @@ def test_survey_restrictions_rejects_overlap():
     code = build_direct_code(UNIFORM8, CodeParams(n=4, rate=1.0, seed=6))
     with pytest.raises(ValueError):
         survey_restrictions(code, (0, 1), (1, 2))
+
+
+def test_streaming_decode_overwrite_matches_materialised(monkeypatch):
+    from stealthpath import codec
+    from stealthpath.adversary import JamSet, get_strategy, overwrite_jam
+    # small chunks so a decode crosses several; both codes hold the same codewords
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 64)
+    skew = JointDistribution.from_factors([Distribution.bernoulli(0.3)] +
+                                          [Distribution.uniform(2)] * 2)
+    params = CodeParams(n=6, rate=1.6, seed=4)  # 776 messages: spurious matches occur
+    materialised = build_direct_code(skew, params)
+    monkeypatch.setattr(codec, "SYMBOL_BUDGET", 64)
+    streaming = build_direct_code(skew, params)
+    assert materialised.materialized and not streaming.materialized
+    strategy = get_strategy("uniform-random")
+    verdicts = set()
+    for t in range(60):
+        hyp = t % 2
+        m = 1 + (13 * t) % materialised.message_count if hyp else 0
+        tx = encode(materialised, MODEL, hyp, m, t)
+        jammed = overwrite_jam(tx, JamSet((t % 3,)), strategy, t, MODEL, materialised)
+        for links in (tx.links, jammed.links):
+            rx = ReceivedWord(links=links, erased=np.zeros(3, dtype=bool))
+            want = decode_overwrite(materialised, rx, MODEL)
+            assert decode_overwrite(streaming, rx, MODEL) == want
+            verdicts.add(want.verdict)
+    assert verdicts == {"innocent", "message", "error"}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -15,7 +16,7 @@ from stealthpath.harness import (
     run_experiment,
 )
 from stealthpath.probkit import Distribution, JointDistribution
-from stealthpath.ratesolver import NetworkModel, SolverConfig
+from stealthpath.ratesolver import NetworkModel, SolverConfig, solve_b
 
 FAST = SolverConfig(restarts=4)
 
@@ -198,3 +199,53 @@ def test_ci_rule_of_three_at_extremes():
     assert _ci_halfwidth(0.0, 100) == pytest.approx(0.03)
     assert _ci_halfwidth(1.0, 100) == pytest.approx(0.03)
     assert _ci_halfwidth(0.5, 100) == pytest.approx(1.96 * 0.05, abs=1e-12)
+
+
+def two_by_two_config():
+    """Two blocklengths by two strategies at a solved rate, with the oracle detector."""
+    return ExperimentConfig.from_json(base_config(
+        code={"n": [6, 8], "rate": {"rule": "bound-minus-epsilon", "epsilon": 0.5},
+              "seed": 2},
+        adversary={"jam_rule": "worst-over-family",
+                   "strategies": ["spoof-codeword", "spoof-consistent"]},
+        detector="optimal-oracle", trials=30))
+
+
+def test_one_bound_solve_per_run(monkeypatch):
+    from stealthpath import harness
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_b(*args, **kwargs)
+    monkeypatch.setattr(harness, "solve_b", counting)
+    rows = run_experiment(two_by_two_config(), FAST)
+    assert len(rows) == 4 and all(row.note == "" for row in rows)
+    assert len(calls) == 1
+
+
+def test_two_by_two_csv_bytes_are_pinned(tmp_path):
+    # the bytes with every solve, code and marginal computed afresh per sweep
+    # point; sharing them within a run must not move one
+    path = tmp_path / "rows.csv"
+    export(run_experiment(two_by_two_config(), FAST), "csv", str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "ca8a0a7e9afff1c4aef385e6a256d1fea02a0d5f76c799f35b68c0f6c3517f2f"
+
+
+def test_invalid_fixed_jam_set_gives_failure_row():
+    cfg = ExperimentConfig.from_json(base_config(
+        adversary={"jam_rule": "fixed", "jam_set": [5], "strategies": ["passthrough"]}))
+    rows = run_experiment(cfg, FAST)
+    assert len(rows) == 1
+    assert rows[0].note == "failed: jam set references a nonexistent link"
+
+
+def test_value_error_in_a_decoder_propagates(monkeypatch):
+    from stealthpath import harness
+
+    def broken(code, rx, model):
+        raise ValueError("decoder bug")
+    monkeypatch.setattr(harness, "decode_overwrite", broken)
+    with pytest.raises(ValueError, match="decoder bug"):
+        run_experiment(ExperimentConfig.from_json(base_config()), FAST)

@@ -177,3 +177,28 @@ def test_grid_solve_b_dimension_guard():
     inn = JointDistribution.from_factors([Distribution.uniform(3)] * 3)
     with pytest.raises(ResourceBudgetError):
         oracle.grid_solve_b(NetworkModel(3, 1, (3, 3, 3), inn))
+
+
+def test_layered_marginal_matches_a_per_codeword_kron_loop(monkeypatch):
+    from stealthpath import codec, indexing
+    # chunks of 5 and batches of 3 codewords: both boundaries fall mid-code
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 5)
+    rng = np.random.default_rng(8)
+    kernel = rng.random((4, 8))
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    code = build_layered_code(Distribution(4, np.array([0.1, 0.2, 0.3, 0.4])),
+                              ConditionalKernel(4, 8, kernel),
+                              CodeParams(n=4, rate=1.2, seed=3), (2, 2, 2))
+    for links in ((0,), (1, 2)):
+        rows = code.kernel.matrix @ indexing.restriction_matrix((2, 2, 2), links).T
+        space = rows.shape[1] ** 4
+        monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", 3 * space)
+        mass = np.zeros(space)
+        for m in range(1, code.message_count + 1):
+            v = np.array([1.0])
+            for u in code.u_codeword(m):
+                v = np.kron(v, rows[int(u)])
+            mass += v
+        want = Distribution(space, mass / code.message_count)
+        got = oracle.exact_active_marginal(code, JamSet(links))
+        assert np.array_equal(got.mass, want.mass)
