@@ -13,7 +13,6 @@ Every strategy exposes both `apply` (sampled, for Monte Carlo) and `outcomes`
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -23,13 +22,12 @@ from . import indexing
 from .codec import (
     Code,
     DirectCode,
-    LayeredCode,
     ReceivedWord,
     ResourceBudgetError,
     Transmission,
     encode,
 )
-from .probkit import Distribution
+from .probkit import Distribution, inverse_cdf, typical_rows
 from .ratesolver import NetworkModel
 from .rng import derive_seed, generator
 
@@ -153,10 +151,8 @@ class ResampleInnocent(JammingStrategy):
         if not j.links:
             return x_j.copy()
         rng = generator(seed, "innocent-jam")
-        marg = _jam_marginal(model, j)
-        cdf = np.cumsum(marg.mass)
-        codes = np.searchsorted(cdf, rng.random(x_j.shape[1]), side="right").clip(
-            max=marg.alphabet_size - 1)
+        cdf = np.cumsum(_jam_marginal(model, j).mass)
+        codes = inverse_cdf(cdf, rng.random(x_j.shape[1]))
         return indexing.unpack_links(codes, _sub_sizes(model, j))
 
     def outcomes(self, x_j, j, model, code, budget=1 << 20):
@@ -200,16 +196,6 @@ class SpoofCodeword(JammingStrategy):
     def __init__(self, gamma: float = 0.1):
         self.gamma = float(gamma)
 
-    def _typical(self, mass: np.ndarray, sub: np.ndarray) -> np.ndarray:
-        """Which rows of (rows, n) packed jammed-link restrictions are typical for `mass`."""
-        aj = mass.size
-        rows, n = sub.shape
-        flat = (np.arange(rows, dtype=np.int64)[:, None] * aj + sub).ravel()
-        counts = np.bincount(flat, minlength=rows * aj).reshape(rows, aj)
-        ok = (counts[:, mass == 0] == 0).all(axis=1)
-        dev = np.abs(counts / n - mass[None, :]).sum(axis=1)
-        return ok & (dev <= self.gamma)
-
     @staticmethod
     def _jam_mass(code: DirectCode, j: JamSet) -> np.ndarray:
         return indexing.restriction_matrix(code.link_sizes, j.links) @ code.p_x.mass
@@ -219,7 +205,7 @@ class SpoofCodeword(JammingStrategy):
         key = ("spoof-candidates", self.gamma, j.links)
         if key not in code.cache:
             sub = _codeword_restrictions(code, j)
-            cand = np.nonzero(self._typical(self._jam_mass(code, j), sub))[0] + 1
+            cand = np.nonzero(typical_rows(sub, self._jam_mass(code, j), self.gamma))[0] + 1
             code.cache[key] = cand if cand.size else np.arange(1, sub.shape[0] + 1)
         return code.cache[key]
 
@@ -240,7 +226,7 @@ class SpoofCodeword(JammingStrategy):
             mass = self._jam_mass(code, j)
             for _ in range(SPOOF_DRAWS):
                 m = int(rng.integers(0, code.message_count)) + 1
-                if self._typical(mass, restrict[code.codeword(m)][None, :])[0]:
+                if typical_rows(restrict[code.codeword(m)][None, :], mass, self.gamma)[0]:
                     return code.codeword_links(m)[list(j.links)]
         cand = self._candidates(code, j)
         m = int(cand[rng.integers(0, cand.size)])

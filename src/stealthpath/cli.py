@@ -12,11 +12,9 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import harness, oracle
 from .adversary import JamSet, get_strategy, list_strategies
-from .codec import CodeParams, ResourceBudgetError, build_code_for_bound, build_layered_code
+from .codec import CodeParams, ResourceBudgetError
 from .harness import ConfigError, ExperimentConfig, model_from_config
 from .probkit import TypicalityParams
 from .ratesolver import SolverConfig, achievable_rate, solve_a, solve_b
@@ -95,20 +93,19 @@ def _cmd_attack(args) -> int:
     return EXIT_VALIDATION
 
 
-def _build_code_from_config(obj: dict, model, seed: int):
+def _codes_from_config(obj: dict, model, seed: int, ns):
+    """The config's code at each blocklength in `ns`, built lazily from one solve.
+
+    `seed` seeds the solver and, where the config names none, the code.
+    """
     code = obj.get("code", {})
-    params = CodeParams(n=int(code.get("n", 4)), rate=float(code.get("rate_bits", 1.0)),
-                        seed=int(code.get("seed", seed)))
+    params = [CodeParams(n=int(n), rate=float(code.get("rate_bits", 1.0)),
+                         seed=int(code.get("seed", seed))) for n in ns]
     scheme = obj.get("scheme", "overwrite-direct")
-    if scheme == "overwrite-direct":
-        sol = solve_b(model)
-        if not sol.feasible:
-            raise ConfigError(f"infeasible: {sol.reason}")
-        return build_code_for_bound(model, sol, params, SolverConfig())
-    sol = solve_a(model)
-    if not sol.feasible:
-        raise ConfigError(f"infeasible: {sol.reason}")
-    return build_layered_code(sol.p_u, sol.kernel, params, model.link_alphabet_sizes)
+    cfg = SolverConfig(seed=seed)
+    sol = harness.solve_bound(model, scheme, cfg)
+    for p in params:
+        yield harness.build_code(model, scheme, sol, p, cfg)
 
 
 def _cmd_oracle(args) -> int:
@@ -121,7 +118,7 @@ def _cmd_oracle(args) -> int:
                "feasibility_margin": sol.feasibility_margin,
                "info": sol.info}, args.out)
         return EXIT_OK
-    code = _build_code_from_config(obj, model, _seed(args))
+    code, = _codes_from_config(obj, model, _seed(args), [obj.get("code", {}).get("n", 4)])
     j = JamSet(tuple(obj.get("jam_set", [])))
     if sub == "stealth-gap":
         gap = oracle.exact_stealth_gap(code, model, j)
@@ -150,14 +147,12 @@ def _cmd_stealth_scan(args) -> int:
     if isinstance(ns, int):
         ns = [ns]
     rows = []
-    for n in ns:
-        scan_obj = {**obj, "code": {**obj.get("code", {}), "n": n}}
-        code = _build_code_from_config(scan_obj, model, _seed(args))
+    for code in _codes_from_config(obj, model, _seed(args), ns):
         for j in model.jam_family():
             if not j:
                 continue
             gap = oracle.exact_stealth_gap(code, model, JamSet(j))
-            rows.append({"n": n, "jam_set": list(j), "stealth_gap": gap})
+            rows.append({"n": code.params.n, "jam_set": list(j), "stealth_gap": gap})
     _emit(rows, args.out)
     return EXIT_OK
 

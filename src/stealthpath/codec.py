@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from .probkit import (
     ConditionalKernel,
     Distribution,
     JointDistribution,
-    SymbolSequence,
     TypicalityParams,
+    inverse_cdf,
+    typical_rows,
 )
 from .ratesolver import NetworkModel, SolutionB, SolverConfig, check_feasibility_b
 from .rng import generator
@@ -110,8 +111,7 @@ class _ChunkedStore:
         if self._uniform:
             return rng.integers(0, self.alphabet, size=(rows, self.n), dtype=np.int64
                                 ).astype(self._dtype)
-        draws = np.searchsorted(self._cdf, rng.random((rows, self.n)), side="right")
-        return draws.clip(max=self.alphabet - 1).astype(self._dtype)
+        return inverse_cdf(self._cdf, rng.random((rows, self.n)))  # dtype is self._dtype
 
     def _iter_chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
         start = 0
@@ -466,9 +466,7 @@ def encode(code: Code, model: NetworkModel, t: int, m: int, tx_seed: int) -> Tra
         if m != 0:
             raise ValueError("innocent transmission must carry message 0")
         rng = generator(tx_seed, "innocent")
-        cdf = np.cumsum(model.innocent.mass)
-        codes = np.searchsorted(cdf, rng.random(n), side="right").clip(
-            max=model.product_alphabet_size - 1)
+        codes = inverse_cdf(np.cumsum(model.innocent.mass), rng.random(n))
         return Transmission(INNOCENT, 0, indexing.unpack_links(codes, sizes))
     if not 1 <= m <= code.message_count:
         raise ValueError(f"message {m} out of range 1..{code.message_count}")
@@ -479,8 +477,7 @@ def encode(code: Code, model: NetworkModel, t: int, m: int, tx_seed: int) -> Tra
     u = code.u_codeword(m)
     rng = generator(tx_seed, "transmit-map")
     cdf_rows = np.cumsum(code.kernel.matrix, axis=1)
-    draws = (rng.random(n)[:, None] > cdf_rows[u]).sum(axis=1)
-    codes = draws.clip(max=code.kernel.output_size - 1)
+    codes = inverse_cdf(cdf_rows[u], rng.random(n))
     return Transmission(ACTIVE, m, indexing.unpack_links(codes, sizes))
 
 
@@ -500,7 +497,6 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
         return DecodeResult("error", examined_sets=0)
     if model is not None and len(unjammed) < c - model.adversary_budget:
         return DecodeResult("error", examined_sets=0)
-    n = code.params.n
     count = code.message_count
     if not code.materialized and count > DECODE_SCAN_BUDGET:
         raise ResourceBudgetError(
@@ -510,19 +506,12 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
     y = indexing.pack_links(rx.links[unjammed], sub_sizes)
 
     joint = induced_unjammed_joint(code, unjammed)
-    ku, ax = joint.factor_sizes
-    mass = joint.mass
-    zero = mass == 0
+    ax = joint.factor_sizes[1]
 
     matches: list = []
     for start, block in code.u_chunks():
-        rows = block.shape[0]
         pair = block.astype(np.int64) * ax + y[None, :]
-        flat = (np.arange(rows, dtype=np.int64)[:, None] * (ku * ax) + pair).ravel()
-        counts = np.bincount(flat, minlength=rows * ku * ax).reshape(rows, ku * ax)
-        ok = (counts[:, zero] == 0).all(axis=1)
-        dev = np.abs(counts / n - mass[None, :]).sum(axis=1)
-        hit = np.nonzero(ok & (dev <= tp.gamma))[0]
+        hit = np.nonzero(typical_rows(pair, joint.mass, tp.gamma))[0]
         matches.extend(int(start + h + 1) for h in hit)
         if len(matches) > 1:
             break

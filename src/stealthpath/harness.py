@@ -19,7 +19,6 @@ from . import oracle
 from .adversary import (
     JamSet,
     STRATEGY_IDS,
-    estimate_alpha_beta,
     erasure_jam,
     get_strategy,
     optimal_detect,
@@ -39,7 +38,7 @@ from .probkit import Distribution, JointDistribution, TypicalityParams
 from .ratesolver import NetworkModel, SolverConfig, solve_a, solve_b
 from .rng import derive_seed
 
-SCHEMES = ("erasure-layered", "overwrite-direct", "layered-under-overwrite")
+SCHEMES = ("erasure-layered", "overwrite-direct")
 CSV_COLUMNS = ("scheme", "n", "rate_bits", "gamma", "jam_rule", "jam_set",
                "strategy", "trials", "p_err_hat", "p_err_ci", "alpha_hat",
                "beta_hat", "ab_ci", "stealth_gap", "ensemble")
@@ -168,7 +167,7 @@ def _ci_halfwidth(p_hat: float, trials: int) -> float:
     return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def _solve(model: NetworkModel, scheme: str, cfg: Optional[SolverConfig]):
+def solve_bound(model: NetworkModel, scheme: str, cfg: Optional[SolverConfig]):
     """The bound behind a scheme's rate and code: solve_b for the direct scheme."""
     if scheme == "overwrite-direct":
         sol = solve_b(model, cfg)
@@ -193,7 +192,7 @@ def _rate(rule: dict, solved: Callable) -> float:
 def rate_rule_resolve(rule: dict, model: NetworkModel, scheme: str,
                       cfg: Optional[SolverConfig] = None) -> float:
     """Turn a rate rule into bits per use; may invoke the rate solvers."""
-    return _rate(rule, lambda: _solve(model, scheme, cfg))
+    return _rate(rule, lambda: solve_bound(model, scheme, cfg))
 
 
 def _once(compute: Callable) -> Callable:
@@ -224,6 +223,14 @@ class _Blocklength:
     note: str
 
 
+def build_code(model: NetworkModel, scheme: str, sol, params: CodeParams,
+               solver_cfg: SolverConfig) -> Code:
+    """The scheme's code at its solved bound (`solve_bound`)."""
+    if scheme == "overwrite-direct":
+        return build_code_for_bound(model, sol, params, solver_cfg)
+    return build_layered_code(sol.p_u, sol.kernel, params, model.link_alphabet_sizes)
+
+
 def _build(cfg: ExperimentConfig, n: int, solved: Callable,
            solver_cfg: SolverConfig) -> _Blocklength:
     rate = _rate(cfg.rate_rule, solved)
@@ -231,12 +238,7 @@ def _build(cfg: ExperimentConfig, n: int, solved: Callable,
         params = CodeParams(n=n, rate=rate, seed=cfg.code_seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    sol = solved()
-    if cfg.scheme == "overwrite-direct":
-        code = build_code_for_bound(cfg.model, sol, params, solver_cfg)
-    else:
-        code = build_layered_code(sol.p_u, sol.kernel, params,
-                                  cfg.model.link_alphabet_sizes)
+    code = build_code(cfg.model, cfg.scheme, solved(), params, solver_cfg)
     jam_sets = _candidate_jam_sets(cfg)
     gap: Optional[float] = None
     note = ""
@@ -309,12 +311,7 @@ def _run_jam_set(cfg: ExperimentConfig, code: Code, sweep: int, strategy_id: str
                 jam_seed = derive_seed(cfg.master_seed, "jam", sweep, hyp, t,
                                        *j.links)
                 rx = overwrite_jam(tx, j, strategy, jam_seed, model, code)
-                if cfg.scheme == "overwrite-direct":
-                    result = decode_overwrite(code, rx, model)
-                else:
-                    # Exploratory: layered code under overwrite; typicality
-                    # decoding over all links with no correctness claim.
-                    result = decode_erasure(code, rx, tp, model)
+                result = decode_overwrite(code, rx, model)
             if hyp == 0:
                 if result.verdict != "innocent":
                     err[0] += 1
@@ -340,7 +337,7 @@ def run_experiment(cfg: ExperimentConfig,
     """
     solver_cfg = solver_cfg or SolverConfig()
     tp = TypicalityParams(cfg.gamma)
-    solved = _once(lambda: _solve(cfg.model, cfg.scheme, solver_cfg))
+    solved = _once(lambda: solve_bound(cfg.model, cfg.scheme, solver_cfg))
     rows: List[MetricsRow] = []
     built, built_n = None, None
     sweep_points = [(n, sid) for n in cfg.blocklengths for sid in cfg.strategies]

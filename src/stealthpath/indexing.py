@@ -80,10 +80,12 @@ def pack_sequences(seqs: np.ndarray, alphabet_size: int) -> np.ndarray:
     return seqs @ weights
 
 
+def unpack_sequences(codes: np.ndarray, alphabet_size: int, n: int) -> np.ndarray:
+    """Inverse of pack_sequences: (m,) packed integers -> (m, n) sequences."""
+    weights = alphabet_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.asarray(codes, dtype=np.int64)[:, None] // weights % alphabet_size
+
+
 def unpack_sequence(code: int, alphabet_size: int, n: int) -> np.ndarray:
     """Inverse of pack_sequences for a single code."""
-    out = np.zeros(n, dtype=np.int64)
-    for t in range(n - 1, -1, -1):
-        out[t] = code % alphabet_size
-        code //= alphabet_size
-    return out
+    return unpack_sequences(np.array([code]), alphabet_size, n)[0]

@@ -11,44 +11,45 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from . import gf2, indexing
-from .adversary import JammingStrategy, JamSet, erasure_jam, overwrite_jam
+from .adversary import JammingStrategy, JamSet
 from .codec import (
     Code,
     DirectCode,
     LayeredCode,
     ReceivedWord,
     ResourceBudgetError,
-    Transmission,
     decode_erasure,
     decode_overwrite,
 )
 from .probkit import (
     Distribution,
+    JointDistribution,
     TypicalityParams,
+    entropy_of_mass,
+    typical_rows,
     variational_distance,
 )
 from .ratesolver import (
     NetworkModel,
     SolutionB,
-    _jammed_entropies,
-    _marginal_system,
-    _unjammed_matrices,
     check_feasibility_b,
+    jammed_entropies,
+    marginal_system,
+    unjammed_matrices,
 )
-from .probkit import JointDistribution, entropy_of_mass
 
 MARGINAL_BUDGET = 1 << 22
 DETECTOR_BUDGET = 1 << 16
 ENUMERATION_BUDGET = 1 << 20
 _WORK_BUDGET = 1 << 28
 # Elements of the (codewords, observations) product array the layered marginal
-# builds at once; small enough not to move a run's peak memory.
+# builds at once, and of the observation sequences the gap partition unpacks at
+# once; small enough not to move a run's peak memory.
 _BATCH_ELEMENTS = 1 << 15
 
 
@@ -94,11 +95,11 @@ def exact_active_marginal(code: Code, j: JamSet,
         if count * n > _WORK_BUDGET:
             raise ResourceBudgetError("marginal enumeration work exceeds the budget")
         restrict = indexing.restrict_codes(sizes, j.links)
-        counts = np.zeros(space, dtype=np.int64)
+        hist = np.zeros(space, dtype=np.int64)
         for _, block in code.chunks():
             packed = indexing.pack_sequences(restrict[block.astype(np.int64)], aj)
-            counts += np.bincount(packed, minlength=space)
-        return Distribution(space, counts / count)
+            hist += np.bincount(packed, minlength=space)
+        return Distribution(space, hist / count)
     # Layered: exact per-position convolution of the kernel rows. A batch of
     # codewords gets its products by the outer-product recurrence np.kron
     # follows, and is summed in codeword order (an axis-0 reduction is a
@@ -194,25 +195,15 @@ def stealth_gap_partition(code: Code, model: NetworkModel, j: JamSet,
     active = cached_active_marginal(code, j, budget)
     innocent = exact_innocent_marginal(model, j, code.params.n, budget)
     n = code.params.n
-    sizes = code.link_sizes
-    aj = int(np.prod([sizes[i] for i in j.links])) if j.links else 1
-    s = indexing.restriction_matrix(sizes, j.links)
-    single = s @ model.innocent.mass
-
+    single = indexing.restriction_matrix(code.link_sizes, j.links) @ model.innocent.mass
+    space = active.alphabet_size
+    typical = np.empty(space, dtype=bool)
+    batch = max(_BATCH_ELEMENTS // n, 1)
+    for lo in range(0, space, batch):
+        seqs = indexing.unpack_sequences(np.arange(lo, min(lo + batch, space)), single.size, n)
+        typical[lo:lo + batch] = typical_rows(seqs, single, tp.gamma)
     diff = 0.5 * np.abs(active.mass - innocent.mass)
-    typical_term = 0.0
-    atypical_term = 0.0
-    zero = single == 0
-    for idx in range(active.alphabet_size):
-        seq = indexing.unpack_sequence(idx, aj, n)
-        counts = np.bincount(seq, minlength=aj)
-        typ = not np.any(counts[zero] > 0) and \
-            float(np.abs(counts / n - single).sum()) <= tp.gamma
-        if typ:
-            typical_term += diff[idx]
-        else:
-            atypical_term += diff[idx]
-    return float(typical_term), float(atypical_term)
+    return float(diff[typical].sum()), float(diff[~typical].sum())
 
 
 def exhaustive_best_detector(code: Code, model: NetworkModel, j: JamSet,
@@ -372,7 +363,7 @@ def grid_solve_b(model: NetworkModel, grid_resolution: float = 1e-2,
                          value=float(np.log2(dim_x)),
                          feasibility_margin=float(np.log2(dim_x)),
                          info={"method": "grid", "dimension": 0})
-    m, b = _marginal_system(model)
+    m, b = marginal_system(model)
     # Orthonormal nullspace of the constraint matrix.
     _, sv, vt = np.linalg.svd(m)
     rank = int((sv > 1e-10).sum())
@@ -381,8 +372,8 @@ def grid_solve_b(model: NetworkModel, grid_resolution: float = 1e-2,
     if d > max_dimension:
         raise ResourceBudgetError(
             f"polytope dimension {d} exceeds the grid limit {max_dimension}")
-    s_jc = _unjammed_matrices(model)
-    max_h_jammed = float(_jammed_entropies(model).max())
+    s_jc = unjammed_matrices(model)
+    max_h_jammed = float(jammed_entropies(model).max())
     p0 = model.innocent.mass.copy()  # always satisfies the marginal constraints
 
     def value_at(t: np.ndarray) -> float:

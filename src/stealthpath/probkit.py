@@ -7,7 +7,7 @@ immutable after construction and all operations are pure given explicit seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -234,14 +234,26 @@ def empirical_type(s: SymbolSequence, alphabet_size: int) -> Distribution:
     return Distribution(alphabet_size, counts / s.n)
 
 
+def typical_rows(seqs: np.ndarray, mass: np.ndarray, gamma: float) -> np.ndarray:
+    """Strong typicality of each row of a (rows, n) array of symbol indices.
+
+    A row passes iff no zero-mass letter occurs in it and the L1 distance of
+    its type from `mass` is at most gamma. Symbols must lie in [0, mass.size).
+    """
+    rows, n = seqs.shape
+    a = mass.size
+    flat = (np.arange(rows, dtype=np.int64)[:, None] * a + seqs).ravel()
+    counts = np.bincount(flat, minlength=rows * a).reshape(rows, a)
+    ok = (counts[:, mass == 0] == 0).all(axis=1)
+    dev = np.abs(counts / n - mass[None, :]).sum(axis=1)
+    return ok & (dev <= gamma)
+
+
 def is_strongly_typical(s: SymbolSequence, d: Distribution, tp: TypicalityParams) -> bool:
     """Zero-mass symbols must not occur and total type deviation must be <= gamma."""
-    counts = np.bincount(s.symbols, minlength=d.alphabet_size)
-    if counts.size > d.alphabet_size:
+    if s.symbols.max() >= d.alphabet_size:
         return False
-    if np.any(counts[d.mass == 0] > 0):
-        return False
-    return float(np.abs(counts / s.n - d.mass).sum()) <= tp.gamma
+    return bool(typical_rows(s.symbols[None, :], d.mass, tp.gamma)[0])
 
 
 def is_jointly_typical(
@@ -260,14 +272,29 @@ def is_jointly_typical(
     return is_strongly_typical(pair, j.as_distribution(), tp)
 
 
+def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The smallest k with cdf[..., k] > u, clipped to A - 1, for A = cdf.shape[-1].
+
+    `cdf` is one cumulative mass vector, or per-position rows (say
+    cdf_rows[symbols]) broadcast against `u`. The result counts the entries of
+    cdf[..., :A-1] that are <= u, in the smallest unsigned dtype that holds
+    A - 1: one vectorised comparison per letter is faster than a binary search
+    at the alphabet sizes used here.
+    """
+    last = cdf.shape[-1] - 1
+    out = np.zeros(np.broadcast_shapes(cdf.shape[:-1], np.shape(u)),
+                   dtype=np.min_scalar_type(last))
+    for k in range(last):
+        out += u >= cdf[..., k]
+    return out
+
+
 def sample_iid(d: Distribution, n: int, rng_seed: int) -> SymbolSequence:
     """n i.i.d. draws from d; deterministic given (d, n, rng_seed)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = generator(rng_seed, "iid")
-    cdf = np.cumsum(d.mass)
-    u = rng.random(n)
-    return SymbolSequence(np.searchsorted(cdf, u, side="right").clip(max=d.alphabet_size - 1))
+    return SymbolSequence(inverse_cdf(np.cumsum(d.mass), rng.random(n)))
 
 
 def sample_conditional(k: ConditionalKernel, su: SymbolSequence, rng_seed: int) -> SymbolSequence:
@@ -275,7 +302,5 @@ def sample_conditional(k: ConditionalKernel, su: SymbolSequence, rng_seed: int) 
     if np.any(su.symbols >= k.input_size):
         raise ValueError("input sequence exceeds kernel input alphabet")
     rng = generator(rng_seed, "conditional")
-    cdf = np.cumsum(k.matrix, axis=1)
-    u = rng.random(su.n)
-    out = (u[:, None] > cdf[su.symbols]).sum(axis=1)
-    return SymbolSequence(out.clip(max=k.output_size - 1))
+    cdf_rows = np.cumsum(k.matrix, axis=1)
+    return SymbolSequence(inverse_cdf(cdf_rows[su.symbols], rng.random(su.n)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .probkit import (
     ConditionalKernel,
     Distribution,
     JointDistribution,
-    entropy,
     entropy_of_mass,
 )
 from .rng import generator
@@ -192,7 +191,7 @@ class _Polytope:
         return float(np.max(np.abs(self.m @ p - self.b)))
 
 
-def _marginal_system(model: NetworkModel):
+def marginal_system(model: NetworkModel):
     """Equality system pinning every size-<=Z marginal to the innocent one."""
     sizes = model.link_alphabet_sizes
     rows = [np.ones((1, model.product_alphabet_size))]
@@ -206,7 +205,7 @@ def _marginal_system(model: NetworkModel):
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def _unjammed_matrices(model: NetworkModel):
+def unjammed_matrices(model: NetworkModel):
     """Restriction matrices onto the complement of each jam set."""
     sizes = model.link_alphabet_sizes
     out = []
@@ -216,7 +215,7 @@ def _unjammed_matrices(model: NetworkModel):
     return out
 
 
-def _jammed_entropies(model: NetworkModel) -> np.ndarray:
+def jammed_entropies(model: NetworkModel) -> np.ndarray:
     """H(X_J) for each J; fixed by the marginal-matching constraints."""
     sizes = model.link_alphabet_sizes
     vals = []
@@ -317,10 +316,10 @@ def _polish_onto_affine(p: np.ndarray, poly: _Polytope) -> Optional[np.ndarray]:
 def solve_b(model: NetworkModel, cfg: Optional[SolverConfig] = None) -> SolutionB:
     """Max-min unjammed entropy over the marginal-matching polytope."""
     cfg = cfg or SolverConfig()
-    m, b = _marginal_system(model)
+    m, b = marginal_system(model)
     poly = _Polytope(m, b)
-    s_jc = _unjammed_matrices(model)
-    max_h_jammed = float(_jammed_entropies(model).max())
+    s_jc = unjammed_matrices(model)
+    max_h_jammed = float(jammed_entropies(model).max())
 
     objective = lambda p: _entropy_objective(p, s_jc)
     supergrad = lambda p: _entropy_supergradient(p, s_jc)
@@ -423,7 +422,7 @@ def _block_ascent_a(q0, s_jc, s_j, model, cfg: SolverConfig):
     """
     u_size = q0.shape[0]
     dim_x = q0.shape[1]
-    m_marg, b_marg = _marginal_system(model)
+    m_marg, b_marg = marginal_system(model)
 
     def pu_polytope(kern):
         # Constraints on p_u for fixed kernel: marginal match plus sum-to-one.
@@ -538,7 +537,7 @@ def solve_a(
         starts.append(q)
     rng = generator(cfg.seed, "solve-a-starts")
     n_random = max(cfg.restarts - len(starts), 0)
-    m_marg, b_marg = _marginal_system(model)
+    m_marg, b_marg = marginal_system(model)
     # Joint-space polytope: q >= 0, sum 1, X-marginal in the entropy-bound polytope.
     m_joint = np.vstack([np.kron(np.ones((1, u_size)), row[None, :]) for row in m_marg])
     m_joint = m_joint.reshape(m_marg.shape[0], u_size * dim_x)

@@ -108,3 +108,38 @@ def test_simulate_seed_zero_overrides_master_seed(tmp_path):
     assert seed5 != seed0  # the master seed moves the Monte Carlo estimates
     assert rows(5, "--seed", "0") == seed0
     assert rows(0, "--seed", "5") == seed5
+
+
+def _count_solve_b(monkeypatch):
+    """Record the seed of every solve_b call, wherever the CLI makes it."""
+    from stealthpath import cli, harness
+    from stealthpath.ratesolver import solve_b
+    seeds = []
+
+    def counting(model, cfg=None):
+        seeds.append(cfg.seed if cfg is not None else 0)
+        return solve_b(model, cfg)
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "solve_b", counting)
+    return seeds
+
+
+def test_stealth_scan_solves_once_with_the_seed(tmp_path, capsys, monkeypatch):
+    seeds = _count_solve_b(monkeypatch)
+    cfg = write_config(tmp_path, {"schema": 1, "model": model_obj(),
+                                  "scheme": "overwrite-direct",
+                                  "code": {"n": [2, 3], "rate_bits": 1.0, "seed": 4}})
+    assert main(["--seed", "5", "stealth-scan", "--config", cfg]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 6
+    assert seeds == [5]
+
+
+def test_oracle_solves_with_the_seed(tmp_path, capsys, monkeypatch):
+    seeds = _count_solve_b(monkeypatch)
+    cfg = write_config(tmp_path, {"schema": 1, "model": model_obj(),
+                                  "scheme": "overwrite-direct",
+                                  "code": {"n": 3, "rate_bits": 1.0, "seed": 4},
+                                  "jam_set": [0]})
+    assert main(["--seed", "3", "oracle", "stealth-gap", "--config", cfg]) == 0
+    assert main(["oracle", "stealth-gap", "--config", cfg]) == 0
+    assert seeds == [3, 0]

@@ -335,3 +335,22 @@ def test_streaming_decode_overwrite_matches_materialised(monkeypatch):
             assert decode_overwrite(streaming, rx, MODEL) == want
             verdicts.add(want.verdict)
     assert verdicts == {"innocent", "message", "error"}
+
+
+def test_layered_transmit_map_matches_the_strict_comparison_form():
+    # the draw used to count the kernel-row cdf entries strictly below u; the
+    # shared sampler counts those <= u, which differs only when u equals one
+    # of them exactly
+    from stealthpath.rng import generator
+    kernel = ConditionalKernel(3, 8, np.vstack([np.full(8, 0.125),
+                                                np.r_[0.5, 0.0, 0.25, 0.0, 0.25, 0, 0, 0],
+                                                np.eye(8)[5]]))
+    code = build_layered_code(Distribution(3, np.array([0.5, 0.3, 0.2])), kernel,
+                              CodeParams(n=12, rate=0.5, seed=3), (2, 2, 2))
+    cdf_rows = np.cumsum(kernel.matrix, axis=1)
+    for m in range(1, code.message_count + 1):
+        for tx_seed in range(5):
+            u = generator(tx_seed, "transmit-map").random(12)
+            old = (u[:, None] > cdf_rows[code.u_codeword(m)]).sum(axis=1).clip(max=7)
+            tx = encode(code, MODEL, 1, m, tx_seed)
+            np.testing.assert_array_equal(indexing.pack_links(tx.links, (2, 2, 2)), old)

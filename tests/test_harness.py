@@ -53,6 +53,8 @@ def test_config_parse_and_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(base_config(scheme="bogus"))
     with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(base_config(scheme="layered-under-overwrite"))
+    with pytest.raises(ConfigError):
         ExperimentConfig.from_json(base_config(
             adversary={"jam_rule": "worst-over-family", "strategies": ["bogus"]}))
 
@@ -231,6 +233,23 @@ def test_two_by_two_csv_bytes_are_pinned(tmp_path):
     export(run_experiment(two_by_two_config(), FAST), "csv", str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "ca8a0a7e9afff1c4aef385e6a256d1fea02a0d5f76c799f35b68c0f6c3517f2f"
+
+
+def test_erasure_layered_csv_bytes_are_pinned(tmp_path):
+    # the bytes with a sampler and a typicality test per module; the shared
+    # probkit ones must not move one. A biased innocent law gives the auxiliary
+    # codewords, the innocent blocks and the decoder non-uniform masses.
+    cfg = ExperimentConfig.from_json(base_config(
+        model={"link_count": 3, "adversary_budget": 1, "link_alphabet_sizes": [2, 2, 2],
+               "innocent": {"factors": [[0.7, 0.3]] * 3}},
+        scheme="erasure-layered", gamma=0.6,
+        code={"n": [6, 8], "rate": {"rule": "absolute", "bits": 0.5}, "seed": 2},
+        adversary={"jam_rule": "fixed", "jam_set": [0]},
+        detector="optimal-oracle", trials=30))
+    path = tmp_path / "rows.csv"
+    export(run_experiment(cfg, SolverConfig(restarts=2)), "csv", str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "49e71482379089c33df3e2688a64dda4ed789f586dad2a4c77ea700ceee63419"
 
 
 def test_invalid_fixed_jam_set_gives_failure_row():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stealthpath import oracle
+from stealthpath import indexing, oracle
 from stealthpath.adversary import JamSet, get_strategy
 from stealthpath.codec import (
     CodeParams,
@@ -202,3 +202,25 @@ def test_layered_marginal_matches_a_per_codeword_kron_loop(monkeypatch):
         want = Distribution(space, mass / code.message_count)
         got = oracle.exact_active_marginal(code, JamSet(links))
         assert np.array_equal(got.mass, want.mass)
+
+
+def test_gap_partition_matches_a_per_observation_loop():
+    model = NetworkModel(3, 1, (2, 2, 2), JointDistribution.from_factors(
+        [Distribution(2, np.array([0.7, 0.3]))] * 3))
+    code = build_direct_code(model.innocent, CodeParams(n=6, rate=0.75, seed=1))
+    j = JamSet((0,))
+    tp = TypicalityParams(0.3)
+    active = oracle.exact_active_marginal(code, j)
+    innocent = oracle.exact_innocent_marginal(model, j, 6)
+    single = np.array([0.7, 0.3])
+    typ, atyp = 0.0, 0.0
+    for idx in range(active.alphabet_size):
+        counts = np.bincount(indexing.unpack_sequence(idx, 2, 6), minlength=2)
+        diff = 0.5 * abs(active.mass[idx] - innocent.mass[idx])
+        if float(np.abs(counts / 6 - single).sum()) <= tp.gamma:
+            typ += diff
+        else:
+            atyp += diff
+    got = oracle.stealth_gap_partition(code, model, j, tp)
+    assert got == pytest.approx((typ, atyp), abs=1e-15)
+    assert typ > 0 and atyp > 0

@@ -11,12 +11,14 @@ from stealthpath.probkit import (
     TypicalityParams,
     empirical_type,
     entropy,
+    inverse_cdf,
     is_jointly_typical,
     is_strongly_typical,
     marginalize,
     mutual_information,
     sample_conditional,
     sample_iid,
+    typical_rows,
     variational_distance,
 )
 
@@ -192,3 +194,58 @@ def test_typicality_params_validation():
         TypicalityParams(gamma=0.0)
     with pytest.raises(ValueError):
         TypicalityParams(gamma=-0.2)
+
+
+def _typical_one_row(seq, mass, gamma):
+    """The per-row strong-typicality test the batched kernel replaced."""
+    counts = np.bincount(seq, minlength=mass.size)
+    if np.any(counts[mass == 0] > 0):
+        return False
+    return float(np.abs(counts / seq.size - mass).sum()) <= gamma
+
+
+def test_typical_rows_matches_the_per_row_formula():
+    rng = np.random.default_rng(5)
+    mass = np.array([0.25, 0.0, 0.375, 0.125, 0.0, 0.25])
+    support = np.nonzero(mass)[0]
+    for n in (1, 4, 8, 13):
+        # rows over the support only, and rows that may hit a zero-mass letter
+        seqs = np.vstack([support[rng.integers(0, support.size, size=(200, n))],
+                          rng.integers(0, mass.size, size=(200, n))])
+        for gamma in (0.1, 0.5, 1.2):
+            expected = [_typical_one_row(row, mass, gamma) for row in seqs]
+            assert np.array_equal(typical_rows(seqs, mass, gamma), expected)
+    # a row whose deviation is gamma exactly passes; just below gamma it fails
+    seqs = np.array([[0, 0, 0, 2, 2, 3, 5, 5]])
+    gamma = float(np.abs(np.bincount(seqs[0], minlength=6) / 8 - mass).sum())
+    assert typical_rows(seqs, mass, gamma)[0] and _typical_one_row(seqs[0], mass, gamma)
+    assert not typical_rows(seqs, mass, np.nextafter(gamma, 0.0))[0]
+    half = np.array([0.5, 0.5, 0.0])
+    assert np.array_equal(typical_rows(np.array([[0, 0, 0, 1], [0, 2, 1, 1]]), half, 0.5),
+                          [True, False])
+
+
+def test_inverse_cdf_matches_searchsorted():
+    rng = np.random.default_rng(8)
+    mass = np.array([0.2, 0.0, 0.5, 0.0, 0.3, 0.0])
+    cdf = np.cumsum(mass)
+    a = mass.size
+    # random draws, every cdf value itself, and 0
+    u = np.concatenate([rng.random(500), cdf, [0.0]])
+    expected = np.searchsorted(cdf, u, side="right").clip(max=a - 1)
+    assert np.array_equal(inverse_cdf(cdf, u), expected)
+    grid = u[:504].reshape(42, 12)
+    assert np.array_equal(inverse_cdf(cdf, grid),
+                          np.searchsorted(cdf, grid, side="right").clip(max=a - 1))
+    # per-position kernel rows, with u landing on a row's cdf values too
+    kernel = np.array([[1.0, 0.0, 0.0, 0.0],
+                       [0.0, 0.5, 0.0, 0.5],
+                       [0.25, 0.25, 0.25, 0.25],
+                       [0.0, 0.0, 0.0, 1.0]])
+    cdf_rows = np.cumsum(kernel, axis=1)
+    symbols = rng.integers(0, 4, size=400)
+    u = rng.random(400)
+    u[::7] = cdf_rows[symbols[::7], rng.integers(0, 4, size=u[::7].size)]
+    expected = [min(np.searchsorted(cdf_rows[s], x, side="right"), 3)
+                for s, x in zip(symbols, u)]
+    assert np.array_equal(inverse_cdf(cdf_rows[symbols], u), expected)
