@@ -13,6 +13,7 @@ Every strategy exposes both `apply` (sampled, for Monte Carlo) and `outcomes`
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +26,7 @@ from .codec import (
     ReceivedWord,
     ResourceBudgetError,
     Transmission,
+    code_cached,
     encode,
 )
 from .probkit import Distribution, inverse_cdf, typical_rows
@@ -97,9 +99,14 @@ class JammingStrategy:
         raise NotImplementedError
 
 
-def _jam_marginal(model: NetworkModel, j: JamSet) -> Distribution:
-    s = indexing.restriction_matrix(model.link_alphabet_sizes, j.links)
-    return Distribution(s.shape[0], s @ model.innocent.mass)
+def _jam_marginal(model: NetworkModel, j: JamSet, code: Optional[Code] = None) -> Distribution:
+    """The innocent law on the jammed links; its key is the model's content."""
+    def compute():
+        s = indexing.restriction_matrix(model.link_alphabet_sizes, j.links)
+        return Distribution(s.shape[0], s @ model.innocent.mass)
+    key = ("innocent-jam-marginal", model.link_alphabet_sizes,
+           model.innocent.mass.tobytes(), j.links)
+    return code_cached(code, key, compute)
 
 
 def _sub_sizes(model: NetworkModel, j: JamSet) -> list:
@@ -151,14 +158,13 @@ class ResampleInnocent(JammingStrategy):
         if not j.links:
             return x_j.copy()
         rng = generator(seed, "innocent-jam")
-        cdf = np.cumsum(_jam_marginal(model, j).mass)
-        codes = inverse_cdf(cdf, rng.random(x_j.shape[1]))
+        codes = inverse_cdf(_jam_marginal(model, j, code).cdf, rng.random(x_j.shape[1]))
         return indexing.unpack_links(codes, _sub_sizes(model, j))
 
     def outcomes(self, x_j, j, model, code, budget=1 << 20):
         if not j.links:
             return [(1.0, x_j.copy())]
-        marg = _jam_marginal(model, j)
+        marg = _jam_marginal(model, j, code)
         n = x_j.shape[1]
         if marg.alphabet_size ** n > budget:
             raise ResourceBudgetError("innocent-jam outcome space exceeds the budget")
@@ -198,16 +204,16 @@ class SpoofCodeword(JammingStrategy):
 
     @staticmethod
     def _jam_mass(code: DirectCode, j: JamSet) -> np.ndarray:
-        return indexing.restriction_matrix(code.link_sizes, j.links) @ code.p_x.mass
+        return code_cached(code, ("codeword-jam-mass", j.links), lambda: (
+            indexing.restriction_matrix(code.link_sizes, j.links) @ code.p_x.mass))
 
     def _candidates(self, code: DirectCode, j: JamSet) -> np.ndarray:
         """Candidate messages, kept in the code's cache."""
-        key = ("spoof-candidates", self.gamma, j.links)
-        if key not in code.cache:
+        def compute():
             sub = _codeword_restrictions(code, j)
             cand = np.nonzero(typical_rows(sub, self._jam_mass(code, j), self.gamma))[0] + 1
-            code.cache[key] = cand if cand.size else np.arange(1, sub.shape[0] + 1)
-        return code.cache[key]
+            return cand if cand.size else np.arange(1, sub.shape[0] + 1)
+        return code_cached(code, ("spoof-candidates", self.gamma, j.links), compute)
 
     def _require_direct(self, code) -> DirectCode:
         if not isinstance(code, DirectCode):
@@ -260,10 +266,8 @@ class SpoofConsistent(JammingStrategy):
             exact = code.affine.matches(j.links, code.affine.pack(j.links, x_j), limit=1)
             if exact:
                 return exact[0]
-        key = ("codeword-restrictions", j.links)
-        if key not in code.cache:
-            code.cache[key] = _codeword_restrictions(code, j)
-        sub = code.cache[key]
+        sub = code_cached(code, ("codeword-restrictions", j.links),
+                          lambda: _codeword_restrictions(code, j))
         obs = indexing.pack_links(x_j, [code.link_sizes[i] for i in j.links])
         agreement = (sub == obs[None, :]).sum(axis=1)
         return int(np.argmax(agreement)) + 1  # ties -> smallest message
@@ -352,8 +356,7 @@ def overwrite_jam(tx: Transmission, j: JamSet, strategy: JammingStrategy,
 def pack_observation(x_j: np.ndarray, sizes: Sequence[int]) -> int:
     """Jammed-link block -> index into the n-letter observation space."""
     codes = indexing.pack_links(x_j, sizes)
-    aj = int(np.prod(sizes))
-    return int(indexing.pack_sequences(codes[None, :], aj)[0])
+    return int(indexing.pack_sequences(codes[None, :], math.prod(sizes))[0])
 
 
 def optimal_detect(x_j: np.ndarray, sizes: Sequence[int],

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -367,6 +367,19 @@ class LayeredCode:
 Code = Union[DirectCode, LayeredCode]
 
 
+def code_cached(code: Optional[Code], key: tuple, compute: Callable):
+    """compute(), kept in the code's cache under `key`; computed afresh without a code.
+
+    A key names the table and what it depends on beyond the code itself, by
+    content.
+    """
+    if code is None:
+        return compute()
+    if key not in code.cache:
+        code.cache[key] = compute()
+    return code.cache[key]
+
+
 def build_direct_code(p_x: JointDistribution, params: CodeParams) -> DirectCode:
     store = _build_store(p_x.mass, params, len(p_x.factor_sizes), "codeword-chunk")
     return DirectCode(params=params, p_x=p_x, _store=store)
@@ -466,7 +479,7 @@ def encode(code: Code, model: NetworkModel, t: int, m: int, tx_seed: int) -> Tra
         if m != 0:
             raise ValueError("innocent transmission must carry message 0")
         rng = generator(tx_seed, "innocent")
-        codes = inverse_cdf(np.cumsum(model.innocent.mass), rng.random(n))
+        codes = inverse_cdf(model.innocent.cdf, rng.random(n))
         return Transmission(INNOCENT, 0, indexing.unpack_links(codes, sizes))
     if not 1 <= m <= code.message_count:
         raise ValueError(f"message {m} out of range 1..{code.message_count}")
@@ -476,8 +489,7 @@ def encode(code: Code, model: NetworkModel, t: int, m: int, tx_seed: int) -> Tra
     # on every transmission.
     u = code.u_codeword(m)
     rng = generator(tx_seed, "transmit-map")
-    cdf_rows = np.cumsum(code.kernel.matrix, axis=1)
-    codes = inverse_cdf(cdf_rows[u], rng.random(n))
+    codes = inverse_cdf(code.kernel.cdf[u], rng.random(n))
     return Transmission(ACTIVE, m, indexing.unpack_links(codes, sizes))
 
 
@@ -505,12 +517,17 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
     sub_sizes = [code.link_sizes[i] for i in unjammed]
     y = indexing.pack_links(rx.links[unjammed], sub_sizes)
 
-    joint = induced_unjammed_joint(code, unjammed)
+    joint = code_cached(code, ("unjammed-joint", tuple(unjammed)),
+                        lambda: induced_unjammed_joint(code, unjammed))
     ax = joint.factor_sizes[1]
+    pair_dtype = np.min_scalar_type(joint.alphabet_size)
+    y = y.astype(pair_dtype)
 
     matches: list = []
     for start, block in code.u_chunks():
-        pair = block.astype(np.int64) * ax + y[None, :]
+        pair = block.astype(pair_dtype)
+        pair *= pair_dtype.type(ax)
+        pair += y
         hit = np.nonzero(typical_rows(pair, joint.mass, tp.gamma))[0]
         matches.extend(int(start + h + 1) for h in hit)
         if len(matches) > 1:
@@ -522,24 +539,61 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
     return DecodeResult("error", examined_sets=1)
 
 
-def _packed_restrictions(code: DirectCode, links: tuple) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Per-message packed restriction values plus their sort order, cached.
+@dataclass(frozen=True)
+class _RestrictionIndex:
+    """Every codeword's restriction to each of S link sets, searchable at once.
 
-    Only a materialised code gets this index; None when the restriction does
-    not pack into 63 bits or the code streams.
+    Set s restricts product code x at position t to tables[s, x], and packs a
+    word's n restrictions with weights[s]. keys holds every message's packed
+    restriction plus offsets[s] = s << bits, sorted within each set and the
+    sets concatenated, so the whole array is sorted; messages holds the
+    1-based message of each key, ascending among equal keys.
     """
-    key = ("restriction-index", links)
-    if key in code.cache:
-        return code.cache[key]
-    sub_sizes = [code.link_sizes[i] for i in links]
-    sub_alpha = int(np.prod(sub_sizes))
-    if not code.materialized or code.params.n * math.log2(sub_alpha) > 63:
+
+    tables: np.ndarray    # (S, product alphabet) int64
+    weights: np.ndarray   # (S, n) int64
+    offsets: np.ndarray   # (S,) int64
+    keys: np.ndarray      # (S * N,) int64
+    messages: np.ndarray  # (S * N,) int32
+
+    def search(self, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """[lo, hi) of the keys equal to each target."""
+        return (np.searchsorted(self.keys, targets, side="left"),
+                np.searchsorted(self.keys, targets, side="right"))
+
+
+def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIndex]:
+    """The index of a materialised i.i.d. code on a tuple of link sets, cached.
+
+    None when the code streams or is affine, or when the offset keys do not
+    fit in 63 bits.
+    """
+    def build():
+        n = code.params.n
+        alphas = [math.prod(code.link_sizes[i] for i in links) for links in sets]
+        bits = max((a ** n - 1).bit_length() for a in alphas)
+        if bits + (len(sets) - 1).bit_length() > 63:
+            return None
+        (_, block), = code.chunks()
+        count = block.shape[0]
+        tables = np.stack([indexing.restrict_codes(code.link_sizes, links) for links in sets])
+        weights = np.stack([indexing.sequence_weights(a, n) for a in alphas])
+        offsets = np.arange(len(sets), dtype=np.int64) << bits
+        keys = np.empty(len(sets) * count, dtype=np.int64)
+        messages = np.empty(len(sets) * count, dtype=np.int32)
+        values = np.empty(count, dtype=np.int64)
+        for s in range(len(sets)):
+            values[:] = 0
+            for t in range(n):
+                values += tables[s][block[:, t]] * weights[s, t]
+            order = np.argsort(values, kind="stable")
+            keys[s * count:(s + 1) * count] = values[order] + offsets[s]
+            messages[s * count:(s + 1) * count] = order + 1
+        return _RestrictionIndex(tables, weights, offsets, keys, messages)
+
+    if code.affine is not None or not code.materialized:
         return None
-    restrict = indexing.restrict_codes(code.link_sizes, links)
-    (_, block), = code.chunks()
-    values = indexing.pack_sequences(restrict[block.astype(np.int64)], sub_alpha)
-    code.cache[key] = (values, np.argsort(values, kind="stable"))
-    return code.cache[key]
+    return code_cached(code, ("restriction-index", sets), build)
 
 
 def matching_messages(code: DirectCode, links: Sequence[int],
@@ -552,15 +606,11 @@ def matching_messages(code: DirectCode, links: Sequence[int],
         return np.array(code.affine.matches(links, code.affine.pack(links, y_links)),
                         dtype=np.int64)
     sub_sizes = [code.link_sizes[i] for i in links]
-    sub_alpha = int(np.prod(sub_sizes))
     ycodes = indexing.pack_links(np.asarray(y_links), sub_sizes)
-    packed = _packed_restrictions(code, links)
-    if packed is not None:
-        target = int(indexing.pack_sequences(ycodes[None, :], sub_alpha)[0])
-        values, order = packed
-        lo = np.searchsorted(values, target, side="left", sorter=order)
-        hi = np.searchsorted(values, target, side="right", sorter=order)
-        return np.sort(order[lo:hi]) + 1
+    index = _restriction_index(code, (links,))
+    if index is not None:
+        (lo,), (hi,) = index.search(np.array([ycodes @ index.weights[0]]))
+        return index.messages[lo:hi].astype(np.int64)
     restrict = indexing.restrict_codes(code.link_sizes, links)
     hits = []
     for start, block in code.chunks():
@@ -569,7 +619,7 @@ def matching_messages(code: DirectCode, links: Sequence[int],
     return np.concatenate(hits) if hits else np.array([], dtype=np.int64)
 
 
-def _streaming_list(code: DirectCode, links: np.ndarray, unjammed_sets: list) -> set:
+def _streaming_list(code: DirectCode, links: np.ndarray, unjammed_sets: Sequence) -> set:
     """Messages agreeing with the received `links` on any of `unjammed_sets`.
 
     One pass over the chunks matches each chunk against every set at once:
@@ -605,9 +655,11 @@ def decode_overwrite(code: DirectCode, rx: ReceivedWord,
     """Erasure-like exhaustive list decoding over every candidate jam set.
 
     The verdict depends only on the union of the lists over the jam family:
-    none is innocent, one is that message, more is an error. An affine code
-    lists at most two messages per jam set, by one solve each; a streaming
-    i.i.d. code is read once for all jam sets.
+    none is innocent, one is that message, more is an error. A materialised
+    i.i.d. code answers every jam set by one search of its restriction index;
+    an affine code lists at most two messages per jam set, by one solve each;
+    a streaming i.i.d. code, or one too wide for the index, is read once for
+    all jam sets.
     """
     if rx.erased.any():
         raise ValueError("overwrite decoding expects a fully symbol-valued word")
@@ -618,21 +670,27 @@ def decode_overwrite(code: DirectCode, rx: ReceivedWord,
             f"list decoding scans all {count} codewords; over the scan budget"
         )
     fam = model.jam_family()
-    unjammed_sets = [tuple(i for i in range(model.link_count) if i not in jhat)
-                     for jhat in fam]
-    if affine is None and not code.materialized:
-        listed = _streaming_list(code, rx.links, unjammed_sets)
-    else:
-        if affine is not None:
-            x = affine.pack(range(model.link_count), rx.links)
+    unjammed_sets = tuple(tuple(i for i in range(model.link_count) if i not in jhat)
+                          for jhat in fam)
+    index = _restriction_index(code, unjammed_sets)
+    if affine is not None:
+        x = affine.pack(range(model.link_count), rx.links)
         listed = set()
         for jc in unjammed_sets:
-            if affine is not None and jc:
+            if jc:
                 listed.update(affine.matches(jc, x, limit=2))
             else:
                 listed.update(int(m) for m in matching_messages(code, jc, rx.links[list(jc)]))
             if len(listed) > 1:
                 break
+    elif index is not None:
+        x = indexing.pack_links(rx.links, code.link_sizes)
+        lo, hi = index.search((index.tables[:, x] * index.weights).sum(axis=1) + index.offsets)
+        # the first and last match of each set: two messages where a set lists several
+        hit = hi > lo
+        listed = set(index.messages[lo[hit]].tolist()) | set(index.messages[hi[hit] - 1].tolist())
+    else:
+        listed = _streaming_list(code, rx.links, unjammed_sets)
     if not listed:
         return DecodeResult("innocent", examined_sets=len(fam))
     if len(listed) == 1:

@@ -6,34 +6,53 @@ Conventions used everywhere in this package:
   * restrictions to a link subset keep the links in ascending index order;
   * an n-letter sequence over alphabet A is packed base-A with position 0 as
     the most significant digit.
+
+The radix tables behind these packings are computed once per alphabet and
+shared read-only.
 """
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import Sequence, Tuple
 
 import numpy as np
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=256)
+def _radix(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """Strides and sizes of a product alphabet, as (C, 1) int64 columns."""
+    sz = np.array(sizes, dtype=np.int64)
+    st = np.ones_like(sz)
+    st[:-1] = np.cumprod(sz[::-1])[::-1][1:]
+    return _frozen(st[:, None]), _frozen(sz[:, None])
+
+
+@functools.lru_cache(maxsize=256)
+def sequence_weights(alphabet_size: int, n: int) -> np.ndarray:
+    """Base-A place values of an n-letter sequence, most significant first (read-only)."""
+    return _frozen(alphabet_size ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
 def strides(sizes: Sequence[int]) -> np.ndarray:
-    """Row-major strides for a product alphabet."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    out = np.ones_like(sizes)
-    out[:-1] = np.cumprod(sizes[::-1])[::-1][1:]
-    return out
+    """Row-major strides for a product alphabet (read-only)."""
+    return _radix(tuple(map(int, sizes)))[0][:, 0]
 
 
 def pack_links(link_symbols: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """(C, n) per-link symbols -> (n,) product codes."""
-    st = strides(sizes)
-    return (np.asarray(link_symbols, dtype=np.int64) * st[:, None]).sum(axis=0)
+    st, _ = _radix(tuple(map(int, sizes)))
+    return (np.asarray(link_symbols, dtype=np.int64) * st).sum(axis=0)
 
 
 def unpack_links(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """(n,) product codes -> (C, n) per-link symbols."""
-    st = strides(sizes)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    codes = np.asarray(codes, dtype=np.int64)
-    return (codes[None, :] // st[:, None]) % sizes[:, None]
+    st, sz = _radix(tuple(map(int, sizes)))
+    return (np.asarray(codes, dtype=np.int64)[None, :] // st) % sz
 
 
 def link_digit(codes: np.ndarray, sizes: Sequence[int], link: int) -> np.ndarray:
@@ -76,13 +95,12 @@ def pack_sequences(seqs: np.ndarray, alphabet_size: int) -> np.ndarray:
     n = seqs.shape[-1]
     if n * np.log2(alphabet_size) > 63:
         raise ValueError("sequence space exceeds 63-bit packing")
-    weights = alphabet_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return seqs @ weights
+    return seqs @ sequence_weights(int(alphabet_size), n)
 
 
 def unpack_sequences(codes: np.ndarray, alphabet_size: int, n: int) -> np.ndarray:
     """Inverse of pack_sequences: (m,) packed integers -> (m, n) sequences."""
-    weights = alphabet_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    weights = sequence_weights(int(alphabet_size), int(n))
     return np.asarray(codes, dtype=np.int64)[:, None] // weights % alphabet_size
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,6 +18,10 @@ from .rng import generator
 # Construction tolerances: reject real bugs, forgive float dust.
 SUM_TOL = 1e-9
 MASS_TOL = 1e-12
+# inverse_cdf: below this many draws one vectorised search beats a pass per letter.
+SEARCH_DRAWS = 1024
+# typical_rows: count-table cells per block of rows.
+TYPICAL_BLOCK_CELLS = 1 << 18
 
 _LOG2E = 1.0 / np.log(2.0)
 
@@ -36,6 +41,12 @@ def _validated_mass(mass, expected_len: int) -> np.ndarray:
     return arr
 
 
+def _frozen_cumsum(mass: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(mass, axis=-1)
+    cdf.flags.writeable = False
+    return cdf
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability mass function over {0, ..., alphabet_size - 1}."""
@@ -47,6 +58,11 @@ class Distribution:
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be positive")
         object.__setattr__(self, "mass", _validated_mass(self.mass, self.alphabet_size))
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative mass, the table `inverse_cdf` draws from."""
+        return _frozen_cumsum(self.mass)
 
     @classmethod
     def uniform(cls, size: int) -> "Distribution":
@@ -97,6 +113,11 @@ class JointDistribution:
     def grid(self) -> np.ndarray:
         return self.mass.reshape(self.factor_sizes)
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative mass over the packed product alphabet."""
+        return _frozen_cumsum(self.mass)
+
     @classmethod
     def from_factors(cls, factors: Sequence[Distribution]) -> "JointDistribution":
         """Independent product of single-letter distributions."""
@@ -141,6 +162,11 @@ class ConditionalKernel:
     @property
     def rows(self) -> tuple:
         return tuple(Distribution(self.output_size, r) for r in self.matrix)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative mass of each row, (input_size, output_size)."""
+        return _frozen_cumsum(self.matrix)
 
     @classmethod
     def identity(cls, size: int) -> "ConditionalKernel":
@@ -239,14 +265,24 @@ def typical_rows(seqs: np.ndarray, mass: np.ndarray, gamma: float) -> np.ndarray
 
     A row passes iff no zero-mass letter occurs in it and the L1 distance of
     its type from `mass` is at most gamma. Symbols must lie in [0, mass.size).
+    Rows holding a zero-mass letter are rejected first, by one gather; the
+    count table is built only for the rest, TYPICAL_BLOCK_CELLS cells at a time.
     """
     rows, n = seqs.shape
     a = mass.size
-    flat = (np.arange(rows, dtype=np.int64)[:, None] * a + seqs).ravel()
-    counts = np.bincount(flat, minlength=rows * a).reshape(rows, a)
-    ok = (counts[:, mass == 0] == 0).all(axis=1)
-    dev = np.abs(counts / n - mass[None, :]).sum(axis=1)
-    return ok & (dev <= gamma)
+    out = (mass > 0)[seqs].all(axis=1)
+    survivors = np.flatnonzero(out)
+    step = max(TYPICAL_BLOCK_CELLS // a, 1)
+    for lo in range(0, survivors.size, step):
+        idx = survivors[lo:lo + step]
+        flat = (np.arange(idx.size, dtype=np.int64)[:, None] * a + seqs[idx]).ravel()
+        counts = np.bincount(flat, minlength=idx.size * a).reshape(idx.size, a)
+        dev = counts / n
+        del counts
+        dev -= mass
+        np.abs(dev, out=dev)
+        out[idx] = dev.sum(axis=1) <= gamma
+    return out
 
 
 def is_strongly_typical(s: SymbolSequence, d: Distribution, tp: TypicalityParams) -> bool:
@@ -278,12 +314,19 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     `cdf` is one cumulative mass vector, or per-position rows (say
     cdf_rows[symbols]) broadcast against `u`. The result counts the entries of
     cdf[..., :A-1] that are <= u, in the smallest unsigned dtype that holds
-    A - 1: one vectorised comparison per letter is faster than a binary search
-    at the alphabet sizes used here.
+    A - 1. Up to SEARCH_DRAWS draws take one vectorised search (or, for
+    per-position rows, one broadcast comparison); larger draws take one
+    comparison per letter, which is faster than a binary search at the
+    alphabet sizes used here.
     """
     last = cdf.shape[-1] - 1
-    out = np.zeros(np.broadcast_shapes(cdf.shape[:-1], np.shape(u)),
-                   dtype=np.min_scalar_type(last))
+    dtype = np.min_scalar_type(last)
+    if np.size(u) <= SEARCH_DRAWS:
+        if cdf.ndim == 1:
+            return np.searchsorted(cdf[:-1], u, side="right").astype(dtype)
+        return np.count_nonzero(np.asarray(u)[..., None] >= cdf[..., :-1], axis=-1
+                                ).astype(dtype)
+    out = np.zeros(np.broadcast_shapes(cdf.shape[:-1], np.shape(u)), dtype=dtype)
     for k in range(last):
         out += u >= cdf[..., k]
     return out
@@ -294,7 +337,7 @@ def sample_iid(d: Distribution, n: int, rng_seed: int) -> SymbolSequence:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = generator(rng_seed, "iid")
-    return SymbolSequence(inverse_cdf(np.cumsum(d.mass), rng.random(n)))
+    return SymbolSequence(inverse_cdf(d.cdf, rng.random(n)))
 
 
 def sample_conditional(k: ConditionalKernel, su: SymbolSequence, rng_seed: int) -> SymbolSequence:
@@ -302,5 +345,4 @@ def sample_conditional(k: ConditionalKernel, su: SymbolSequence, rng_seed: int) 
     if np.any(su.symbols >= k.input_size):
         raise ValueError("input sequence exceeds kernel input alphabet")
     rng = generator(rng_seed, "conditional")
-    cdf_rows = np.cumsum(k.matrix, axis=1)
-    return SymbolSequence(inverse_cdf(cdf_rows[su.symbols], rng.random(su.n)))
+    return SymbolSequence(inverse_cdf(k.cdf[su.symbols], rng.random(su.n)))

@@ -184,3 +184,29 @@ def test_strategy_tables_follow_their_code():
             assert np.array_equal(strategy.apply(x_j, j, MODEL, code, seed),
                                   fresh.apply(x_j, j, MODEL, code, seed))
         del code
+
+
+def test_per_transmission_tables_are_built_once_per_code(monkeypatch):
+    from stealthpath.codec import build_layered_code, decode_erasure, decode_overwrite
+    from stealthpath.probkit import ConditionalKernel, TypicalityParams
+    calls = []
+    original = indexing.restriction_matrix
+    monkeypatch.setattr(indexing, "restriction_matrix",
+                        lambda *a: calls.append(a) or original(*a))
+    layered = build_layered_code(Distribution.uniform(8), ConditionalKernel.identity(8),
+                                 CodeParams(n=6, rate=0.5, seed=2), (2, 2, 2))
+    strategy = get_strategy("resample-innocent")
+    tp = TypicalityParams(0.5)
+
+    def transmissions(ts):
+        for t in ts:
+            j = JamSet((t % 3,))
+            tx = encode(CODE, MODEL, t % 2, t % 2 * (1 + t % CODE.message_count), t)
+            decode_overwrite(CODE, overwrite_jam(tx, j, strategy, t, MODEL, CODE), MODEL)
+            tx = encode(layered, MODEL, 1, 1 + t % layered.message_count, t)
+            decode_erasure(layered, erasure_jam(tx, j), tp, MODEL)
+
+    transmissions(range(10))  # 20 transmissions
+    warm = len(calls)
+    transmissions(range(10, 50))  # 80 more
+    assert warm > 0 and len(calls) == warm

@@ -317,24 +317,51 @@ def test_streaming_decode_overwrite_matches_materialised(monkeypatch):
     monkeypatch.setattr(codec, "CHUNK_MESSAGES", 64)
     skew = JointDistribution.from_factors([Distribution.bernoulli(0.3)] +
                                           [Distribution.uniform(2)] * 2)
-    params = CodeParams(n=6, rate=1.6, seed=4)  # 776 messages: spurious matches occur
-    materialised = build_direct_code(skew, params)
-    monkeypatch.setattr(codec, "SYMBOL_BUDGET", 64)
-    streaming = build_direct_code(skew, params)
-    assert materialised.materialized and not streaming.materialized
+    unjammed = tuple(tuple(i for i in range(3) if i not in j) for j in MODEL.jam_family())
     strategy = get_strategy("uniform-random")
     verdicts = set()
-    for t in range(60):
-        hyp = t % 2
-        m = 1 + (13 * t) % materialised.message_count if hyp else 0
-        tx = encode(materialised, MODEL, hyp, m, t)
-        jammed = overwrite_jam(tx, JamSet((t % 3,)), strategy, t, MODEL, materialised)
-        for links in (tx.links, jammed.links):
-            rx = ReceivedWord(links=links, erased=np.zeros(3, dtype=bool))
-            want = decode_overwrite(materialised, rx, MODEL)
-            assert decode_overwrite(streaming, rx, MODEL) == want
-            verdicts.add(want.verdict)
+    # 776 messages: spurious matches occur; at n=21 the full word packs into
+    # 63 bits, so the set offsets do not fit and the materialised code is scanned
+    for params, indexed in ((CodeParams(n=6, rate=1.6, seed=4), True),
+                            (CodeParams(n=21, rate=0.5, seed=4), False)):
+        monkeypatch.setattr(codec, "SYMBOL_BUDGET", 1 << 26)
+        materialised = build_direct_code(skew, params)
+        monkeypatch.setattr(codec, "SYMBOL_BUDGET", 64)
+        streaming = build_direct_code(skew, params)
+        assert materialised.materialized and not streaming.materialized
+        for t in range(60):
+            hyp = t % 2
+            m = 1 + (13 * t) % materialised.message_count if hyp else 0
+            tx = encode(materialised, MODEL, hyp, m, t)
+            jammed = overwrite_jam(tx, JamSet((t % 3,)), strategy, t, MODEL, materialised)
+            for links in (tx.links, jammed.links):
+                rx = ReceivedWord(links=links, erased=np.zeros(3, dtype=bool))
+                want = decode_overwrite(materialised, rx, MODEL)
+                assert decode_overwrite(streaming, rx, MODEL) == want
+                verdicts.add(want.verdict)
+        index = materialised.cache[("restriction-index", unjammed)]
+        assert (index is not None) == indexed
     assert verdicts == {"innocent", "message", "error"}
+
+
+def test_decode_erasure_memory_is_bounded_on_a_full_support_kernel():
+    # every row survives the zero-mass pre-screen; the count table is built
+    # in blocks, not for all 65,536 codewords at once
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    kernel = ConditionalKernel(15, 8, rng.dirichlet(np.ones(8), size=15))
+    code = build_layered_code(Distribution.uniform(15), kernel,
+                              CodeParams(n=10, rate=1.6, seed=1), (2, 2, 2))
+    assert code.materialized and code.message_count == 65536
+    rx = ReceivedWord(links=encode(code, MODEL, 1, 5, 0).links,
+                      erased=np.array([True, False, False]))
+    tracemalloc.start()
+    try:
+        decode_erasure(code, rx, TypicalityParams(0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_layered_transmit_map_matches_the_strict_comparison_form():

@@ -49,3 +49,14 @@ def test_no_unused_module_level_imports():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in _imported_names(tree).items() if name not in used]
     assert unused == []
+
+
+def test_no_id_calls_in_the_package():
+    # cache keys name content; an id() key outlives its object and can be reused
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "id"]
+    assert calls == []

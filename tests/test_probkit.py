@@ -225,7 +225,19 @@ def test_typical_rows_matches_the_per_row_formula():
                           [True, False])
 
 
+def test_typical_rows_in_blocks_matches_one_block(monkeypatch):
+    from stealthpath import probkit
+    rng = np.random.default_rng(6)
+    mass = np.array([0.25, 0.0, 0.375, 0.125, 0.0, 0.25])
+    seqs = rng.choice([0, 2, 3, 5, 5, 1], size=(300, 9)).astype(np.uint8)
+    whole = typical_rows(seqs, mass, 0.6)
+    monkeypatch.setattr(probkit, "TYPICAL_BLOCK_CELLS", 16)  # two rows per block
+    assert np.array_equal(typical_rows(seqs, mass, 0.6), whole)
+    assert whole.any() and not whole.all()
+
+
 def test_inverse_cdf_matches_searchsorted():
+    from stealthpath.probkit import SEARCH_DRAWS
     rng = np.random.default_rng(8)
     mass = np.array([0.2, 0.0, 0.5, 0.0, 0.3, 0.0])
     cdf = np.cumsum(mass)
@@ -246,6 +258,16 @@ def test_inverse_cdf_matches_searchsorted():
     symbols = rng.integers(0, 4, size=400)
     u = rng.random(400)
     u[::7] = cdf_rows[symbols[::7], rng.integers(0, 4, size=u[::7].size)]
+    expected = [min(np.searchsorted(cdf_rows[s], x, side="right"), 3)
+                for s, x in zip(symbols, u)]
+    assert np.array_equal(inverse_cdf(cdf_rows[symbols], u), expected)
+    # above the size at which the sampler stops searching: one pass per letter
+    big = np.random.default_rng(9)
+    u = np.concatenate([big.random(4 * SEARCH_DRAWS), cdf, [0.0]])
+    assert u.size > SEARCH_DRAWS
+    assert np.array_equal(inverse_cdf(cdf, u),
+                          np.searchsorted(cdf, u, side="right").clip(max=a - 1))
+    symbols = big.integers(0, 4, size=u.size)
     expected = [min(np.searchsorted(cdf_rows[s], x, side="right"), 3)
                 for s, x in zip(symbols, u)]
     assert np.array_equal(inverse_cdf(cdf_rows[symbols], u), expected)
