@@ -45,10 +45,8 @@ from .codec import (
     encode,
 )
 from .adversary import (
-    DetectorStats,
     JamSet,
     erasure_jam,
-    estimate_alpha_beta,
     get_strategy,
     list_strategies,
     optimal_detect,

@@ -3,9 +3,8 @@
 Jam-set selection, the two physical jamming modes (erase a link wholesale or
 overwrite its symbols), a small suite of overwrite strategies covering the
 qualitatively distinct attacks (noise, innocent mimicry, codebook-aware
-spoofing, symmetrization), and detectors: the likelihood-ratio test against
-exact n-letter marginals plus empirical false-alarm / missed-detection
-estimation.
+spoofing, symmetrization), and the likelihood-ratio detector against exact
+n-letter marginals.
 
 Every strategy exposes both `apply` (sampled, for Monte Carlo) and `outcomes`
 (the full conditional output law, for the exact oracle).
@@ -15,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +26,10 @@ from .codec import (
     ResourceBudgetError,
     Transmission,
     code_cached,
-    encode,
 )
 from .probkit import Distribution, inverse_cdf, typical_rows
 from .ratesolver import NetworkModel
-from .rng import derive_seed, generator
+from .rng import generator
 
 
 @dataclass(frozen=True)
@@ -55,19 +53,6 @@ class JamSet:
 
     def complement(self, link_count: int) -> tuple:
         return tuple(i for i in range(link_count) if i not in self.links)
-
-
-@dataclass(frozen=True)
-class DetectorStats:
-    """Empirical false-alarm (alpha) and missed-detection (beta) frequencies."""
-
-    alpha: float
-    beta: float
-    trials: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ValueError("alpha and beta must lie in [0, 1]")
 
 
 def erasure_jam(tx: Transmission, j: JamSet) -> ReceivedWord:
@@ -371,26 +356,3 @@ def optimal_detect(x_j: np.ndarray, sizes: Sequence[int],
         raise ValueError("marginal handles disagree on the observation space")
     idx = pack_observation(x_j, sizes)
     return int(active_marg_n.mass[idx] > innocent_marg_n.mass[idx])
-
-
-def estimate_alpha_beta(detector: Callable[[np.ndarray], int], model: NetworkModel,
-                        code: Code, j: JamSet, trials: int,
-                        seed: int) -> DetectorStats:
-    """Empirical alpha/beta over `trials` transmissions per hypothesis."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    j.validate(model)
-    rows = list(j.links)
-    false_alarms = 0
-    missed = 0
-    msg_rng = generator(seed, "detect-messages")
-    n_msg = code.message_count
-    for t in range(trials):
-        tx0 = encode(code, model, 0, 0, derive_seed(seed, "detect-tx", 0, t))
-        if detector(tx0.links[rows]) == 1:
-            false_alarms += 1
-        m = int(msg_rng.integers(0, n_msg)) + 1
-        tx1 = encode(code, model, 1, m, derive_seed(seed, "detect-tx", 1, t))
-        if detector(tx1.links[rows]) == 0:
-            missed += 1
-    return DetectorStats(alpha=false_alarms / trials, beta=missed / trials, trials=trials)

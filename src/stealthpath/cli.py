@@ -102,10 +102,9 @@ def _codes_from_config(obj: dict, model, seed: int, ns):
     params = [CodeParams(n=int(n), rate=float(code.get("rate_bits", 1.0)),
                          seed=int(code.get("seed", seed))) for n in ns]
     scheme = obj.get("scheme", "overwrite-direct")
-    cfg = SolverConfig(seed=seed)
-    sol = harness.solve_bound(model, scheme, cfg)
+    sol = harness.solve_bound(model, scheme, SolverConfig(seed=seed))
     for p in params:
-        yield harness.build_code(model, scheme, sol, p, cfg)
+        yield harness.build_code(model, scheme, sol, p)
 
 
 def _cmd_oracle(args) -> int:

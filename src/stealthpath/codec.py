@@ -17,7 +17,6 @@ solve per candidate jam set, with no enumeration.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
@@ -33,7 +32,7 @@ from .probkit import (
     inverse_cdf,
     typical_rows,
 )
-from .ratesolver import NetworkModel, SolutionB, SolverConfig, check_feasibility_b
+from .ratesolver import OPT_TOL, NetworkModel, SolutionB, check_feasibility_b
 from .rng import generator
 
 CHUNK_MESSAGES = 1 << 16
@@ -393,24 +392,23 @@ def build_affine_code(link_sizes: Sequence[int], params: CodeParams) -> DirectCo
     return DirectCode(params=params, p_x=p_x, _store=store)
 
 
-def _uniform_is_optimal(model: NetworkModel, value: float, cfg: SolverConfig) -> bool:
+def _uniform_is_optimal(model: NetworkModel, value: float) -> bool:
     """Whether the uniform product law is an optimum of the entropy bound.
 
     Needs power-of-2 link alphabets, the exact feasibility check, and a value
-    within cfg.opt_tol of the solved `value`.
+    within OPT_TOL of the solved `value`.
     """
     sizes = model.link_alphabet_sizes
     if any(s & (s - 1) for s in sizes):
         return False
     total = model.product_alphabet_size
     uniform = JointDistribution(sizes, np.full(total, 1.0 / total))
-    report = check_feasibility_b(uniform, model, cfg.tol_marg, cfg.delta_feas)
+    report = check_feasibility_b(uniform, model)
     reached = min(e.entropy_unjammed for e in report.entries)
-    return report.passed and reached >= value - cfg.opt_tol
+    return report.passed and reached >= value - OPT_TOL
 
 
-def build_code_for_bound(model: NetworkModel, sol: SolutionB, params: CodeParams,
-                         cfg: SolverConfig) -> DirectCode:
+def build_code_for_bound(model: NetworkModel, sol: SolutionB, params: CodeParams) -> DirectCode:
     """The direct code at a solved entropy bound.
 
     The i.i.d. ensemble draws from sol.p_x. Only where that build is over the
@@ -418,7 +416,7 @@ def build_code_for_bound(model: NetworkModel, sol: SolutionB, params: CodeParams
     GF(2) ensemble used, whose codewords are pairwise independent and uniform
     rather than mutually independent.
     """
-    if params.message_count > MESSAGE_BUDGET and _uniform_is_optimal(model, sol.value, cfg):
+    if params.message_count > MESSAGE_BUDGET and _uniform_is_optimal(model, sol.value):
         return build_affine_code(model.link_alphabet_sizes, params)
     return build_direct_code(sol.p_x, params)
 
@@ -669,9 +667,7 @@ def decode_overwrite(code: DirectCode, rx: ReceivedWord,
         raise ResourceBudgetError(
             f"list decoding scans all {count} codewords; over the scan budget"
         )
-    fam = model.jam_family()
-    unjammed_sets = tuple(tuple(i for i in range(model.link_count) if i not in jhat)
-                          for jhat in fam)
+    unjammed_sets = model.unjammed_sets
     index = _restriction_index(code, unjammed_sets)
     if affine is not None:
         x = affine.pack(range(model.link_count), rx.links)
@@ -691,21 +687,12 @@ def decode_overwrite(code: DirectCode, rx: ReceivedWord,
         listed = set(index.messages[lo[hit]].tolist()) | set(index.messages[hi[hit] - 1].tolist())
     else:
         listed = _streaming_list(code, rx.links, unjammed_sets)
+    examined = len(unjammed_sets)
     if not listed:
-        return DecodeResult("innocent", examined_sets=len(fam))
+        return DecodeResult("innocent", examined_sets=examined)
     if len(listed) == 1:
-        return DecodeResult("message", message=next(iter(listed)), examined_sets=len(fam))
-    return DecodeResult("error", examined_sets=len(fam))
-
-
-def dump_codewords(code: DirectCode, path: str) -> None:
-    """Debug export: one row of product symbol indices per message."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["message"] + [f"t{t}" for t in range(code.params.n)])
-        for start, block in code.chunks():
-            for i, row in enumerate(block):
-                writer.writerow([start + i + 1] + [int(v) for v in row])
+        return DecodeResult("message", message=next(iter(listed)), examined_sets=examined)
+    return DecodeResult("error", examined_sets=examined)
 
 
 # ---------------------------------------------------------------------------

@@ -223,22 +223,20 @@ class _Blocklength:
     note: str
 
 
-def build_code(model: NetworkModel, scheme: str, sol, params: CodeParams,
-               solver_cfg: SolverConfig) -> Code:
+def build_code(model: NetworkModel, scheme: str, sol, params: CodeParams) -> Code:
     """The scheme's code at its solved bound (`solve_bound`)."""
     if scheme == "overwrite-direct":
-        return build_code_for_bound(model, sol, params, solver_cfg)
+        return build_code_for_bound(model, sol, params)
     return build_layered_code(sol.p_u, sol.kernel, params, model.link_alphabet_sizes)
 
 
-def _build(cfg: ExperimentConfig, n: int, solved: Callable,
-           solver_cfg: SolverConfig) -> _Blocklength:
+def _build(cfg: ExperimentConfig, n: int, solved: Callable) -> _Blocklength:
     rate = _rate(cfg.rate_rule, solved)
     try:
         params = CodeParams(n=n, rate=rate, seed=cfg.code_seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    code = build_code(cfg.model, cfg.scheme, solved(), params, solver_cfg)
+    code = build_code(cfg.model, cfg.scheme, solved(), params)
     jam_sets = _candidate_jam_sets(cfg)
     gap: Optional[float] = None
     note = ""
@@ -335,7 +333,6 @@ def run_experiment(cfg: ExperimentConfig,
     The bound is solved once per run and the code built once per blocklength;
     only the current blocklength's code and its caches are kept.
     """
-    solver_cfg = solver_cfg or SolverConfig()
     tp = TypicalityParams(cfg.gamma)
     solved = _once(lambda: solve_bound(cfg.model, cfg.scheme, solver_cfg))
     rows: List[MetricsRow] = []
@@ -343,7 +340,7 @@ def run_experiment(cfg: ExperimentConfig,
     sweep_points = [(n, sid) for n in cfg.blocklengths for sid in cfg.strategies]
     for sweep, (n, strategy_id) in enumerate(sweep_points):
         if n != built_n:  # the previous code is freed before the lazy build runs
-            built, built_n = _once(lambda n=n: _build(cfg, n, solved, solver_cfg)), n
+            built, built_n = _once(lambda n=n: _build(cfg, n, solved)), n
         try:
             rows.append(_run_sweep_point(cfg, sweep, built(), strategy_id, tp))
         except (ConfigError, ResourceBudgetError) as exc:

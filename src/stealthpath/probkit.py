@@ -1,8 +1,9 @@
 """Finite-alphabet probability primitives.
 
 Distributions, marginals, information measures (base-2 throughout), variational
-distance, strong/joint typicality, and seeded sampling. All containers are
-immutable after construction and all operations are pure given explicit seeds.
+distance, strong typicality, and inverse-CDF sampling from caller-supplied
+uniform draws. All containers are immutable after construction and all
+operations are pure.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import generator
 
 # Construction tolerances: reject real bugs, forgive float dust.
 SUM_TOL = 1e-9
@@ -22,8 +22,6 @@ MASS_TOL = 1e-12
 SEARCH_DRAWS = 1024
 # typical_rows: count-table cells per block of rows.
 TYPICAL_BLOCK_CELLS = 1 << 18
-
-_LOG2E = 1.0 / np.log(2.0)
 
 
 def _validated_mass(mass, expected_len: int) -> np.ndarray:
@@ -253,13 +251,6 @@ def variational_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * float(np.abs(p.mass - q.mass).sum())
 
 
-def empirical_type(s: SymbolSequence, alphabet_size: int) -> Distribution:
-    counts = np.bincount(s.symbols, minlength=alphabet_size)
-    if counts.size > alphabet_size:
-        raise ValueError("sequence contains symbols outside the alphabet")
-    return Distribution(alphabet_size, counts / s.n)
-
-
 def typical_rows(seqs: np.ndarray, mass: np.ndarray, gamma: float) -> np.ndarray:
     """Strong typicality of each row of a (rows, n) array of symbol indices.
 
@@ -292,22 +283,6 @@ def is_strongly_typical(s: SymbolSequence, d: Distribution, tp: TypicalityParams
     return bool(typical_rows(s.symbols[None, :], d.mass, tp.gamma)[0])
 
 
-def is_jointly_typical(
-    su: SymbolSequence,
-    sx: SymbolSequence,
-    j: JointDistribution,
-    tp: TypicalityParams,
-) -> bool:
-    """Strong typicality of the paired sequence under a two-component joint."""
-    if j.component_count != 2:
-        raise ValueError("joint typicality needs a two-component joint distribution")
-    if su.n != sx.n:
-        raise ValueError("sequence length mismatch")
-    ku, kx = j.factor_sizes
-    pair = SymbolSequence(su.symbols * kx + sx.symbols)
-    return is_strongly_typical(pair, j.as_distribution(), tp)
-
-
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The smallest k with cdf[..., k] > u, clipped to A - 1, for A = cdf.shape[-1].
 
@@ -330,19 +305,3 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     for k in range(last):
         out += u >= cdf[..., k]
     return out
-
-
-def sample_iid(d: Distribution, n: int, rng_seed: int) -> SymbolSequence:
-    """n i.i.d. draws from d; deterministic given (d, n, rng_seed)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = generator(rng_seed, "iid")
-    return SymbolSequence(inverse_cdf(d.cdf, rng.random(n)))
-
-
-def sample_conditional(k: ConditionalKernel, su: SymbolSequence, rng_seed: int) -> SymbolSequence:
-    """Component-wise independent draws from the rows of k selected by su."""
-    if np.any(su.symbols >= k.input_size):
-        raise ValueError("input sequence exceeds kernel input alphabet")
-    rng = generator(rng_seed, "conditional")
-    return SymbolSequence(inverse_cdf(k.cdf[su.symbols], rng.random(su.n)))

@@ -14,9 +14,16 @@ projected supergradient ascent with multi-start. The auxiliary problem is
 non-concave; the solver is a best-effort alternating ascent whose result is a
 certified-feasible lower bound, never below the entropy bound (it seeds one
 start by embedding U = X at the entropy optimum).
+
+`SolverConfig` sets only the number of starts and their seed. The rest are
+module constants: a solution counts as feasible when every marginal gap is at
+most TOL_MARG and its entropy (or information) margin exceeds DELTA_FEAS, and
+OPT_TOL is how far below a solved value a candidate law may fall and still be
+taken for an optimum.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -32,8 +39,21 @@ from .probkit import (
 )
 from .rng import generator
 
+OPT_TOL = 1e-3
+DELTA_FEAS = 1e-3
+TOL_MARG = 1e-9
+
 _INV_LN2 = 1.0 / np.log(2.0)
 _MASS_FLOOR = 1e-300
+# Ascent schedule: iterations per start, stalled iterations (or alternating
+# rounds) before giving up, the gain that counts as progress, and the first
+# step of each backtracking line search.
+_MAX_ITERATIONS = 400
+_PATIENCE = 20
+_IMPROVEMENT_TOL = 1e-8
+_INITIAL_STEP = 0.5
+_ALT_ROUNDS = 60
+_ALT_BLOCK_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -68,6 +88,24 @@ class NetworkModel:
     def jam_family(self) -> "JamSetFamily":
         return enumerate_jam_sets(self.link_count, self.adversary_budget)
 
+    @functools.cached_property
+    def unjammed_sets(self) -> tuple:
+        """The complement of each jam set, in jam-family order."""
+        return tuple(tuple(i for i in range(self.link_count) if i not in j)
+                     for j in self.jam_family())
+
+    @functools.cached_property
+    def restrictions(self) -> tuple:
+        """(S_J, S_Jc) restriction matrices of each jam set, in jam-family order."""
+        sizes = self.link_alphabet_sizes
+        pairs = []
+        for j, jc in zip(self.jam_family(), self.unjammed_sets):
+            s_j = indexing.restriction_matrix(sizes, j)
+            s_jc = indexing.restriction_matrix(sizes, jc)
+            s_j.flags.writeable = s_jc.flags.writeable = False
+            pairs.append((s_j, s_jc))
+        return tuple(pairs)
+
 
 @dataclass(frozen=True)
 class JamSetFamily:
@@ -82,6 +120,7 @@ class JamSetFamily:
         return iter(self.sets)
 
 
+@functools.lru_cache(maxsize=None)
 def enumerate_jam_sets(link_count: int, budget: int) -> JamSetFamily:
     """All subsets of {0..C-1} with |J| <= Z, ordered by size then lexicographically."""
     if budget < 0 or budget > link_count:
@@ -101,19 +140,10 @@ def cardinality_bound(alphabet_size_of_x: int, jam_family_size: int) -> int:
 
 @dataclass
 class SolverConfig:
-    opt_tol: float = 1e-3
-    delta_feas: float = 1e-3
-    tol_marg: float = 1e-9
+    """Multi-start settings: the number of starts and the seed of their draws."""
+
     restarts: int = 32
     seed: int = 0
-    max_iterations: int = 400
-    patience: int = 20
-    improvement_tol: float = 1e-8
-    initial_step: float = 0.5
-    projection_iterations: int = 400
-    # Alternating-ascent knobs for the auxiliary-variable problem.
-    alt_rounds: int = 60
-    alt_block_steps: int = 4
 
 
 @dataclass
@@ -193,56 +223,37 @@ class _Polytope:
 
 def marginal_system(model: NetworkModel):
     """Equality system pinning every size-<=Z marginal to the innocent one."""
-    sizes = model.link_alphabet_sizes
     rows = [np.ones((1, model.product_alphabet_size))]
     rhs = [np.ones(1)]
-    for j in model.jam_family():
-        if not j:
-            continue
-        s = indexing.restriction_matrix(sizes, j)
-        rows.append(s)
-        rhs.append(s @ model.innocent.mass)
+    for j, (s_j, _) in zip(model.jam_family(), model.restrictions):
+        if j:
+            rows.append(s_j)
+            rhs.append(s_j @ model.innocent.mass)
     return np.vstack(rows), np.concatenate(rhs)
 
 
 def unjammed_matrices(model: NetworkModel):
     """Restriction matrices onto the complement of each jam set."""
-    sizes = model.link_alphabet_sizes
-    out = []
-    for j in model.jam_family():
-        jc = [i for i in range(model.link_count) if i not in j]
-        out.append(indexing.restriction_matrix(sizes, jc))
-    return out
+    return [s_jc for _, s_jc in model.restrictions]
 
 
 def jammed_entropies(model: NetworkModel) -> np.ndarray:
     """H(X_J) for each J; fixed by the marginal-matching constraints."""
-    sizes = model.link_alphabet_sizes
-    vals = []
-    for j in model.jam_family():
-        if not j:
-            vals.append(0.0)
-        else:
-            s = indexing.restriction_matrix(sizes, j)
-            vals.append(entropy_of_mass(s @ model.innocent.mass))
-    return np.array(vals)
+    return np.array([entropy_of_mass(s_j @ model.innocent.mass) if j else 0.0
+                     for j, (s_j, _) in zip(model.jam_family(), model.restrictions)])
 
 
 def check_feasibility_b(
     p_x: JointDistribution,
     model: NetworkModel,
-    tol_marg: float = 1e-9,
-    delta_feas: float = 1e-3,
+    tol_marg: float = TOL_MARG,
+    delta_feas: float = DELTA_FEAS,
 ) -> FeasibilityReport:
     """Per-jam-set marginal gaps and entropies for a candidate distribution."""
     if p_x.factor_sizes != model.link_alphabet_sizes:
         raise ValueError("candidate distribution does not match the model alphabets")
-    sizes = model.link_alphabet_sizes
     entries = []
-    for j in model.jam_family():
-        jc = [i for i in range(model.link_count) if i not in j]
-        s_j = indexing.restriction_matrix(sizes, j)
-        s_jc = indexing.restriction_matrix(sizes, jc)
+    for j, (s_j, s_jc) in zip(model.jam_family(), model.restrictions):
         gap = 0.5 * float(np.abs(s_j @ p_x.mass - s_j @ model.innocent.mass).sum())
         entries.append(JamSetReport(
             jam_set=j,
@@ -270,30 +281,45 @@ def _entropy_supergradient(p: np.ndarray, s_jc: list) -> np.ndarray:
     return g / active.size
 
 
-def _projected_ascent(p0, objective, supergradient, poly: _Polytope, cfg: SolverConfig):
+def _line_search(x: np.ndarray, g: np.ndarray, poly: _Polytope, accept, min_step: float):
+    """Backtracking search from x along g, halving from _INITIAL_STEP.
+
+    Returns the first non-None `accept(projected candidate)`, or None once the
+    step is no longer above `min_step`.
+    """
+    step = _INITIAL_STEP
+    while step > min_step:
+        found = accept(poly.project(x + step * g))
+        if found is not None:
+            return found
+        step *= 0.5
+    return None
+
+
+def _projected_ascent(p0, objective, supergradient, poly: _Polytope):
     """Maximize a concave-ish objective over the polytope from one start."""
-    p = poly.project(p0, cfg.projection_iterations)
+    p = poly.project(p0)
     f = objective(p)
+
+    def better(cand):
+        fc = objective(cand)
+        return (cand, fc) if fc > f else None
+
     stall = 0
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         g = supergradient(p)
         norm = np.linalg.norm(g)
         if norm > 0:
             g = g / norm
-        step = cfg.initial_step
-        improved = False
-        while step > 1e-12:
-            cand = poly.project(p + step * g, cfg.projection_iterations)
-            fc = objective(cand)
-            if fc > f:
-                improvement = fc - f
-                p, f = cand, fc
-                improved = True
-                break
-            step *= 0.5
-        if not improved or improvement < cfg.improvement_tol:
+        # Take an accepted step before the patience check can stop the ascent.
+        found = _line_search(p, g, poly, better, 1e-12)
+        improvement = 0.0
+        if found is not None:
+            improvement = found[1] - f
+            p, f = found
+        if improvement < _IMPROVEMENT_TOL:
             stall += 1
-            if stall >= cfg.patience:
+            if stall >= _PATIENCE:
                 break
         else:
             stall = 0
@@ -330,10 +356,9 @@ def solve_b(model: NetworkModel, cfg: Optional[SolverConfig] = None) -> Solution
     for _ in range(max(cfg.restarts - 1, 0)):
         starts.append(rng.dirichlet(np.ones(dim)))
 
-    best_p, best_f, iterations = None, -np.inf, 0
+    best_p, best_f = None, -np.inf
     for p0 in starts:
-        p, f = _projected_ascent(p0, objective, supergrad, poly, cfg)
-        iterations += 1
+        p, f = _projected_ascent(p0, objective, supergrad, poly)
         if f > best_f + 1e-12:
             best_p, best_f = p, f
         elif abs(f - best_f) <= 1e-12 and best_p is not None:
@@ -349,12 +374,10 @@ def solve_b(model: NetworkModel, cfg: Optional[SolverConfig] = None) -> Solution
 
     margin = best_f - max_h_jammed
     info = {"restarts": len(starts), "method": "projected-ascent", "seed": cfg.seed}
-    if margin <= cfg.delta_feas:
+    if margin <= DELTA_FEAS:
         return SolutionB(feasible=False, value=best_f, feasibility_margin=margin,
                          reason="no point with entropy margin above delta_feas", info=info)
-    report = check_feasibility_b(
-        JointDistribution(model.link_alphabet_sizes, best_p), model, cfg.tol_marg, cfg.delta_feas
-    )
+    report = check_feasibility_b(JointDistribution(model.link_alphabet_sizes, best_p), model)
     if not report.passed:
         return SolutionB(feasible=False, value=best_f, feasibility_margin=report.margin,
                          reason="solver output failed exact feasibility check", info=info)
@@ -414,20 +437,14 @@ def _split_joint(q: np.ndarray):
     return pu, kern
 
 
-def _block_ascent_a(q0, s_jc, s_j, model, cfg: SolverConfig):
+def _block_ascent_a(q0, s_jc, s_j, model):
     """Alternating p_u / kernel projected-gradient ascent from one start.
 
     Steps are accepted only if the min-MI objective improves and the strict
-    feasibility margin stays above delta_feas; the start itself is the floor.
+    feasibility margin stays above DELTA_FEAS; the start itself is the floor.
     """
-    u_size = q0.shape[0]
-    dim_x = q0.shape[1]
+    u_size, dim_x = q0.shape
     m_marg, b_marg = marginal_system(model)
-
-    def pu_polytope(kern):
-        # Constraints on p_u for fixed kernel: marginal match plus sum-to-one.
-        m = m_marg @ kern.T  # includes the all-ones row via the kernel row sums
-        return _Polytope(m, b_marg)
 
     def kernel_polytope(pu):
         # Constraints on vec(kern): marginal match rows plus per-row sums.
@@ -439,66 +456,48 @@ def _block_ascent_a(q0, s_jc, s_j, model, cfg: SolverConfig):
         b = np.concatenate([b_marg[1:], np.ones(u_size)])
         return _Polytope(m, b)
 
-    q = q0.copy()
+    q = q0
     f = _objective_a(q, s_jc)
-    best_q, best_f = q.copy(), f
+
+    def accept(x):
+        cand_q = lift(x)
+        fc = _objective_a(cand_q, s_jc)
+        if fc > f and _margin_a(cand_q, s_jc, s_j) > DELTA_FEAS:
+            return x, cand_q, fc
+        return None
+
     stall = 0
-    for _ in range(cfg.alt_rounds):
-        round_start = best_f
-        pu, kern = _split_joint(q)
-        # Block 1: update the auxiliary prior.
-        poly = pu_polytope(kern)
-        for _ in range(cfg.alt_block_steps):
-            g_q = _objective_a_supergradient(q, s_jc)
-            g = (kern * g_q).sum(axis=1)
-            norm = np.linalg.norm(g)
-            if norm == 0:
-                break
-            g /= norm
-            step, moved = cfg.initial_step, False
-            while step > 1e-10:
-                cand_pu = poly.project(pu + step * g, cfg.projection_iterations)
-                cand_q = cand_pu[:, None] * kern
-                fc = _objective_a(cand_q, s_jc)
-                if fc > best_f and _margin_a(cand_q, s_jc, s_j) > cfg.delta_feas:
-                    pu, q, best_f = cand_pu, cand_q, fc
-                    best_q = q.copy()
-                    moved = True
+    for _ in range(_ALT_ROUNDS):
+        round_start = f
+        for block in ("p_u", "kernel"):
+            pu, kern = _split_joint(q)
+            if block == "p_u":
+                # For a fixed kernel, the marginal rows (the all-ones one
+                # included, via the kernel's row sums) constrain p_u.
+                x, poly = pu, _Polytope(m_marg @ kern.T, b_marg)
+                lift = lambda v: v[:, None] * kern
+                direction = lambda g_q: (kern * g_q).sum(axis=1)
+            else:
+                x, poly = kern.reshape(-1), kernel_polytope(pu)
+                lift = lambda v: pu[:, None] * v.reshape(u_size, dim_x)
+                direction = lambda g_q: (pu[:, None] * g_q).reshape(-1)
+            for _ in range(_ALT_BLOCK_STEPS):
+                g = direction(_objective_a_supergradient(q, s_jc))
+                norm = np.linalg.norm(g)
+                if norm == 0:
                     break
-                step *= 0.5
-            if not moved:
-                break
-        # Block 2: update the kernel.
-        pu, kern = _split_joint(q)
-        poly = kernel_polytope(pu)
-        for _ in range(cfg.alt_block_steps):
-            g_q = _objective_a_supergradient(q, s_jc)
-            g = (pu[:, None] * g_q).reshape(-1)
-            norm = np.linalg.norm(g)
-            if norm == 0:
-                break
-            g /= norm
-            step, moved = cfg.initial_step, False
-            while step > 1e-10:
-                cand_k = poly.project(kern.reshape(-1) + step * g,
-                                      cfg.projection_iterations).reshape(u_size, dim_x)
-                cand_q = pu[:, None] * cand_k
-                fc = _objective_a(cand_q, s_jc)
-                if fc > best_f and _margin_a(cand_q, s_jc, s_j) > cfg.delta_feas:
-                    kern, q, best_f = cand_k, cand_q, fc
-                    best_q = q.copy()
-                    moved = True
+                g /= norm
+                found = _line_search(x, g, poly, accept, 1e-10)
+                if found is None:
                     break
-                step *= 0.5
-            if not moved:
-                break
-        if best_f - round_start < cfg.improvement_tol:
+                x, q, f = found
+        if f - round_start < _IMPROVEMENT_TOL:
             stall += 1
-            if stall >= cfg.patience:
+            if stall >= _PATIENCE:
                 break
         else:
             stall = 0
-    return best_q, best_f
+    return q, f
 
 
 def solve_a(
@@ -508,20 +507,15 @@ def solve_a(
 ) -> SolutionA:
     """Best-effort max-min I(U; unjammed links); certified-feasible lower bound."""
     cfg = cfg or SolverConfig()
-    fam = model.jam_family()
     dim_x = model.product_alphabet_size
-    bound = cardinality_bound(dim_x, len(fam))
+    bound = cardinality_bound(dim_x, len(model.jam_family()))
     if u_size is None:
         u_size = bound
     if u_size < 1:
         raise ValueError("u_size must be >= 1")
 
-    sizes = model.link_alphabet_sizes
-    s_jc, s_j = [], []
-    for j in fam:
-        jc = [i for i in range(model.link_count) if i not in j]
-        s_jc.append(indexing.restriction_matrix(sizes, jc))
-        s_j.append(indexing.restriction_matrix(sizes, j))
+    s_j = [pair[0] for pair in model.restrictions]
+    s_jc = [pair[1] for pair in model.restrictions]
 
     sol_b = solve_b(model, cfg)
     info = {"u_size": u_size, "cardinality_bound": bound,
@@ -544,7 +538,7 @@ def solve_a(
     poly_joint = _Polytope(m_joint, b_marg)
     for _ in range(n_random):
         raw = rng.dirichlet(np.ones(u_size * dim_x))
-        starts.append(poly_joint.project(raw, cfg.projection_iterations).reshape(u_size, dim_x))
+        starts.append(poly_joint.project(raw).reshape(u_size, dim_x))
 
     best_q, best_f = None, -np.inf
     for q0 in starts:
@@ -552,11 +546,11 @@ def solve_a(
             continue
         q0 = np.maximum(q0, 0.0)
         q0 /= q0.sum()
-        if _margin_a(q0, s_jc, s_j) <= cfg.delta_feas:
+        if _margin_a(q0, s_jc, s_j) <= DELTA_FEAS:
             # Only random starts can land here; the embedded start inherits the
-            # entropy-bound margin, which is already above delta_feas.
+            # entropy-bound margin, which is already above DELTA_FEAS.
             continue
-        q, f = _block_ascent_a(q0, s_jc, s_j, model, cfg)
+        q, f = _block_ascent_a(q0, s_jc, s_j, model)
         if f > best_f + 1e-12:
             best_q, best_f = q, f
         elif abs(f - best_f) <= 1e-12 and best_q is not None:
@@ -573,11 +567,11 @@ def solve_a(
         polished = np.maximum(polished, 0.0).reshape(u_size, dim_x)
         polished /= polished.sum()
         f_pol = _objective_a(polished, s_jc)
-        if f_pol >= best_f - 1e-9 and _margin_a(polished, s_jc, s_j) > cfg.delta_feas:
+        if f_pol >= best_f - 1e-9 and _margin_a(polished, s_jc, s_j) > DELTA_FEAS:
             best_q, best_f = polished, f_pol
 
     gaps = np.abs(m_joint @ best_q.reshape(-1) - b_marg)
-    if float(gaps.max()) > cfg.tol_marg:
+    if float(gaps.max()) > TOL_MARG:
         return SolutionA(feasible=False,
                          reason=f"marginal residual {gaps.max():.2e} above tol_marg",
                          info=info)

@@ -3,11 +3,9 @@ import pytest
 
 from stealthpath import indexing, oracle
 from stealthpath.adversary import (
-    DetectorStats,
     JamSet,
     STRATEGY_IDS,
     erasure_jam,
-    estimate_alpha_beta,
     get_strategy,
     list_strategies,
     optimal_detect,
@@ -144,31 +142,6 @@ def test_optimal_detect_disjoint_supports():
     act = Distribution(2, np.array([0.0, 1.0]))
     assert optimal_detect(np.array([[0]]), [2], inn, act) == 0
     assert optimal_detect(np.array([[1]]), [2], inn, act) == 1
-
-
-def test_detector_stats_bounds():
-    with pytest.raises(ValueError):
-        DetectorStats(alpha=1.2, beta=0.0, trials=10)
-
-
-def test_estimate_alpha_beta_constant_detectors():
-    j = JamSet((0,))
-    always0 = estimate_alpha_beta(lambda x: 0, MODEL, CODE, j, 50, 1)
-    assert always0.alpha == 0.0 and always0.beta == 1.0
-    always1 = estimate_alpha_beta(lambda x: 1, MODEL, CODE, j, 50, 1)
-    assert always1.alpha == 1.0 and always1.beta == 0.0
-    with pytest.raises(ValueError):
-        estimate_alpha_beta(lambda x: 0, MODEL, CODE, j, 0, 1)
-
-
-def test_estimate_alpha_beta_deterministic():
-    j = JamSet((1,))
-    inn_n = oracle.exact_innocent_marginal(MODEL, j, CODE.params.n)
-    act_n = oracle.exact_active_marginal(CODE, j)
-    det = lambda x: optimal_detect(x, [2], inn_n, act_n)
-    a = estimate_alpha_beta(det, MODEL, CODE, j, 100, 5)
-    b = estimate_alpha_beta(det, MODEL, CODE, j, 100, 5)
-    assert (a.alpha, a.beta) == (b.alpha, b.beta)
 
 
 def test_strategy_tables_follow_their_code():

@@ -164,13 +164,13 @@ def test_monte_carlo_error_matches_exact_components(strategy_id):
 def test_affine_ensemble_only_where_the_iid_build_is_over_budget():
     model = uniform_model()
     sol = solve_b(model, FAST)
-    small = build_code_for_bound(model, sol, CodeParams(n=8, rate=1.7, seed=7), FAST)
+    small = build_code_for_bound(model, sol, CodeParams(n=8, rate=1.7, seed=7))
     assert small.ensemble == "iid" and small.affine is None
     np.testing.assert_array_equal(small.p_x.mass, sol.p_x.mass)
 
     params = CodeParams(n=24, rate=1.7, seed=7)
     assert params.message_count > MESSAGE_BUDGET
-    big = build_code_for_bound(model, sol, params, FAST)
+    big = build_code_for_bound(model, sol, params)
     assert big.ensemble == "affine-gf2"
     np.testing.assert_allclose(big.p_x.mass, np.full(8, 1 / 8))
 
@@ -178,12 +178,12 @@ def test_affine_ensemble_only_where_the_iid_build_is_over_budget():
     inn = JointDistribution.from_factors([Distribution.bernoulli(0.3)] * 3)
     biased = NetworkModel(3, 1, (2, 2, 2), inn)
     with pytest.raises(ResourceBudgetError):
-        build_code_for_bound(biased, solve_b(biased, FAST), params, FAST)
+        build_code_for_bound(biased, solve_b(biased, FAST), params)
     # the uniform law is optimal but the alphabets are not powers of 2
     ternary = uniform_model((3, 3, 3))
     with pytest.raises(ResourceBudgetError):
         build_code_for_bound(ternary, solve_b(ternary, FAST),
-                             CodeParams(n=24, rate=1.4, seed=7), FAST)
+                             CodeParams(n=24, rate=1.4, seed=7))
 
 
 def test_affine_message_count_limit():

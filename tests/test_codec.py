@@ -13,7 +13,6 @@ from stealthpath.codec import (
     build_layered_code,
     decode_erasure,
     decode_overwrite,
-    dump_codewords,
     encode,
     matching_messages,
     pair_membership,
@@ -276,17 +275,6 @@ def test_matching_messages_packed_and_fallback_agree():
         links = code.codeword_links(m)
         hits = matching_messages(code, (1, 2), links[[1, 2]])
         assert m in hits.tolist()
-
-
-def test_dump_codewords(tmp_path):
-    code = build_direct_code(UNIFORM8, CodeParams(n=3, rate=1.0, seed=5))
-    path = tmp_path / "codes.csv"
-    dump_codewords(code, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "message,t0,t1,t2"
-    assert len(lines) == code.message_count + 1
-    row1 = [int(v) for v in lines[1].split(",")]
-    assert row1[0] == 1 and row1[1:] == code.codeword(1).tolist()
 
 
 def test_survey_restrictions_census_and_membership():

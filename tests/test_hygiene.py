@@ -23,7 +23,7 @@ def _used_names(tree: ast.Module) -> set:
     used = set()
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.arg) and node.annotation is not None:
             annotations.append(node.annotation)
@@ -48,6 +48,33 @@ def test_no_unused_module_level_imports():
         used = _used_names(tree)
         unused += [f"{path.name}:{line} {name}"
                    for name, line in _imported_names(tree).items() if name not in used]
+    assert unused == []
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Name of each module-level `_name` (not dunder) defined or assigned -> its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        names.update({name: node.lineno for name in bound
+                      if name.startswith("_") and not name.startswith("__")})
+    return names
+
+
+def test_no_unused_private_names():
+    # a private name nothing in its module reads is dead code
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used_names(tree)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _private_definitions(tree).items() if name not in used]
     assert unused == []
 
 

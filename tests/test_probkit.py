@@ -9,15 +9,11 @@ from stealthpath.probkit import (
     JointDistribution,
     SymbolSequence,
     TypicalityParams,
-    empirical_type,
     entropy,
     inverse_cdf,
-    is_jointly_typical,
     is_strongly_typical,
     marginalize,
     mutual_information,
-    sample_conditional,
-    sample_iid,
     typical_rows,
     variational_distance,
 )
@@ -111,12 +107,6 @@ def test_variational_distance():
                                 Distribution.point_mass(2, 1)) == 1.0
 
 
-def test_empirical_type():
-    s = SymbolSequence(np.array([0, 1, 1, 2]))
-    t = empirical_type(s, 4)
-    np.testing.assert_allclose(t.mass, [0.25, 0.5, 0.25, 0.0])
-
-
 def test_strong_typicality_zero_mass_clause():
     d = Distribution(3, np.array([0.5, 0.5, 0.0]))
     tp = TypicalityParams(gamma=2.0)
@@ -134,40 +124,6 @@ def test_strong_typicality_deviation():
     s = SymbolSequence(np.array([0] * 11 + [1] * 9))
     assert is_strongly_typical(s, d, TypicalityParams(gamma=0.11))
     assert not is_strongly_typical(s, d, TypicalityParams(gamma=0.09))
-
-
-def test_joint_typicality_matches_paired_sequence():
-    j = JointDistribution((2, 2), np.array([0.5, 0.0, 0.0, 0.5]))
-    tp = TypicalityParams(gamma=0.1)
-    su = SymbolSequence(np.array([0, 1, 0, 1]))
-    assert is_jointly_typical(su, su, j, tp)
-    sx = SymbolSequence(np.array([1, 0, 1, 0]))
-    assert not is_jointly_typical(su, sx, j, tp)
-
-
-def test_sample_iid_deterministic_and_in_range():
-    d = Distribution(3, np.array([0.2, 0.5, 0.3]))
-    s1 = sample_iid(d, 100, 42)
-    s2 = sample_iid(d, 100, 42)
-    np.testing.assert_array_equal(s1.symbols, s2.symbols)
-    assert s1.symbols.min() >= 0 and s1.symbols.max() <= 2
-    s3 = sample_iid(d, 100, 43)
-    assert not np.array_equal(s1.symbols, s3.symbols)
-
-
-def test_sample_iid_frequencies():
-    d = Distribution(3, np.array([0.2, 0.5, 0.3]))
-    s = sample_iid(d, 200_000, 7)
-    freq = np.bincount(s.symbols, minlength=3) / s.n
-    np.testing.assert_allclose(freq, d.mass, atol=0.01)
-
-
-def test_sample_conditional_respects_support():
-    k = ConditionalKernel(2, 3, np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]))
-    su = SymbolSequence(np.array([0, 1, 0, 1, 1, 0]))
-    sx = sample_conditional(k, su, 9)
-    assert all(sx.symbols[su.symbols == 0] == 0)
-    assert all(sx.symbols[su.symbols == 1] >= 1)
 
 
 def test_kernel_identity_and_constant():

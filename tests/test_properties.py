@@ -8,12 +8,10 @@ from stealthpath.probkit import (
     JointDistribution,
     SymbolSequence,
     TypicalityParams,
-    empirical_type,
     entropy,
     is_strongly_typical,
     marginalize,
     mutual_information,
-    sample_iid,
     variational_distance,
 )
 from stealthpath.ratesolver import enumerate_jam_sets
@@ -90,27 +88,10 @@ def test_product_marginals_recover_factors(ka, kb, data):
 
 
 @given(st.lists(st.integers(0, 3), min_size=4, max_size=60))
-def test_empirical_type_matches_counts(symbols):
-    s = SymbolSequence(np.array(symbols))
-    t = empirical_type(s, 4)
-    assert abs(t.mass.sum() - 1.0) < 1e-12
-    np.testing.assert_allclose(t.mass * s.n, np.bincount(s.symbols, minlength=4))
-
-
-@given(st.lists(st.integers(0, 3), min_size=4, max_size=60))
 def test_sequence_is_typical_for_its_own_type(symbols):
     s = SymbolSequence(np.array(symbols))
-    t = empirical_type(s, 4)
+    t = Distribution(4, np.bincount(s.symbols, minlength=4) / s.n)
     assert is_strongly_typical(s, t, TypicalityParams(gamma=1e-9))
-
-
-@given(distributions(max_size=4), st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_sample_iid_concentrates(d, seed):
-    n = 4000
-    s = sample_iid(d, n, seed)
-    freq = np.bincount(s.symbols, minlength=d.alphabet_size) / n
-    assert np.abs(freq - d.mass).sum() <= 6.0 / np.sqrt(n) * d.alphabet_size
 
 
 @given(st.lists(st.integers(2, 4), min_size=1, max_size=4), st.data())

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ def test_jam_family_includes_empty_set():
     fam2 = enumerate_jam_sets(4, 2)
     assert len(fam2) == 1 + 4 + 6
     assert fam2.sets[0] == ()
+
+
+def test_model_jam_set_table():
+    model = uniform_bits_model()
+    assert model.unjammed_sets == ((0, 1, 2), (1, 2), (0, 2), (0, 1))
+    s_j, s_jc = model.restrictions[1]
+    assert s_j.shape == (2, 8) and s_jc.shape == (4, 8)
+    assert not s_j.flags.writeable and not s_jc.flags.writeable
 
 
 def test_cardinality_bound_values():
@@ -146,3 +156,59 @@ def test_achievable_rate_rules():
         achievable_rate(model, "overwrite", eps=-1.0)
     with pytest.raises(ValueError):
         achievable_rate(model, "nonsense", eps=0.1)
+
+
+def _model(factors, z=1):
+    inn = JointDistribution.from_factors(factors)
+    return NetworkModel(len(factors), z, tuple(f.alphabet_size for f in factors), inn)
+
+
+_U, _B = Distribution.uniform(2), Distribution.bernoulli
+GOLDEN_MODELS = {
+    "uniform-bits": _model([_U] * 3),
+    "bern-0.3": _model([_B(0.3)] * 3),
+    "mixed-bias": _model([_B(0.2), _B(0.4), _U]),
+    "ternary-first": _model([Distribution(3, [0.5, 0.3, 0.2]), _U, _B(0.3)]),
+    "c4-z1": _model([_B(0.4)] * 4),
+    "c5-z2": _model([_U] * 5, z=2),
+}
+# SHA-256 of p_x's bytes and repr(value) at seed 3. A change to the solver that
+# moves any of these moves every i.i.d. codebook drawn from the solved law.
+GOLDEN_B = {
+    ("uniform-bits", 4): "d73049e7dc3e4059b98a410614a6350f2b0f17c3e0e24b5207ac5a4782cddb63",
+    ("uniform-bits", 32): "ed708662ed7a6260979079ec5d330c6f95b3ef34f5f045baad07f37b23412ad7",
+    ("bern-0.3", 4): "951cd06f10b892a0e3756abdf7e8f7ec7ac15add6b857f02b103ca8f37b2b306",
+    ("bern-0.3", 32): "bd2f811ba9eb7b9007b2ef188d0a542705a9f455a45aff8a512f0b777955dec8",
+    ("mixed-bias", 4): "9f22e3011d4f7c166a9ad0d08e1e90734c2e9e7182b0f30c4e30aa2c94cc8086",
+    ("mixed-bias", 32): "eb133d8f63c04ba5858addcbf989bc1da2e204f806add79963999d1bdaf7f5b2",
+    ("ternary-first", 4): "b37a401105482afb17df2a8f1d7aebf9d2c46fa0feef867dfdc9442959822a41",
+    ("ternary-first", 32): "23dd89105d3c9a98afb08f9a02254a68196d645841b9d393798077026de3c87f",
+    ("c4-z1", 4): "1feb1c54e51c12b381ce19fbd66a6fd8f2f8be2fe1f5400894131c72c737f024",
+    ("c4-z1", 32): "56efd84b782aefc064997c05a6bdcf57368fc8fed5cd1f446aba31232eb08c38",
+    ("c5-z2", 4): "4486333ac512e0e967213cab0e6219f6f5f1fcea391e124ccd195d08adafd694",
+    ("c5-z2", 32): "eb7500e9a6edefd3be479149628d1d0cb4f78eca583778ac87e2916dffad13a6",
+}
+# SHA-256 of p_u's and the kernel's bytes and repr(value), restarts=2, seed 3.
+GOLDEN_A = {
+    "mixed-bias": "c03327b772f32df147a17a3bd745e3b26b9e83b375b99a028a049a03cf26472e",
+    "ternary-first": "295af3aae48c7f04f36655083bcb39239a08966a8c1cd9e9e564982822b85bbf",
+}
+
+
+def _sha256(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,restarts", sorted(GOLDEN_B))
+def test_solve_b_bytes_are_pinned(name, restarts):
+    sol = solve_b(GOLDEN_MODELS[name], SolverConfig(restarts=restarts, seed=3))
+    assert _sha256(sol.p_x.mass, sol.value) == GOLDEN_B[name, restarts]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_A))
+def test_solve_a_bytes_are_pinned(name):
+    sol = solve_a(GOLDEN_MODELS[name], cfg=SolverConfig(restarts=2, seed=3))
+    assert _sha256(sol.p_u.mass, sol.kernel.matrix, sol.value) == GOLDEN_A[name]
