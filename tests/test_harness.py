@@ -268,3 +268,89 @@ def test_value_error_in_a_decoder_propagates(monkeypatch):
     monkeypatch.setattr(harness, "decode_overwrite", broken)
     with pytest.raises(ValueError, match="decoder bug"):
         run_experiment(ExperimentConfig.from_json(base_config()), FAST)
+
+
+# Monte Carlo rows pinned at the per-trial loop, before trials ran in blocks:
+# batching must not move one byte. SHA-256 of the CSV of each config.
+BIASED_C3 = {"link_count": 3, "adversary_budget": 1, "link_alphabet_sizes": [2, 2, 2],
+             "innocent": {"factors": [[0.7, 0.3], [0.6, 0.4], [0.5, 0.5]]}}
+TERNARY_C3 = {"link_count": 3, "adversary_budget": 1, "link_alphabet_sizes": [3, 2, 2],
+              "innocent": {"factors": [[0.5, 0.3, 0.2], [0.5, 0.5], [0.6, 0.4]]}}
+# budget 0 keeps solve_b feasible; allow_symmetrizable admits the jam set {0}
+SYMMETRIZABLE_C2 = {"link_count": 2, "adversary_budget": 0, "link_alphabet_sizes": [2, 2],
+                    "innocent": {"factors": [[0.5, 0.5]] * 2}, "allow_symmetrizable": True}
+# trial counts 1, TRIAL_BLOCK and TRIAL_BLOCK + 1
+EDGE_TRIALS = (1, 256, 257)
+
+
+def _direct_config(model, strategies, n=8, bits=1.0, trials=40, **adversary):
+    return base_config(
+        model=model,
+        code={"n": [n], "rate": {"rule": "absolute", "bits": bits}, "seed": 2},
+        adversary={"jam_rule": "worst-over-family", **adversary, "strategies": strategies},
+        detector="optimal-oracle", trials=trials)
+
+
+GOLDEN_CONFIGS = {
+    **{sid: _direct_config(BIASED_C3, [sid])
+       for sid in ("passthrough", "uniform-random", "resample-innocent",
+                   "spoof-codeword", "spoof-consistent")},
+    "symmetrize-c2": _direct_config(SYMMETRIZABLE_C2, ["symmetrize"], n=6, bits=0.5,
+                                    trials=60, jam_rule="fixed", jam_set=[0]),
+    # 2^40.8 messages: the affine ensemble, whose spoof-codeword draws until typical
+    "affine": _direct_config(
+        {**BIASED_C3, "innocent": {"factors": [[0.5, 0.5]] * 3}},
+        ["uniform-random", "resample-innocent", "spoof-codeword", "spoof-consistent"],
+        n=24, bits=1.7, trials=20, jam_rule="fixed", jam_set=[0]),
+    **{f"ternary-{t}": _direct_config(
+        TERNARY_C3, ["uniform-random", "resample-innocent", "spoof-codeword"], n=6,
+        trials=t) for t in EDGE_TRIALS},
+}
+GOLDEN_DIGESTS = {
+    "passthrough": "251e3c868c7ce74456b4d696f5006bfbab8305ca3592128ee98a4d0a2a3c052a",
+    "uniform-random": "e41e73edb46e179d4bc9ad4ba998e451204d7395361add8c6ef48a190aec1806",
+    "resample-innocent": "dec72050e8947cda2ebb8156697afd5aff764c613d959cda9d7720bb8fdb100e",
+    "spoof-codeword": "aa96135d602b6d145cf4929e91bca0c95f0f89ff70473b067394df296534f91b",
+    "spoof-consistent": "f438fefcc7b96f8f2c49008895b24720f2dc07c421d07ee7d2ea40ca2838f1d0",
+    "symmetrize-c2": "20347ee965c5d069e7658464cc6f68afb59e1f5e5edc360603aa3a8e37f727a1",
+    "affine": "b2e6b96f7538e8f4c945a34e0652d171bf5a037d3521675c74fc4cc74a9ea69a",
+    "ternary-1": "5b21a39ac67e2f5f5ac64bd82cf382a01c35fbc7757644550f7f79a369f95521",
+    "ternary-256": "c66f501ee162e1311e502e1a28589e91ebcda63e967b60d72ef9c0f89e6b3128",
+    "ternary-257": "9c02332a5a13e0d01bf118316bc299157a6b1e96a836d66edbb15812c9a97b20",
+    "layered-stochastic-kernel": "4f5c78dd740679d0ae274d7d4ef02678d71bfe9ba1eb725c84f8e3671724b215",
+}
+
+
+def _csv_digest(rows, tmp_path) -> str:
+    path = tmp_path / "rows.csv"
+    export(rows, "csv", str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_monte_carlo_rows_are_pinned(name, tmp_path):
+    rows = run_experiment(ExperimentConfig.from_json(GOLDEN_CONFIGS[name]), FAST)
+    assert all(row.note == "" for row in rows)
+    assert _csv_digest(rows, tmp_path) == GOLDEN_DIGESTS[name]
+
+
+def test_layered_rows_with_a_stochastic_kernel_are_pinned(monkeypatch, tmp_path):
+    # the solver's kernel is deterministic on these models; a fixed stochastic
+    # one makes every active transmission draw from it
+    from stealthpath import harness
+    from stealthpath.probkit import ConditionalKernel
+    from stealthpath.ratesolver import SolutionA
+    kernel = ConditionalKernel(4, 8, np.array([
+        [0.4, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05, 0.0],
+        [0.0, 0.5, 0.0, 0.25, 0.0, 0.25, 0.0, 0.0],
+        [0.1, 0.1, 0.1, 0.1, 0.2, 0.2, 0.1, 0.1],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3, 0.7]]))
+    solution = SolutionA(True, Distribution(4, np.array([0.4, 0.3, 0.2, 0.1])), kernel, 1.0)
+    monkeypatch.setattr(harness, "solve_a", lambda model, cfg=None: solution)
+    cfg = ExperimentConfig.from_json(base_config(
+        model=BIASED_C3, scheme="erasure-layered", gamma=1.0,
+        code={"n": [6, 8], "rate": {"rule": "absolute", "bits": 0.25}, "seed": 2},
+        adversary={"jam_rule": "worst-over-family"}, detector="optimal-oracle", trials=30))
+    rows = run_experiment(cfg)
+    assert all(row.note == "" for row in rows)
+    assert _csv_digest(rows, tmp_path) == GOLDEN_DIGESTS["layered-stochastic-kernel"]
