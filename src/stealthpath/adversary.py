@@ -7,7 +7,9 @@ spoofing, symmetrization), and the likelihood-ratio detector against exact
 n-letter marginals.
 
 Every strategy exposes both `apply` (sampled, for Monte Carlo) and `outcomes`
-(the full conditional output law, for the exact oracle).
+(the full conditional output law, for the exact oracle). `apply`, the jamming
+modes and the detector take one block or a batch of blocks with leading trial
+axes; a batch draws, block for block, what one call per block would draw.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .codec import (
 )
 from .probkit import Distribution, inverse_cdf, typical_rows
 from .ratesolver import NetworkModel
-from .rng import generator
+from .rng import generator, streams
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,8 @@ class JamSet:
 
 def erasure_jam(tx: Transmission, j: JamSet) -> ReceivedWord:
     """Erase the jammed links wholesale; pass the rest through verbatim."""
-    c = tx.links.shape[0]
-    erased = np.zeros(c, dtype=bool)
-    erased[list(j.links)] = True
+    erased = np.zeros(tx.links.shape[:-1], dtype=bool)
+    erased[..., list(j.links)] = True
     links = tx.links.copy()
     links[erased] = 0  # erased rows carry no information
     return ReceivedWord(links=links, erased=erased)
@@ -68,8 +69,10 @@ def erasure_jam(tx: Transmission, j: JamSet) -> ReceivedWord:
 class JammingStrategy:
     """Conditional law of the overwritten symbols given the observed block.
 
-    `apply` draws one output; `outcomes` enumerates the full conditional
-    distribution as (probability, replacement rows) pairs for the exact oracle.
+    `apply` draws one output per block of x_j, (..., |j|, n), from
+    generator(seed, ·) of that block's seed (`seed` has the leading shape);
+    `outcomes` enumerates the full conditional distribution of one block as
+    (probability, replacement rows) pairs for the exact oracle.
     """
 
     id: str = ""
@@ -116,9 +119,9 @@ class UniformRandom(JammingStrategy):
     id = "uniform-random"
 
     def apply(self, x_j, j, model, code, seed):
-        rng = generator(seed, "uniform-jam")
+        draws = streams(seed, "uniform-jam")
         sizes = _sub_sizes(model, j)
-        return np.vstack([rng.integers(0, s, size=x_j.shape[1]) for s in sizes]) \
+        return np.stack([draws.integers(s, x_j.shape[-1]) for s in sizes], axis=-2) \
             if sizes else x_j.copy()
 
     def outcomes(self, x_j, j, model, code, budget=1 << 20):
@@ -142,8 +145,8 @@ class ResampleInnocent(JammingStrategy):
     def apply(self, x_j, j, model, code, seed):
         if not j.links:
             return x_j.copy()
-        rng = generator(seed, "innocent-jam")
-        codes = inverse_cdf(_jam_marginal(model, j, code).cdf, rng.random(x_j.shape[1]))
+        draws = streams(seed, "innocent-jam").random(x_j.shape[-1])
+        codes = inverse_cdf(_jam_marginal(model, j, code).cdf, draws)
         return indexing.unpack_links(codes, _sub_sizes(model, j))
 
     def outcomes(self, x_j, j, model, code, budget=1 << 20):
@@ -205,23 +208,34 @@ class SpoofCodeword(JammingStrategy):
             raise ValueError(f"strategy {self.id!r} needs a direct codebook handle")
         return code
 
+    def _affine_message(self, code: DirectCode, j: JamSet, restrict: np.ndarray,
+                        seed: int) -> int:
+        """One block's message on an affine code, from generator(seed, "spoof").
+
+        Uniform draws kept only when typical are uniform over the candidates;
+        after SPOOF_DRAWS misses the enumerated list decides.
+        """
+        rng = generator(seed, "spoof")
+        mass = self._jam_mass(code, j)
+        for _ in range(SPOOF_DRAWS):
+            m = int(rng.integers(0, code.message_count)) + 1
+            if typical_rows(restrict[code.codeword(m)][None, :], mass, self.gamma)[0]:
+                return m
+        cand = self._candidates(code, j)
+        return int(cand[rng.integers(0, cand.size)])
+
     def apply(self, x_j, j, model, code, seed):
         if not j.links:
             return x_j.copy()
         code = self._require_direct(code)
-        rng = generator(seed, "spoof")
         if code.affine is not None:
-            # Uniform draws kept only when typical are uniform over the
-            # candidates; after SPOOF_DRAWS misses the enumerated list decides.
             restrict = indexing.restrict_codes(code.link_sizes, j.links)
-            mass = self._jam_mass(code, j)
-            for _ in range(SPOOF_DRAWS):
-                m = int(rng.integers(0, code.message_count)) + 1
-                if typical_rows(restrict[code.codeword(m)][None, :], mass, self.gamma)[0]:
-                    return code.codeword_links(m)[list(j.links)]
-        cand = self._candidates(code, j)
-        m = int(cand[rng.integers(0, cand.size)])
-        return code.codeword_links(m)[list(j.links)]
+            m = np.reshape([self._affine_message(code, j, restrict, s)
+                            for s in np.ravel(seed)], np.shape(seed))
+        else:
+            cand = self._candidates(code, j)
+            m = cand[streams(seed, "spoof").integers(cand.size, 1)[..., 0]]
+        return code.codeword_links(m)[..., list(j.links), :]
 
     def outcomes(self, x_j, j, model, code, budget=1 << 20):
         if not j.links:
@@ -260,8 +274,9 @@ class SpoofConsistent(JammingStrategy):
     def apply(self, x_j, j, model, code, seed):
         if not j.links:
             return x_j.copy()
-        m = self._best(x_j, j, code)
-        return code.codeword_links(m)[list(j.links)]
+        blocks = x_j.reshape((-1,) + x_j.shape[-2:])
+        m = np.reshape([self._best(x, j, code) for x in blocks], x_j.shape[:-2])
+        return code.codeword_links(m)[..., list(j.links), :]
 
     def outcomes(self, x_j, j, model, code, budget=1 << 20):
         if not j.links:
@@ -288,9 +303,8 @@ class Symmetrize(JammingStrategy):
 
     def apply(self, x_j, j, model, code, seed):
         code = self._check(j, model, code)
-        rng = generator(seed, "fake-message")
-        m = int(rng.integers(0, code.message_count)) + 1
-        return code.codeword_links(m)[list(j.links)]
+        m = streams(seed, "fake-message").integers(code.message_count, 1)[..., 0] + 1
+        return code.codeword_links(m)[..., list(j.links), :]
 
     def outcomes(self, x_j, j, model, code, budget=1 << 20):
         code = self._check(j, model, code)
@@ -320,39 +334,44 @@ def list_strategies() -> List[dict]:
 
 
 def overwrite_jam(tx: Transmission, j: JamSet, strategy: JammingStrategy,
-                  seed: int, model: NetworkModel,
+                  seed, model: NetworkModel,
                   code: Optional[Code] = None) -> ReceivedWord:
-    """Replace the jammed links with the strategy's output; erase nothing."""
+    """Replace the jammed links with the strategy's output; erase nothing.
+
+    A batch of blocks takes an array of seeds of the batch's leading shape.
+    """
     links = tx.links.copy()
     if j.links:
-        x_j = tx.links[list(j.links)]
+        jammed = list(j.links)
+        x_j = tx.links[..., jammed, :]
         y_j = strategy.apply(x_j, j, model, code, seed)
         if y_j.shape != x_j.shape:
             raise ValueError(f"strategy {strategy.id!r} returned shape {y_j.shape}, "
                              f"expected {x_j.shape}")
-        links[list(j.links)] = y_j
-    return ReceivedWord(links=links, erased=np.zeros(links.shape[0], dtype=bool))
+        links[..., jammed, :] = y_j
+    return ReceivedWord(links=links, erased=np.zeros(links.shape[:-1], dtype=bool))
 
 
 # ---------------------------------------------------------------------------
 # Detection
 # ---------------------------------------------------------------------------
 
-def pack_observation(x_j: np.ndarray, sizes: Sequence[int]) -> int:
-    """Jammed-link block -> index into the n-letter observation space."""
-    codes = indexing.pack_links(x_j, sizes)
-    return int(indexing.pack_sequences(codes[None, :], math.prod(sizes))[0])
+def pack_observation(x_j: np.ndarray, sizes: Sequence[int]):
+    """Jammed-link blocks (..., |j|, n) -> indices into the n-letter observation space."""
+    return indexing.pack_sequences(indexing.pack_links(x_j, sizes), math.prod(sizes))
 
 
 def optimal_detect(x_j: np.ndarray, sizes: Sequence[int],
                    innocent_marg_n: Distribution,
-                   active_marg_n: Distribution) -> int:
+                   active_marg_n: Distribution):
     """Likelihood-ratio test at threshold 1 against exact n-letter marginals.
 
     Returns 1 iff the active mass strictly exceeds the innocent mass at the
-    observed block; ties break toward innocent.
+    observed block, ties breaking toward innocent; an int array of verdicts
+    for a batch of blocks.
     """
     if innocent_marg_n.alphabet_size != active_marg_n.alphabet_size:
         raise ValueError("marginal handles disagree on the observation space")
     idx = pack_observation(x_j, sizes)
-    return int(active_marg_n.mass[idx] > innocent_marg_n.mass[idx])
+    verdict = active_marg_n.mass[idx] > innocent_marg_n.mass[idx]
+    return verdict.astype(np.int64) if np.ndim(verdict) else int(verdict)

@@ -33,7 +33,7 @@ from .probkit import (
     typical_rows,
 )
 from .ratesolver import OPT_TOL, NetworkModel, SolutionB, check_feasibility_b
-from .rng import generator
+from .rng import generator, streams
 
 CHUNK_MESSAGES = 1 << 16
 SYMBOL_BUDGET = 1 << 26
@@ -127,14 +127,23 @@ class _ChunkedStore:
         else:
             yield from self._iter_chunks()
 
-    def codeword(self, m: int) -> np.ndarray:
-        if not 0 <= m < self.count:
+    def codeword(self, m) -> np.ndarray:
+        """Symbols of codeword m (0-based); (..., n) for an array of indices.
+
+        A streaming store regenerates each chunk once for all indices in it.
+        """
+        m = np.asarray(m, dtype=np.int64)
+        if np.any((m < 0) | (m >= self.count)):
             raise ValueError(f"message index {m} out of range")
         if self._all is not None:
             return self._all[m].astype(np.int64)
-        chunk_index, offset = divmod(m, CHUNK_MESSAGES)
-        rows = min(CHUNK_MESSAGES, self.count - chunk_index * CHUNK_MESSAGES)
-        return self._generate(chunk_index, rows)[offset].astype(np.int64)
+        out = np.empty(m.shape + (self.n,), dtype=np.int64)
+        chunk_of = m // CHUNK_MESSAGES
+        for c in np.unique(chunk_of).tolist():
+            rows = min(CHUNK_MESSAGES, self.count - c * CHUNK_MESSAGES)
+            hit = chunk_of == c
+            out[hit] = self._generate(c, rows)[m[hit] - c * CHUNK_MESSAGES]
+        return out
 
 
 class AffineStore:
@@ -170,6 +179,7 @@ class AffineStore:
         self.s = rng.integers(0, 2, size=self.rows, dtype=np.uint8)
         self._s = gf2.to_int(self.s)
         self._encode = gf2.LinearMap(self.g)
+        self._g_t = self.g.T.astype(np.float32)
         self._dtype = np.min_scalar_type(int(np.prod(self.link_sizes)) - 1)
         self._solvers: dict = {}
         self._scatter: dict = {}
@@ -204,23 +214,29 @@ class AffineStore:
     def codeword_bits(self, b: int) -> int:
         return self._encode(b) ^ self._s
 
-    def codeword(self, b: int) -> np.ndarray:
-        if not 0 <= b < self.count:
+    def _bits(self, b: np.ndarray) -> np.ndarray:
+        """(...) message indices -> (..., rows) codeword bits, by one 0/1 product.
+
+        The float32 sums count at most K < 64 ones, so they are exact.
+        """
+        bits = ((b[..., None] >> np.arange(self.k, dtype=np.int64)) & 1).astype(np.float32)
+        return (np.rint(bits @ self._g_t).astype(np.int64) + self.s) & 1
+
+    def codeword(self, b) -> np.ndarray:
+        """Product codes of codeword b (0-based); (..., n) for an array of indices."""
+        b = np.asarray(b, dtype=np.int64)
+        if np.any((b < 0) | (b >= self.count)):
             raise ValueError(f"message index {b} out of range")
-        return self._codes(gf2.to_bits(self.codeword_bits(b), self.rows))
+        return self._codes(self._bits(b))
 
     def chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
         if self.count > MESSAGE_BUDGET:
             raise ResourceBudgetError(
                 f"enumerating {self.count} affine codewords exceeds the message budget "
                 f"{MESSAGE_BUDGET}")
-        g_t = self.g.T.astype(np.float32)
-        shifts = np.arange(self.k, dtype=np.int64)
         for start in range(0, self.count, CHUNK_MESSAGES):
             idx = np.arange(start, min(start + CHUNK_MESSAGES, self.count), dtype=np.int64)
-            bits = ((idx[:, None] >> shifts) & 1).astype(np.float32)
-            x = (np.rint(bits @ g_t).astype(np.int64) + self.s) & 1
-            yield start, self._codes(x).astype(self._dtype)
+            yield start, self._codes(self._bits(idx)).astype(self._dtype)
 
     def _solver(self, links: tuple):
         """(map x -> syndrome|solution, its value at s, reduced null basis), cached."""
@@ -322,11 +338,12 @@ class DirectCode:
     def materialized(self) -> bool:
         return self._store.materialized
 
-    def codeword(self, m: int) -> np.ndarray:
-        """Product codes of codeword m (message indices are 1-based)."""
-        return self._store.codeword(m - 1)
+    def codeword(self, m) -> np.ndarray:
+        """Product codes of codeword m (1-based); (..., n) for an array of messages."""
+        return self._store.codeword(np.asarray(m) - 1)
 
-    def codeword_links(self, m: int) -> np.ndarray:
+    def codeword_links(self, m) -> np.ndarray:
+        """Per-link symbols of codeword m, (..., C, n)."""
         return indexing.unpack_links(self.codeword(m), self.link_sizes)
 
     def chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
@@ -356,8 +373,8 @@ class LayeredCode:
     def ensemble(self) -> str:
         return self._store.ensemble
 
-    def u_codeword(self, m: int) -> np.ndarray:
-        return self._store.codeword(m - 1)
+    def u_codeword(self, m) -> np.ndarray:
+        return self._store.codeword(np.asarray(m) - 1)
 
     def u_chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
         return self._store.chunks()
@@ -435,14 +452,18 @@ def build_layered_code(p_u: Distribution, kernel: ConditionalKernel,
 
 @dataclass(frozen=True)
 class Transmission:
-    """One block on the wire: status, message, and per-link symbol rows."""
+    """Blocks on the wire: status, message, and per-link symbol rows.
+
+    One block has a message and (C, n) links; a batch of blocks of one status
+    has an array of messages and links with the same leading shape.
+    """
 
     status: int
-    message: int
-    links: np.ndarray  # (C, n)
+    message: Union[int, np.ndarray]
+    links: np.ndarray  # (..., C, n)
 
     def __post_init__(self):
-        if (self.status == INNOCENT) != (self.message == 0):
+        if np.any((np.asarray(self.message) == 0) != (self.status == INNOCENT)):
             raise ValueError("innocent status iff message 0")
 
 
@@ -450,12 +471,8 @@ class Transmission:
 class ReceivedWord:
     """Per-link symbol rows with a per-link erasure flag (all-or-nothing)."""
 
-    links: np.ndarray  # (C, n); rows of erased links are ignored
-    erased: np.ndarray  # (C,) bool
-
-    @property
-    def erased_set(self) -> tuple:
-        return tuple(int(i) for i in np.nonzero(self.erased)[0])
+    links: np.ndarray  # (..., C, n); rows of erased links are ignored
+    erased: np.ndarray  # (..., C) bool
 
 
 @dataclass(frozen=True)
@@ -469,25 +486,28 @@ class DecodeResult:
             raise ValueError("message verdict requires a positive message index")
 
 
-def encode(code: Code, model: NetworkModel, t: int, m: int, tx_seed: int) -> Transmission:
-    """Alice's encoder: innocent sampling or codeword (plus kernel map) lookup."""
+def encode(code: Code, model: NetworkModel, t: int, m, tx_seed) -> Transmission:
+    """Alice's encoder: innocent sampling or codeword (plus kernel map) lookup.
+
+    `m` and `tx_seed` are scalars for one block, or arrays of one shape for a
+    batch of blocks of status `t`; each block draws from generator(tx_seed, ·).
+    """
     n = code.params.n
     sizes = model.link_alphabet_sizes
+    messages = np.asarray(m)
     if t == INNOCENT:
-        if m != 0:
+        if np.any(messages != 0):
             raise ValueError("innocent transmission must carry message 0")
-        rng = generator(tx_seed, "innocent")
-        codes = inverse_cdf(model.innocent.cdf, rng.random(n))
-        return Transmission(INNOCENT, 0, indexing.unpack_links(codes, sizes))
-    if not 1 <= m <= code.message_count:
+        codes = inverse_cdf(model.innocent.cdf, streams(tx_seed, "innocent").random(n))
+        return Transmission(INNOCENT, m, indexing.unpack_links(codes, sizes))
+    if np.any((messages < 1) | (messages > code.message_count)):
         raise ValueError(f"message {m} out of range 1..{code.message_count}")
     if isinstance(code, DirectCode):
         return Transmission(ACTIVE, m, code.codeword_links(m))
     # Layered scheme: a fresh stochastic map from the intermediate codeword
     # on every transmission.
     u = code.u_codeword(m)
-    rng = generator(tx_seed, "transmit-map")
-    codes = inverse_cdf(code.kernel.cdf[u], rng.random(n))
+    codes = inverse_cdf(code.kernel.cdf[u], streams(tx_seed, "transmit-map").random(n))
     return Transmission(ACTIVE, m, indexing.unpack_links(codes, sizes))
 
 

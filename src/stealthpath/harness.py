@@ -3,7 +3,9 @@ metric aggregation, and CSV/JSON export.
 
 A run is fully determined by the config plus the master seed: every trial
 derives its randomness as hash(master_seed, label, sweep, hypothesis, trial),
-so re-running, reordering, or parallelizing cannot change any number.
+so re-running, reordering, or parallelizing cannot change any number. Trials
+run in blocks of at most TRIAL_BLOCK: one encode, jam and detect call per
+block, whose per-trial streams are those of one call per trial.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from .adversary import (
 from .codec import (
     Code,
     CodeParams,
+    ReceivedWord,
     ResourceBudgetError,
     build_code_for_bound,
     build_layered_code,
@@ -39,6 +42,8 @@ from .ratesolver import NetworkModel, SolverConfig, solve_a, solve_b
 from .rng import derive_seed
 
 SCHEMES = ("erasure-layered", "overwrite-direct")
+# Trials per block of the Monte Carlo loop.
+TRIAL_BLOCK = 256
 CSV_COLUMNS = ("scheme", "n", "rate_bits", "gamma", "jam_rule", "jam_set",
                "strategy", "trials", "p_err_hat", "p_err_ci", "alpha_hat",
                "beta_hat", "ab_ci", "stealth_gap", "ensemble")
@@ -288,34 +293,35 @@ def _run_jam_set(cfg: ExperimentConfig, code: Code, sweep: int, strategy_id: str
     err = [0, 0]
     alarms, missed = 0, 0
     n_msg = code.message_count
-    for t in range(cfg.trials):
+    seed = cfg.master_seed
+    for lo in range(0, cfg.trials, TRIAL_BLOCK):
+        block = range(lo, min(lo + TRIAL_BLOCK, cfg.trials))
         for hyp in (0, 1):
-            if hyp == 0:
-                m = 0
-            else:
-                m = derive_seed(cfg.master_seed, "message", sweep, t) % n_msg + 1
-            tx_seed = derive_seed(cfg.master_seed, "trial", sweep, hyp, t)
-            tx = encode(code, model, hyp, m, tx_seed)
-            if detector is not None and j.links:
-                verdict = detector(tx.links[list(j.links)])
-                if hyp == 0 and verdict == 1:
-                    alarms += 1
-                if hyp == 1 and verdict == 0:
-                    missed += 1
+            m = np.array([derive_seed(seed, "message", sweep, t) % n_msg + 1 if hyp else 0
+                          for t in block], dtype=np.int64)
+            tx_seeds = [derive_seed(seed, "trial", sweep, hyp, t) for t in block]
+            tx = encode(code, model, hyp, m, tx_seeds)
+            if detector is not None:
+                verdicts = detector(tx.links[:, list(j.links)])
+                if hyp == 0:
+                    alarms += int(np.count_nonzero(verdicts == 1))
+                else:
+                    missed += int(np.count_nonzero(verdicts == 0))
             if cfg.scheme == "erasure-layered":
                 rx = erasure_jam(tx, j)
-                result = decode_erasure(code, rx, tp, model)
             else:
-                jam_seed = derive_seed(cfg.master_seed, "jam", sweep, hyp, t,
-                                       *j.links)
-                rx = overwrite_jam(tx, j, strategy, jam_seed, model, code)
-                result = decode_overwrite(code, rx, model)
-            if hyp == 0:
-                if result.verdict != "innocent":
-                    err[0] += 1
-            else:
-                if not (result.verdict == "message" and result.message == m):
-                    err[1] += 1
+                jam_seeds = [derive_seed(seed, "jam", sweep, hyp, t, *j.links) for t in block]
+                rx = overwrite_jam(tx, j, strategy, jam_seeds, model, code)
+            for i in range(len(block)):
+                word = ReceivedWord(links=rx.links[i], erased=rx.erased[i])
+                if cfg.scheme == "erasure-layered":
+                    result = decode_erasure(code, word, tp, model)
+                else:
+                    result = decode_overwrite(code, word, model)
+                if hyp == 0:
+                    err[0] += result.verdict != "innocent"
+                else:
+                    err[1] += not (result.verdict == "message" and result.message == m[i])
     nan = float("nan")
     return _JamOutcome(
         jam_set=j,

@@ -44,15 +44,15 @@ def strides(sizes: Sequence[int]) -> np.ndarray:
 
 
 def pack_links(link_symbols: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """(C, n) per-link symbols -> (n,) product codes."""
+    """(..., C, n) per-link symbols -> (..., n) product codes."""
     st, _ = _radix(tuple(map(int, sizes)))
-    return (np.asarray(link_symbols, dtype=np.int64) * st).sum(axis=0)
+    return (np.asarray(link_symbols, dtype=np.int64) * st).sum(axis=-2)
 
 
 def unpack_links(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """(n,) product codes -> (C, n) per-link symbols."""
+    """(..., n) product codes -> (..., C, n) per-link symbols."""
     st, sz = _radix(tuple(map(int, sizes)))
-    return (np.asarray(codes, dtype=np.int64)[None, :] // st) % sz
+    return (np.asarray(codes, dtype=np.int64)[..., None, :] // st) % sz
 
 
 def link_digit(codes: np.ndarray, sizes: Sequence[int], link: int) -> np.ndarray:
@@ -87,7 +87,7 @@ def restriction_matrix(sizes: Sequence[int], links: Sequence[int]) -> np.ndarray
 
 
 def pack_sequences(seqs: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """(m, n) sequences over an alphabet -> (m,) packed integers (int64).
+    """(..., n) sequences over an alphabet -> (...) packed integers (int64).
 
     Caller must ensure alphabet_size**n fits in 63 bits.
     """

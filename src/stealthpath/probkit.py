@@ -157,10 +157,6 @@ class ConditionalKernel:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def rows(self) -> tuple:
-        return tuple(Distribution(self.output_size, r) for r in self.matrix)
-
     @cached_property
     def cdf(self) -> np.ndarray:
         """Cumulative mass of each row, (input_size, output_size)."""
@@ -215,8 +211,8 @@ def entropy(d: Distribution) -> float:
 
 def entropy_of_mass(mass: np.ndarray) -> float:
     """Entropy of a raw (already valid) mass vector; solver hot path."""
-    nz = mass > 0
-    return float(-np.sum(mass[nz] * np.log2(mass[nz])))
+    p = mass[mass > 0]
+    return float(-(p * np.log2(p)).sum())
 
 
 def marginalize(j: JointDistribution, keep: Iterable[int]) -> Distribution:

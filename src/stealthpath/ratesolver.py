@@ -206,15 +206,19 @@ class _Polytope:
         x = v.copy()
         p_inc = np.zeros_like(v)
         q_inc = np.zeros_like(v)
+        xp = np.empty_like(v)   # x + p_inc, then y + q_inc: each formed once
+        yq = np.empty_like(v)
         for _ in range(iterations):
-            y = self.affine_project(x + p_inc)
-            p_inc = x + p_inc - y
-            x_new = np.maximum(y + q_inc, 0.0)
-            q_inc = y + q_inc - x_new
-            if np.max(np.abs(x_new - x)) < tol:
-                x = x_new
-                break
+            np.add(x, p_inc, out=xp)
+            y = self.affine_project(xp)
+            np.subtract(xp, y, out=p_inc)
+            np.add(y, q_inc, out=yq)
+            x_new = np.maximum(yq, 0.0)
+            np.subtract(yq, x_new, out=q_inc)
+            done = np.abs(x_new - x).max() < tol
             x = x_new
+            if done:
+                break
         return x
 
     def residual(self, p: np.ndarray) -> float:

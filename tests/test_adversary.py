@@ -183,3 +183,40 @@ def test_per_transmission_tables_are_built_once_per_code(monkeypatch):
     warm = len(calls)
     transmissions(range(10, 50))  # 80 more
     assert warm > 0 and len(calls) == warm
+
+
+@pytest.mark.parametrize("sid", STRATEGY_IDS)
+def test_a_batch_draws_what_one_call_per_block_draws(sid):
+    # 40 blocks: above rng.LOCKSTEP_MIN_KEYS, so the batch draws in lockstep
+    from stealthpath.codec import build_layered_code
+    from stealthpath.probkit import ConditionalKernel
+    model = uniform_model(c=2, z=0, allow_symmetrizable=True) if sid == "symmetrize" \
+        else MODEL
+    code = build_direct_code(model.innocent, CodeParams(n=8, rate=1.0, seed=3))
+    layered = build_layered_code(Distribution.uniform(4),
+                                 ConditionalKernel.constant(4, Distribution.uniform(8)),
+                                 CodeParams(n=8, rate=0.25, seed=2), (2, 2, 2))
+    strategy, j = get_strategy(sid), JamSet((0,))
+    seeds = np.arange(100, 140)
+    messages = seeds % code.message_count + 1
+    for c, hyp in ((code, 0), (code, 1), (layered, 1)):
+        m = messages % c.message_count + 1 if hyp else np.zeros_like(seeds)
+        batch = encode(c, model, hyp, m, seeds)
+        assert batch.links.shape == (40, model.link_count, 8)
+        for t in range(40):
+            np.testing.assert_array_equal(
+                batch.links[t], encode(c, model, hyp, int(m[t]), int(seeds[t])).links)
+    tx = encode(code, model, 1, messages, seeds)
+    rx = overwrite_jam(tx, j, strategy, seeds + 7, model, code)
+    erased = erasure_jam(tx, j)
+    sizes = [model.link_alphabet_sizes[i] for i in j.links]
+    act = oracle.exact_active_marginal(code, j)
+    inn = oracle.exact_innocent_marginal(model, j, 8)
+    verdicts = optimal_detect(tx.links[:, list(j.links)], sizes, inn, act)
+    for t in range(40):
+        tx_t = encode(code, model, 1, int(messages[t]), int(seeds[t]))
+        np.testing.assert_array_equal(
+            rx.links[t], overwrite_jam(tx_t, j, strategy, int(seeds[t]) + 7, model, code).links)
+        np.testing.assert_array_equal(erased.links[t], erasure_jam(tx_t, j).links)
+        np.testing.assert_array_equal(erased.erased[t], erasure_jam(tx_t, j).erased)
+        assert verdicts[t] == optimal_detect(tx.links[t][list(j.links)], sizes, inn, act)

@@ -44,6 +44,8 @@ def test_matching_messages_agree_with_a_chunk_scan(sizes, n, rate, seed):
     words = _all_codewords(code)
     for m in (1, code.message_count // 2, code.message_count):
         np.testing.assert_array_equal(code.codeword(m), words[m - 1])
+    batch = np.array([[1, code.message_count], [code.message_count // 2, 2]])
+    np.testing.assert_array_equal(code.codeword(batch), words[batch - 1])
     rng = generator(seed, "affine-test-targets")
     for links in ((0,), (1,), (0, 2), (1, 2), (0, 1, 2)):
         sub_sizes = [sizes[i] for i in links]

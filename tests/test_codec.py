@@ -101,6 +101,21 @@ def test_streaming_store_matches_materialized():
                                   np.concatenate([b for _, b in mat.chunks()]))
 
 
+def test_streaming_store_batch_lookup_matches_one_by_one(monkeypatch):
+    # chunks of 128 rows: the batch spans three, each regenerated once
+    from stealthpath import codec
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 128)
+    kw = dict(mass=UNIFORM8.mass, n=5, seed=17, count=300, label="codeword-chunk")
+    mat = _ChunkedStore(materialize=True, **kw)
+    stream = _ChunkedStore(materialize=False, **kw)
+    ms = np.array([[299, 0, 128], [150, 1, 255]])
+    want = np.stack([[mat.codeword(int(m)) for m in row] for row in ms])
+    np.testing.assert_array_equal(stream.codeword(ms), want)
+    np.testing.assert_array_equal(mat.codeword(ms), want)
+    with pytest.raises(ValueError):
+        stream.codeword(np.array([0, 300]))
+
+
 def test_layered_code_validation_and_determinism():
     p_u = Distribution.uniform(3)
     kern = ConditionalKernel.constant(3, UNIFORM8.as_distribution())
