@@ -77,6 +77,21 @@ class CodeParams:
         return max(int(math.floor(2.0 ** exponent)), 1)
 
 
+def _in_range(m, lo: int, hi: int) -> bool:
+    """Whether m, an int or an array, lies in [lo, hi) throughout."""
+    if isinstance(m, (int, np.integer)):
+        return lo <= m < hi
+    m = np.asarray(m)
+    return m.size == 0 or bool(m.min() >= lo and m.max() < hi)
+
+
+def _indices(m, count: int):
+    """0-based message indices checked against `count`: an int, or an int64 array."""
+    if not _in_range(m, 0, count):
+        raise ValueError(f"message index {m} out of range")
+    return int(m) if isinstance(m, (int, np.integer)) else np.asarray(m, dtype=np.int64)
+
+
 class _ChunkedStore:
     """Deterministic chunked source of i.i.d. codeword symbols.
 
@@ -132,11 +147,10 @@ class _ChunkedStore:
 
         A streaming store regenerates each chunk once for all indices in it.
         """
-        m = np.asarray(m, dtype=np.int64)
-        if np.any((m < 0) | (m >= self.count)):
-            raise ValueError(f"message index {m} out of range")
+        m = _indices(m, self.count)
         if self._all is not None:
             return self._all[m].astype(np.int64)
+        m = np.asarray(m)
         out = np.empty(m.shape + (self.n,), dtype=np.int64)
         chunk_of = m // CHUNK_MESSAGES
         for c in np.unique(chunk_of).tolist():
@@ -223,10 +237,13 @@ class AffineStore:
         return (np.rint(bits @ self._g_t).astype(np.int64) + self.s) & 1
 
     def codeword(self, b) -> np.ndarray:
-        """Product codes of codeword b (0-based); (..., n) for an array of indices."""
-        b = np.asarray(b, dtype=np.int64)
-        if np.any((b < 0) | (b >= self.count)):
-            raise ValueError(f"message index {b} out of range")
+        """Product codes of codeword b (0-based); (..., n) for an array of indices.
+
+        One index takes the table-driven map, a batch one 0/1 product.
+        """
+        b = _indices(b, self.count)
+        if isinstance(b, int):
+            return self._codes(gf2.to_bits(self.codeword_bits(b), self.rows))
         return self._codes(self._bits(b))
 
     def chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
@@ -340,7 +357,7 @@ class DirectCode:
 
     def codeword(self, m) -> np.ndarray:
         """Product codes of codeword m (1-based); (..., n) for an array of messages."""
-        return self._store.codeword(np.asarray(m) - 1)
+        return self._store.codeword(m - 1)
 
     def codeword_links(self, m) -> np.ndarray:
         """Per-link symbols of codeword m, (..., C, n)."""
@@ -374,7 +391,7 @@ class LayeredCode:
         return self._store.ensemble
 
     def u_codeword(self, m) -> np.ndarray:
-        return self._store.codeword(np.asarray(m) - 1)
+        return self._store.codeword(m - 1)
 
     def u_chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
         return self._store.chunks()
@@ -463,7 +480,8 @@ class Transmission:
     links: np.ndarray  # (..., C, n)
 
     def __post_init__(self):
-        if np.any((np.asarray(self.message) == 0) != (self.status == INNOCENT)):
+        zero = np.asarray(self.message) == 0
+        if np.count_nonzero(zero) != (zero.size if self.status == INNOCENT else 0):
             raise ValueError("innocent status iff message 0")
 
 
@@ -494,13 +512,12 @@ def encode(code: Code, model: NetworkModel, t: int, m, tx_seed) -> Transmission:
     """
     n = code.params.n
     sizes = model.link_alphabet_sizes
-    messages = np.asarray(m)
     if t == INNOCENT:
-        if np.any(messages != 0):
+        if not _in_range(m, 0, 1):
             raise ValueError("innocent transmission must carry message 0")
         codes = inverse_cdf(model.innocent.cdf, streams(tx_seed, "innocent").random(n))
         return Transmission(INNOCENT, m, indexing.unpack_links(codes, sizes))
-    if np.any((messages < 1) | (messages > code.message_count)):
+    if not _in_range(m, 1, code.message_count + 1):
         raise ValueError(f"message {m} out of range 1..{code.message_count}")
     if isinstance(code, DirectCode):
         return Transmission(ACTIVE, m, code.codeword_links(m))
