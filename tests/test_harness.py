@@ -334,6 +334,11 @@ def test_monte_carlo_rows_are_pinned(name, tmp_path):
     assert _csv_digest(rows, tmp_path) == GOLDEN_DIGESTS[name]
 
 
+def test_edge_trials_straddle_a_block():
+    from stealthpath.harness import TRIAL_BLOCK
+    assert EDGE_TRIALS == (1, TRIAL_BLOCK, TRIAL_BLOCK + 1)
+
+
 def test_layered_rows_with_a_stochastic_kernel_are_pinned(monkeypatch, tmp_path):
     # the solver's kernel is deterministic on these models; a fixed stochastic
     # one makes every active transmission draw from it
