@@ -31,7 +31,7 @@ from .codec import (
 )
 from .probkit import Distribution, inverse_cdf, typical_rows
 from .ratesolver import NetworkModel
-from .rng import generator, streams
+from .rng import streams
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,7 @@ class ResampleInnocent(JammingStrategy):
 
 
 SPOOF_DRAWS = 4096
+SPOOF_CHUNK = 16
 
 
 def _codeword_restrictions(code: DirectCode, j: JamSet) -> np.ndarray:
@@ -208,30 +209,42 @@ class SpoofCodeword(JammingStrategy):
             raise ValueError(f"strategy {self.id!r} needs a direct codebook handle")
         return code
 
-    def _affine_message(self, code: DirectCode, j: JamSet, restrict: np.ndarray,
-                        seed: int) -> int:
-        """One block's message on an affine code, from generator(seed, "spoof").
+    def _affine_messages(self, code: DirectCode, j: JamSet, seed) -> np.ndarray:
+        """Each block's message on an affine code, from generator(seed, "spoof").
 
         Uniform draws kept only when typical are uniform over the candidates;
-        after SPOOF_DRAWS misses the enumerated list decides.
+        after SPOOF_DRAWS misses the enumerated list decides. Draws come in
+        chunks of SPOOF_CHUNK, SPOOF_CHUNK, then doubling: a block keeps its
+        first typical draw, and one that misses them all has used exactly
+        SPOOF_DRAWS draws, as one draw at a time would.
         """
-        rng = generator(seed, "spoof")
+        restrict = indexing.restrict_codes(code.link_sizes, j.links)
         mass = self._jam_mass(code, j)
-        for _ in range(SPOOF_DRAWS):
-            m = int(rng.integers(0, code.message_count)) + 1
-            if typical_rows(restrict[code.codeword(m)][None, :], mass, self.gamma)[0]:
-                return m
-        cand = self._candidates(code, j)
-        return int(cand[rng.integers(0, cand.size)])
+        seeds = np.ravel(seed)
+        draws = streams(seeds, "spoof")
+        m = np.zeros(seeds.size, dtype=np.int64)
+        left = np.arange(seeds.size)          # blocks without a typical draw yet
+        drawn = 0
+        while drawn < SPOOF_DRAWS and left.size:
+            k = min(max(drawn, SPOOF_CHUNK), SPOOF_DRAWS - drawn)
+            drawn += k
+            ms = draws.integers(code.message_count, k)[left] + 1
+            hit = typical_rows(restrict[code.codeword(ms)].reshape(ms.size, -1), mass,
+                               self.gamma).reshape(ms.shape)
+            found = hit.any(axis=1)
+            m[left[found]] = ms[found, hit[found].argmax(axis=1)]
+            left = left[~found]
+        if left.size:
+            cand = self._candidates(code, j)
+            m[left] = cand[draws.integers(cand.size, 1)[left, 0]]
+        return m.reshape(np.shape(seed))
 
     def apply(self, x_j, j, model, code, seed):
         if not j.links:
             return x_j.copy()
         code = self._require_direct(code)
         if code.affine is not None:
-            restrict = indexing.restrict_codes(code.link_sizes, j.links)
-            m = np.reshape([self._affine_message(code, j, restrict, s)
-                            for s in np.ravel(seed)], np.shape(seed))
+            m = self._affine_messages(code, j, seed)
         else:
             cand = self._candidates(code, j)
             m = cand[streams(seed, "spoof").integers(cand.size, 1)[..., 0]]

@@ -231,20 +231,14 @@ class AffineStore:
     def _bits(self, b: np.ndarray) -> np.ndarray:
         """(...) message indices -> (..., rows) codeword bits, by one 0/1 product.
 
-        The float32 sums count at most K < 64 ones, so they are exact.
+        The float32 sums count at most K < 64 ones, so they are exact integers.
         """
         bits = ((b[..., None] >> np.arange(self.k, dtype=np.int64)) & 1).astype(np.float32)
-        return (np.rint(bits @ self._g_t).astype(np.int64) + self.s) & 1
+        return ((bits @ self._g_t).astype(np.uint8) & 1) ^ self.s
 
     def codeword(self, b) -> np.ndarray:
-        """Product codes of codeword b (0-based); (..., n) for an array of indices.
-
-        One index takes the table-driven map, a batch one 0/1 product.
-        """
-        b = _indices(b, self.count)
-        if isinstance(b, int):
-            return self._codes(gf2.to_bits(self.codeword_bits(b), self.rows))
-        return self._codes(self._bits(b))
+        """Product codes of codeword b (0-based); (..., n) for an array of indices."""
+        return self._codes(self._bits(np.asarray(_indices(b, self.count))))
 
     def chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
         if self.count > MESSAGE_BUDGET:

@@ -19,12 +19,6 @@ def to_int(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def to_bits(value: int, width: int) -> np.ndarray:
-    """Inverse of `to_int` for a vector of `width` entries."""
-    raw = np.frombuffer(value.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little", count=width)
-
-
 class LinearMap:
     """x -> M·x for a fixed 0/1 matrix M, by one 256-entry table per input byte."""
 

@@ -5,13 +5,12 @@ Sub-streams are derived by hashing (seed, label, indices), so parallel or
 reordered execution cannot change which random numbers a given operation sees.
 
 `Streams` draws from the streams of many keys at once and gives, key for key,
-the numbers `Generator(Philox(key=k))` gives: Philox4x64-10 is a function of
-(key, counter), so one vectorised evaluation serves every key.
+the numbers `Generator(Philox(key=k))` gives, without building a Generator
+per key.
 """
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List
 
 import numpy as np
 
@@ -33,138 +32,48 @@ def generator(seed: int, label: str = "root", *indices: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, label, *indices)))
 
 
-# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments.
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = 0x9E3779B97F4A7C15
-_W1 = 0xBB67AE8584CAA73B
-_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
-_U32_MAX = 0xFFFFFFFF
-_UNIT53 = 1.0 / (1 << 53)
-# Below this many keys, one Generator per key is faster than a lockstep block.
-LOCKSTEP_MIN_KEYS = 32
-
-
-def _mulhilo(a: np.uint64, b: np.ndarray):
-    """High and low 64-bit words of the 128-bit products a·b."""
-    a_lo, a_hi = a & _LOW32, a >> np.uint64(32)
-    b_lo, b_hi = b & _LOW32, b >> np.uint64(32)
-    lolo = a_lo * b_lo
-    hilo = a_hi * b_lo
-    cross = (lolo >> np.uint64(32)) + (hilo & _LOW32) + a_lo * b_hi
-    hi = a_hi * b_hi + (hilo >> np.uint64(32)) + (cross >> np.uint64(32))
-    return hi, a * b
-
-
-def _philox_words(keys: np.ndarray, first_block: int, blocks: int) -> np.ndarray:
-    """(rows, 4 * blocks) output words of counters first_block + 1, ... for 64-bit keys.
-
-    numpy's Philox increments its counter before each block, so block b of a
-    fresh stream (0-based) is the function's value at counter b + 1.
-    """
-    # The counter varies by block and the key by row: the first two rounds
-    # run on (1, blocks) and (rows, 1) arrays and broadcast from there.
-    c0 = np.arange(first_block + 1, first_block + blocks + 1, dtype=np.uint64)[None, :]
-    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
-    k0 = keys[:, None]
-    for r in range(_ROUNDS):
-        k0_r = k0 + np.uint64(r * _W0 % (1 << 64))
-        k1_r = np.uint64(r * _W1 % (1 << 64))
-        hi0, lo0 = _mulhilo(_M0, c0)
-        hi1, lo1 = _mulhilo(_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0_r, lo1, hi0 ^ c3 ^ k1_r, lo0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(keys.size, 4 * blocks)
+# One Philox bit generator serves every stream: a stream's state is loaded
+# into it before each draw and read back after. That costs ~3 µs a draw;
+# building Generator(Philox(key=k)) costs ~10 µs, half of it gathering OS
+# entropy for a seed sequence that the key then overrides (2-core VM). The
+# package draws from one thread, so the shared bit generator needs no lock.
+_BITS = np.random.Philox(0)
+_DRAW = np.random.Generator(_BITS)
 
 
 class Streams:
-    """The streams of `Generator(Philox(key=k))` for many keys, drawn in lockstep.
+    """The streams of `Generator(Philox(key=k))` for many keys.
 
     `random(n)` and `integers(high, n)` return keys.shape + (n,) arrays whose
-    entry for each key equals what that key's Generator returns for the same
-    sequence of calls: `random` is (word >> 11)·2^-53 of the next 64-bit
-    words; `integers` takes 32-bit halves, low half first, keeps an unused
-    high half for the next call, and maps each by Lemire's multiply-shift. A
-    row whose draw falls in Lemire's rejection zone (where the Generator draws
-    again), and every row of a range above 2^32 - 1, goes on with its own
-    Generator, replayed to the same point; so does every row of fewer than
-    LOCKSTEP_MIN_KEYS keys.
+    entry for each key is what that key's Generator returns for the same
+    sequence of calls: each key keeps its own Philox state, and numpy draws
+    every number.
     """
 
     def __init__(self, keys):
         keys = np.asarray(keys)
         self._shape = keys.shape
-        self._keys = keys.astype(np.uint64).ravel()
-        self._words = 0                  # 64-bit words each stream has used
-        self._half = None                # kept high halves, one per row, or None
-        self._calls: List[tuple] = []    # calls made so far, to replay
-        self._own: Dict[int, np.random.Generator] = {}
-        if self._keys.size < LOCKSTEP_MIN_KEYS:
-            self._leave_lockstep(range(self._keys.size))
+        self._states = [{"bit_generator": "Philox",
+                         "state": {"counter": [0, 0, 0, 0], "key": [k, 0]},
+                         "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                         "has_uint32": 0, "uinteger": 0}
+                        for k in keys.astype(np.uint64).ravel().tolist()]
 
-    @property
-    def _lockstep(self) -> bool:
-        return len(self._own) < self._keys.size
-
-    def _take(self, count: int) -> np.ndarray:
-        """The next `count` 64-bit words of every stream, (rows, count)."""
-        first = self._words // 4
-        blocks = (self._words + count + 3) // 4 - first
-        words = _philox_words(self._keys, first, blocks)
-        start = self._words - 4 * first
-        self._words += count
-        return words[:, start:start + count]
-
-    def _leave_lockstep(self, rows) -> None:
-        for r in rows:
-            if r not in self._own:
-                g = np.random.Generator(np.random.Philox(key=int(self._keys[r])))
-                for method, args in self._calls:
-                    getattr(g, method)(*args)
-                self._own[r] = g
-
-    def _finish(self, out: np.ndarray, method: str, args: tuple) -> np.ndarray:
-        for r, g in self._own.items():
-            out[r] = getattr(g, method)(*args)
-        self._calls.append((method, args))
-        return out.reshape(self._shape + out.shape[1:])
+    def _each(self, draw, dtype, n: int, *args) -> np.ndarray:
+        rows = []
+        for r, state in enumerate(self._states):
+            _BITS.state = state
+            rows.append(draw(*args, n))
+            self._states[r] = _BITS.state
+        return np.array(rows, dtype=dtype).reshape(self._shape + (n,))
 
     def random(self, n: int) -> np.ndarray:
         """Doubles in [0, 1), as Generator.random(n)."""
-        out = (self._take(n) >> np.uint64(11)) * _UNIT53 if self._lockstep \
-            else np.empty((self._keys.size, n))
-        return self._finish(out, "random", (n,))
+        return self._each(_DRAW.random, np.float64, n)
 
     def integers(self, high: int, n: int) -> np.ndarray:
         """Integers in [0, high), as Generator.integers(0, high, size=n)."""
-        high = int(high)
-        if high < 1:
-            raise ValueError(f"integers needs high >= 1, got {high}")
-        span = high - 1
-        rows = self._keys.size
-        if span == 0:
-            out = np.zeros((rows, n), dtype=np.int64)      # draws nothing
-        elif span > _U32_MAX or not self._lockstep:
-            self._leave_lockstep(range(rows))
-            out = np.empty((rows, n), dtype=np.int64)
-        else:
-            kept = self._half is not None
-            words = self._take((n - kept + 1) // 2)
-            halves = np.empty((rows, 2 * words.shape[1]), dtype=np.uint64)
-            halves[:, 0::2] = words & _LOW32
-            halves[:, 1::2] = words >> np.uint64(32)
-            if kept:
-                halves = np.concatenate((self._half[:, None], halves), axis=1)
-            self._half = halves[:, n] if halves.shape[1] > n else None
-            draws = halves[:, :n]
-            if span == _U32_MAX:
-                out = draws.astype(np.int64)
-            else:
-                m = draws * np.uint64(high)
-                threshold = np.uint64((_U32_MAX - span) % high)
-                self._leave_lockstep(np.flatnonzero(((m & _LOW32) < threshold).any(axis=1)))
-                out = (m >> np.uint64(32)).astype(np.int64)
-        return self._finish(out, "integers", (0, high, n))
+        return self._each(_DRAW.integers, np.int64, n, 0, high)
 
 
 def streams(seeds, label: str) -> Streams:

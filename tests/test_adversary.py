@@ -187,7 +187,7 @@ def test_per_transmission_tables_are_built_once_per_code(monkeypatch):
 
 @pytest.mark.parametrize("sid", STRATEGY_IDS)
 def test_a_batch_draws_what_one_call_per_block_draws(sid):
-    # 40 blocks: above rng.LOCKSTEP_MIN_KEYS, so the batch draws in lockstep
+    # 40 blocks in one batch against one call per block
     from stealthpath.codec import build_layered_code
     from stealthpath.probkit import ConditionalKernel
     model = uniform_model(c=2, z=0, allow_symmetrizable=True) if sid == "symmetrize" \

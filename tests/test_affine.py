@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from stealthpath import indexing, oracle
-from stealthpath.adversary import JamSet, get_strategy, overwrite_jam
+from stealthpath.adversary import SPOOF_DRAWS, JamSet, get_strategy, overwrite_jam
 from stealthpath.codec import (
     MESSAGE_BUDGET,
     CodeParams,
@@ -15,7 +15,12 @@ from stealthpath.codec import (
     encode,
     matching_messages,
 )
-from stealthpath.probkit import Distribution, JointDistribution, variational_distance
+from stealthpath.probkit import (
+    Distribution,
+    JointDistribution,
+    typical_rows,
+    variational_distance,
+)
 from stealthpath.ratesolver import NetworkModel, SolverConfig, solve_b
 from stealthpath.rng import derive_seed, generator
 
@@ -106,6 +111,36 @@ def test_spoof_codeword_without_typical_codewords_draws_any_codeword():
     for t in range(5):
         y = strategy.apply(x_j, j, model, code, derive_seed(5, "spoof", t))
         assert tuple(y.ravel()) in law
+
+
+@pytest.mark.parametrize("n,rate,gamma,links,blocks", [
+    (6, 1.5, 0.1, (1,), 200),      # most blocks keep their first draw
+    (8, 1.5, 0.0, (0, 1), 200),    # ~4% of draws typical: blocks run into later chunks
+    (5, 1.2, 0.0, (0,), 3),        # never typical: all SPOOF_DRAWS draws, then the list
+])
+def test_spoof_codeword_batch_matches_one_draw_at_a_time(n, rate, gamma, links, blocks):
+    model = uniform_model()
+    code = build_affine_code((2, 2, 2), CodeParams(n=n, rate=rate, seed=3))
+    j = JamSet(links)
+    restrict = indexing.restrict_codes(code.link_sizes, links)
+    mass = indexing.restriction_matrix(code.link_sizes, links) @ code.p_x.mass
+    words = restrict[_all_codewords(code)]
+    cand = np.flatnonzero(typical_rows(words, mass, gamma)) + 1
+    cand = cand if cand.size else np.arange(1, code.message_count + 1)
+
+    def one_at_a_time(seed):
+        rng = generator(seed, "spoof")
+        for _ in range(SPOOF_DRAWS):
+            m = int(rng.integers(0, code.message_count)) + 1
+            if typical_rows(words[m - 1][None, :], mass, gamma)[0]:
+                return m
+        return int(cand[rng.integers(0, cand.size)])
+
+    seeds = np.array([derive_seed(9, "spoof-batch", t) for t in range(blocks)], dtype=object)
+    x_j = np.zeros((blocks, len(links), n), dtype=np.int64)
+    got = get_strategy("spoof-codeword", gamma=gamma).apply(x_j, j, model, code, seeds)
+    want = code.codeword_links(np.array([one_at_a_time(s) for s in seeds]))[:, list(links)]
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("n,rate", [(6, 1.5), (8, 0.5)])

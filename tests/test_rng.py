@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stealthpath.rng import LOCKSTEP_MIN_KEYS, Streams, derive_seed, generator, streams
+from stealthpath.rng import Streams, derive_seed, generator, streams
 
 
 def test_derive_seed_deterministic():
@@ -22,9 +22,8 @@ def test_generator_streams_are_reproducible():
     assert not (a == c).all()
 
 
-# Batched streams against numpy's Generator, element for element. 600 keys
-# keep the batch above LOCKSTEP_MIN_KEYS; n = 1..17 crosses the 4-word Philox
-# block and the 32-bit half boundaries.
+# Batched streams against numpy's Generator, element for element; n = 1..17
+# crosses the 4-word Philox block and the 32-bit half boundaries.
 KEYS = np.array([derive_seed(3, "batch-test", i) for i in range(600)], dtype=np.uint64)
 
 
@@ -68,7 +67,7 @@ def test_consecutive_integers_continue_the_half_buffer():
              ("random", (3,)), ("integers", (2 ** 31 + 1, 3)), ("integers", (3, 2)),
              ("random", (2,))]
     _assert_same(KEYS, calls)
-    _assert_same(KEYS[:LOCKSTEP_MIN_KEYS - 1], calls)
+    _assert_same(KEYS[:1], calls)
 
 
 def test_streams_shape_and_derivation():
