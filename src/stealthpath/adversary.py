@@ -33,6 +33,9 @@ from .probkit import Distribution, inverse_cdf, typical_rows
 from .ratesolver import NetworkModel
 from .rng import streams
 
+# Outcomes a strategy's `outcomes` enumerates at most before it refuses.
+OUTCOME_BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class JamSet:
@@ -72,7 +75,8 @@ class JammingStrategy:
     `apply` draws one output per block of x_j, (..., |j|, n), from
     generator(seed, ·) of that block's seed (`seed` has the leading shape);
     `outcomes` enumerates the full conditional distribution of one block as
-    (probability, replacement rows) pairs for the exact oracle.
+    (probability, replacement rows) pairs for the exact oracle, and raises
+    ResourceBudgetError above OUTCOME_BUDGET outcomes.
     """
 
     id: str = ""
@@ -83,7 +87,7 @@ class JammingStrategy:
         raise NotImplementedError
 
     def outcomes(self, x_j: np.ndarray, j: JamSet, model: NetworkModel,
-                 code: Optional[Code], budget: int = 1 << 20) -> List[Tuple[float, np.ndarray]]:
+                 code: Optional[Code]) -> List[Tuple[float, np.ndarray]]:
         raise NotImplementedError
 
 
@@ -109,7 +113,7 @@ class Passthrough(JammingStrategy):
     def apply(self, x_j, j, model, code, seed):
         return x_j.copy()
 
-    def outcomes(self, x_j, j, model, code, budget=1 << 20):
+    def outcomes(self, x_j, j, model, code):
         return [(1.0, x_j.copy())]
 
 
@@ -124,11 +128,11 @@ class UniformRandom(JammingStrategy):
         return np.stack([draws.integers(s, x_j.shape[-1]) for s in sizes], axis=-2) \
             if sizes else x_j.copy()
 
-    def outcomes(self, x_j, j, model, code, budget=1 << 20):
+    def outcomes(self, x_j, j, model, code):
         sizes = _sub_sizes(model, j)
         n = x_j.shape[1]
         aj = int(np.prod(sizes)) if sizes else 1
-        if aj ** n > budget:
+        if aj ** n > OUTCOME_BUDGET:
             raise ResourceBudgetError("uniform-jam outcome space exceeds the budget")
         prob = 1.0 / aj ** n
         out = []
@@ -149,12 +153,12 @@ class ResampleInnocent(JammingStrategy):
         codes = inverse_cdf(_jam_marginal(model, j, code).cdf, draws)
         return indexing.unpack_links(codes, _sub_sizes(model, j))
 
-    def outcomes(self, x_j, j, model, code, budget=1 << 20):
+    def outcomes(self, x_j, j, model, code):
         if not j.links:
             return [(1.0, x_j.copy())]
         marg = _jam_marginal(model, j, code)
         n = x_j.shape[1]
-        if marg.alphabet_size ** n > budget:
+        if marg.alphabet_size ** n > OUTCOME_BUDGET:
             raise ResourceBudgetError("innocent-jam outcome space exceeds the budget")
         sizes = _sub_sizes(model, j)
         out = []
@@ -250,7 +254,7 @@ class SpoofCodeword(JammingStrategy):
             m = cand[streams(seed, "spoof").integers(cand.size, 1)[..., 0]]
         return code.codeword_links(m)[..., list(j.links), :]
 
-    def outcomes(self, x_j, j, model, code, budget=1 << 20):
+    def outcomes(self, x_j, j, model, code):
         if not j.links:
             return [(1.0, x_j.copy())]
         code = self._require_direct(code)
@@ -291,7 +295,7 @@ class SpoofConsistent(JammingStrategy):
         m = np.reshape([self._best(x, j, code) for x in blocks], x_j.shape[:-2])
         return code.codeword_links(m)[..., list(j.links), :]
 
-    def outcomes(self, x_j, j, model, code, budget=1 << 20):
+    def outcomes(self, x_j, j, model, code):
         if not j.links:
             return [(1.0, x_j.copy())]
         m = self._best(x_j, j, code)
@@ -319,10 +323,10 @@ class Symmetrize(JammingStrategy):
         m = streams(seed, "fake-message").integers(code.message_count, 1)[..., 0] + 1
         return code.codeword_links(m)[..., list(j.links), :]
 
-    def outcomes(self, x_j, j, model, code, budget=1 << 20):
+    def outcomes(self, x_j, j, model, code):
         code = self._check(j, model, code)
         n = code.message_count
-        if n > budget:
+        if n > OUTCOME_BUDGET:
             raise ResourceBudgetError("fake-message enumeration exceeds the budget")
         return [(1.0 / n, code.codeword_links(m)[list(j.links)])
                 for m in range(1, n + 1)]

@@ -63,8 +63,7 @@ def _cmd_solve(args) -> int:
                    "p_u": sol.p_u.mass.tolist() if sol.p_u is not None else None,
                    "kernel": sol.kernel.matrix.tolist() if sol.kernel is not None else None}
     if "epsilon" in obj:
-        rate = achievable_rate(model, "overwrite" if scheme == "overwrite-direct"
-                               else "erasure", float(obj["epsilon"]), cfg)
+        rate = achievable_rate(sol, float(obj["epsilon"]))
         payload["rate_bits"] = rate.bits
         payload["rate_feasible"] = rate.feasible
     _emit(payload, args.out)

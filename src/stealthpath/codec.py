@@ -44,6 +44,8 @@ DECODE_SCAN_BUDGET = 1 << 28
 # rank-deficient restriction are refused above LIST_BUDGET entries.
 AFFINE_MESSAGE_LIMIT = 1 << 63
 LIST_BUDGET = 1 << 20
+# Jammed restriction sequences `survey_restrictions` counts at most.
+CENSUS_BUDGET = 1 << 26
 
 INNOCENT = 0
 ACTIVE = 1
@@ -750,8 +752,7 @@ class RestrictionSurvey:
 
 def survey_restrictions(code: DirectCode, j_links: Sequence[int],
                         g_links: Sequence[int],
-                        xj_targets: Optional[np.ndarray] = None,
-                        census_budget: int = 1 << 26) -> RestrictionSurvey:
+                        xj_targets: Optional[np.ndarray] = None) -> RestrictionSurvey:
     """Collect restriction statistics in a single pass over the codebook."""
     j_links = tuple(sorted(int(i) for i in j_links))
     g_links = tuple(sorted(int(i) for i in g_links))
@@ -763,7 +764,7 @@ def survey_restrictions(code: DirectCode, j_links: Sequence[int],
     ag = int(np.prod([sizes[i] for i in g_links]))
     j_space = aj ** n
     g_space = ag ** n
-    if j_space > census_budget:
+    if j_space > CENSUS_BUDGET:
         raise ResourceBudgetError("jammed restriction space exceeds the census budget")
     if n * (math.log2(aj) + math.log2(ag)) > 63:
         raise ResourceBudgetError("pair restriction space exceeds 63-bit packing")

@@ -4,8 +4,9 @@ metric aggregation, and CSV/JSON export.
 A run is fully determined by the config plus the master seed: every trial
 derives its randomness as hash(master_seed, label, sweep, hypothesis, trial),
 so re-running, reordering, or parallelizing cannot change any number. Trials
-run in blocks of at most TRIAL_BLOCK: one encode, jam and detect call per
-block, whose per-trial streams are those of one call per trial.
+run in blocks of at most TRIAL_BLOCK: one encode call per block and
+hypothesis, whose transmissions every jam set then detects, jams and decodes;
+each call's per-trial streams are those of one call per trial.
 """
 from __future__ import annotations
 
@@ -263,75 +264,6 @@ def _candidate_jam_sets(cfg: ExperimentConfig) -> List[JamSet]:
     return [JamSet(j) for j in cfg.model.jam_family()]
 
 
-@dataclass
-class _JamOutcome:
-    jam_set: JamSet
-    err0: float
-    err1: float
-    alpha: float
-    beta: float
-
-    @property
-    def p_err(self) -> float:
-        return self.err0 + self.err1
-
-
-def _run_jam_set(cfg: ExperimentConfig, code: Code, sweep: int, strategy_id: str,
-                 j: JamSet, tp: TypicalityParams) -> _JamOutcome:
-    model = cfg.model
-    strategy = get_strategy(strategy_id) if strategy_id else None
-    detector = None
-    if cfg.detector == "optimal-oracle" and j.links:
-        try:
-            act_n = oracle.cached_active_marginal(code, j)
-            inn_n = oracle.exact_innocent_marginal(model, j, code.params.n)
-            sizes = [model.link_alphabet_sizes[i] for i in j.links]
-            detector = lambda x_j: optimal_detect(x_j, sizes, inn_n, act_n)
-        except ResourceBudgetError:
-            detector = None
-
-    err = [0, 0]
-    alarms, missed = 0, 0
-    n_msg = code.message_count
-    seed = cfg.master_seed
-    for lo in range(0, cfg.trials, TRIAL_BLOCK):
-        block = range(lo, min(lo + TRIAL_BLOCK, cfg.trials))
-        for hyp in (0, 1):
-            m = np.array([derive_seed(seed, "message", sweep, t) % n_msg + 1 if hyp else 0
-                          for t in block], dtype=np.int64)
-            tx_seeds = [derive_seed(seed, "trial", sweep, hyp, t) for t in block]
-            tx = encode(code, model, hyp, m, tx_seeds)
-            if detector is not None:
-                verdicts = detector(tx.links[:, list(j.links)])
-                if hyp == 0:
-                    alarms += int(np.count_nonzero(verdicts == 1))
-                else:
-                    missed += int(np.count_nonzero(verdicts == 0))
-            if cfg.scheme == "erasure-layered":
-                rx = erasure_jam(tx, j)
-            else:
-                jam_seeds = [derive_seed(seed, "jam", sweep, hyp, t, *j.links) for t in block]
-                rx = overwrite_jam(tx, j, strategy, jam_seeds, model, code)
-            for i in range(len(block)):
-                word = ReceivedWord(links=rx.links[i], erased=rx.erased[i])
-                if cfg.scheme == "erasure-layered":
-                    result = decode_erasure(code, word, tp, model)
-                else:
-                    result = decode_overwrite(code, word, model)
-                if hyp == 0:
-                    err[0] += result.verdict != "innocent"
-                else:
-                    err[1] += not (result.verdict == "message" and result.message == m[i])
-    nan = float("nan")
-    return _JamOutcome(
-        jam_set=j,
-        err0=err[0] / cfg.trials,
-        err1=err[1] / cfg.trials,
-        alpha=alarms / cfg.trials if detector is not None else nan,
-        beta=missed / cfg.trials if detector is not None else nan,
-    )
-
-
 def run_experiment(cfg: ExperimentConfig,
                    solver_cfg: Optional[SolverConfig] = None) -> List[MetricsRow]:
     """One MetricsRow per (blocklength, strategy) sweep point.
@@ -360,34 +292,84 @@ def run_experiment(cfg: ExperimentConfig,
     return rows
 
 
+def _detector(cfg: ExperimentConfig, code: Code, j: JamSet) -> Optional[Callable]:
+    """The oracle detector on j's links, or None without one (or outside its budget)."""
+    if cfg.detector != "optimal-oracle" or not j.links:
+        return None
+    try:
+        act_n = oracle.cached_active_marginal(code, j)
+        inn_n = oracle.exact_innocent_marginal(cfg.model, j, code.params.n)
+    except ResourceBudgetError:
+        return None
+    sizes = [cfg.model.link_alphabet_sizes[i] for i in j.links]
+    return lambda x_j: optimal_detect(x_j, sizes, inn_n, act_n)
+
+
 def _run_sweep_point(cfg: ExperimentConfig, sweep: int, built: _Blocklength,
                      strategy_id: str, tp: TypicalityParams) -> MetricsRow:
-    code = built.code
-    outcomes = [_run_jam_set(cfg, code, sweep, strategy_id, j, tp) for j in built.jam_sets]
-    worst = max(outcomes, key=lambda o: o.p_err)  # first argmax in family order
+    """One pass over the trials: each block is encoded once and read by every jam set."""
+    model, code, jam_sets = cfg.model, built.code, built.jam_sets
+    strategy = get_strategy(strategy_id) if strategy_id else None
+    detectors = [_detector(cfg, code, j) for j in jam_sets]
+    # [jam set][hypothesis]: wrong decodes, and wrong verdicts (alarms, misses)
+    err = [[0, 0] for _ in jam_sets]
+    wrong_verdicts = [[0, 0] for _ in jam_sets]
+    n_msg = code.message_count
+    seed = cfg.master_seed
+    for lo in range(0, cfg.trials, TRIAL_BLOCK):
+        block = range(lo, min(lo + TRIAL_BLOCK, cfg.trials))
+        for hyp in (0, 1):
+            m = np.array([derive_seed(seed, "message", sweep, t) % n_msg + 1 if hyp else 0
+                          for t in block], dtype=np.int64)
+            tx_seeds = [derive_seed(seed, "trial", sweep, hyp, t) for t in block]
+            tx = encode(code, model, hyp, m, tx_seeds)
+            for k, j in enumerate(jam_sets):
+                if detectors[k] is not None:
+                    verdicts = detectors[k](tx.links[:, list(j.links)])
+                    wrong_verdicts[k][hyp] += int(np.count_nonzero(verdicts != hyp))
+                if cfg.scheme == "erasure-layered":
+                    rx = erasure_jam(tx, j)
+                else:  # the empty set calls no strategy, so it needs no jam seeds
+                    jam_seeds = [derive_seed(seed, "jam", sweep, hyp, t, *j.links)
+                                 for t in block] if j.links else None
+                    rx = overwrite_jam(tx, j, strategy, jam_seeds, model, code)
+                for i in range(len(block)):
+                    word = ReceivedWord(links=rx.links[i], erased=rx.erased[i])
+                    if cfg.scheme == "erasure-layered":
+                        result = decode_erasure(code, word, tp, model)
+                    else:
+                        result = decode_overwrite(code, word, model)
+                    right = result.verdict == "innocent" if hyp == 0 else \
+                        result.verdict == "message" and result.message == m[i]
+                    err[k][hyp] += not right
 
-    err_ci = math.sqrt(_ci_halfwidth(worst.err0, cfg.trials) ** 2 +
-                       _ci_halfwidth(worst.err1, cfg.trials) ** 2)
-    ab_ci = math.sqrt(_ci_halfwidth(worst.alpha, cfg.trials) ** 2 +
-                      _ci_halfwidth(worst.beta, cfg.trials) ** 2) \
-        if not math.isnan(worst.alpha) else float("nan")
+    trials = cfg.trials
+    p_err = [e0 / trials + e1 / trials for e0, e1 in err]
+    w = p_err.index(max(p_err))  # first maximum in family order
+    err0, err1 = err[w][0] / trials, err[w][1] / trials
+    err_ci = math.sqrt(_ci_halfwidth(err0, trials) ** 2 + _ci_halfwidth(err1, trials) ** 2)
+    alpha = beta = ab_ci = float("nan")
+    if detectors[w] is not None:
+        alpha, beta = wrong_verdicts[w][0] / trials, wrong_verdicts[w][1] / trials
+        ab_ci = math.sqrt(_ci_halfwidth(alpha, trials) ** 2 +
+                          _ci_halfwidth(beta, trials) ** 2)
     return MetricsRow(
         scheme=cfg.scheme,
         n=code.params.n,
         rate_bits=built.rate,
         gamma=cfg.gamma,
         jam_rule=cfg.jam_rule,
-        jam_set="|".join(str(i) for i in worst.jam_set.links),
+        jam_set="|".join(str(i) for i in jam_sets[w].links),
         strategy=strategy_id,
-        trials=cfg.trials,
-        p_err_hat=worst.p_err,
+        trials=trials,
+        p_err_hat=p_err[w],
         p_err_ci=err_ci,
-        alpha_hat=worst.alpha,
-        beta_hat=worst.beta,
+        alpha_hat=alpha,
+        beta_hat=beta,
         ab_ci=ab_ci,
         stealth_gap=built.stealth_gap,
-        err_innocent_hat=worst.err0,
-        err_active_hat=worst.err1,
+        err_innocent_hat=err0,
+        err_active_hat=err1,
         note=built.note,
         ensemble=code.ensemble,
     )

@@ -23,6 +23,7 @@ from .codec import (
     LayeredCode,
     ReceivedWord,
     ResourceBudgetError,
+    code_cached,
     decode_erasure,
     decode_overwrite,
 )
@@ -43,9 +44,15 @@ from .ratesolver import (
     unjammed_matrices,
 )
 
+# Enumeration limits: the observation space of an exact marginal and of an
+# exhaustive detector; the blocks and messages of an exact error probability;
+# the observation points of `brute_force_min_ab` (2^points detectors); the free
+# directions of `grid_solve_b`'s polytope.
 MARGINAL_BUDGET = 1 << 22
 DETECTOR_BUDGET = 1 << 16
 ENUMERATION_BUDGET = 1 << 20
+BRUTE_FORCE_POINTS = 16
+GRID_MAX_DIMENSION = 4
 _WORK_BUDGET = 1 << 28
 # Elements of the (codewords, observations) product array the layered marginal
 # builds at once, and of the observation sequences the gap partition unpacks at
@@ -53,21 +60,22 @@ _WORK_BUDGET = 1 << 28
 _BATCH_ELEMENTS = 1 << 15
 
 
-def _jam_space(model_or_code, j: JamSet, n: int) -> int:
+def _jam_space(model_or_code, j: JamSet, n: int, budget: int) -> int:
+    """Size of the n-letter observation space on j; raises above `budget`."""
     sizes = model_or_code.link_alphabet_sizes if isinstance(model_or_code, NetworkModel) \
         else model_or_code
     aj = int(np.prod([sizes[i] for i in j.links])) if j.links else 1
     if n * math.log2(max(aj, 2)) > 62:
         raise ResourceBudgetError("observation space exceeds 63-bit indexing")
-    return aj ** n
-
-
-def exact_innocent_marginal(model: NetworkModel, j: JamSet, n: int,
-                            budget: int = MARGINAL_BUDGET) -> Distribution:
-    """n-fold product of the innocent marginal on the jammed links."""
-    space = _jam_space(model, j, n)
+    space = aj ** n
     if space > budget:
         raise ResourceBudgetError(f"observation space {space} exceeds budget {budget}")
+    return space
+
+
+def exact_innocent_marginal(model: NetworkModel, j: JamSet, n: int) -> Distribution:
+    """n-fold product of the innocent marginal on the jammed links."""
+    space = _jam_space(model, j, n, MARGINAL_BUDGET)
     if not j.links:
         return Distribution(1, np.array([1.0]))
     s = indexing.restriction_matrix(model.link_alphabet_sizes, j.links)
@@ -78,15 +86,12 @@ def exact_innocent_marginal(model: NetworkModel, j: JamSet, n: int,
     return Distribution(space, mass)
 
 
-def exact_active_marginal(code: Code, j: JamSet,
-                          budget: int = MARGINAL_BUDGET) -> Distribution:
+def exact_active_marginal(code: Code, j: JamSet) -> Distribution:
     """What the adversary sees on the jammed links, averaged over all codewords."""
     sizes = code.link_sizes
     n = code.params.n
     aj = int(np.prod([sizes[i] for i in j.links])) if j.links else 1
-    space = _jam_space(tuple(sizes), j, n)
-    if space > budget:
-        raise ResourceBudgetError(f"observation space {space} exceeds budget {budget}")
+    space = _jam_space(tuple(sizes), j, n, MARGINAL_BUDGET)
     count = code.message_count
     if not j.links:
         return Distribution(1, np.array([1.0]))
@@ -120,35 +125,30 @@ def exact_active_marginal(code: Code, j: JamSet,
     return Distribution(space, mass / count)
 
 
-def cached_active_marginal(code: Code, j: JamSet,
-                           budget: int = MARGINAL_BUDGET) -> Distribution:
-    """exact_active_marginal(code, j, budget), computed once per jam set of a code.
+def cached_active_marginal(code: Code, j: JamSet) -> Distribution:
+    """exact_active_marginal(code, j), computed once per jam set of a code.
 
     The marginal is kept in the code's cache, so a detector and a stealth gap
     on the same code share one enumeration.
     """
-    key = ("active-marginal", j.links)
-    marginal = code.cache.get(key)
-    if marginal is None or marginal.alphabet_size > budget:
-        marginal = exact_active_marginal(code, j, budget)
-        code.cache[key] = marginal
-    return marginal
+    return code_cached(code, ("active-marginal", j.links),
+                       lambda: exact_active_marginal(code, j))
 
 
-def exact_stealth_gap(code: Code, model: NetworkModel, j: JamSet,
-                      budget: int = MARGINAL_BUDGET) -> float:
+def exact_stealth_gap(code: Code, model: NetworkModel, j: JamSet) -> float:
     """Exact variational distance between active and innocent observations.
 
     An affine code against a uniform innocent marginal on j needs no
-    enumeration of the observation space, so `budget` does not apply to it.
+    enumeration of the observation space, so MARGINAL_BUDGET does not apply
+    to it.
     """
     if isinstance(code, DirectCode) and code.affine is not None and j.links:
         s = indexing.restriction_matrix(model.link_alphabet_sizes, j.links)
         single = s @ model.innocent.mass
         if np.allclose(single, 1.0 / single.size, rtol=0.0, atol=1e-12):
             return _affine_uniform_gap(code, j)
-    active = cached_active_marginal(code, j, budget)
-    innocent = exact_innocent_marginal(model, j, code.params.n, budget)
+    active = cached_active_marginal(code, j)
+    innocent = exact_innocent_marginal(model, j, code.params.n)
     return variational_distance(active, innocent)
 
 
@@ -185,15 +185,14 @@ def _affine_uniform_gap(code: DirectCode, j: JamSet) -> float:
 
 
 def stealth_gap_partition(code: Code, model: NetworkModel, j: JamSet,
-                          tp: TypicalityParams,
-                          budget: int = MARGINAL_BUDGET) -> Tuple[float, float]:
+                          tp: TypicalityParams) -> Tuple[float, float]:
     """Split the exact gap into typical and atypical observation contributions.
 
     The two terms sum to the total gap exactly; typicality is judged against
     the single-letter innocent marginal on the jammed links.
     """
-    active = cached_active_marginal(code, j, budget)
-    innocent = exact_innocent_marginal(model, j, code.params.n, budget)
+    active = cached_active_marginal(code, j)
+    innocent = exact_innocent_marginal(model, j, code.params.n)
     n = code.params.n
     single = indexing.restriction_matrix(code.link_sizes, j.links) @ model.innocent.mass
     space = active.alphabet_size
@@ -206,24 +205,24 @@ def stealth_gap_partition(code: Code, model: NetworkModel, j: JamSet,
     return float(diff[typical].sum()), float(diff[~typical].sum())
 
 
-def exhaustive_best_detector(code: Code, model: NetworkModel, j: JamSet,
-                             budget: int = DETECTOR_BUDGET) -> Tuple[float, float, float]:
+def exhaustive_best_detector(code: Code, model: NetworkModel,
+                             j: JamSet) -> Tuple[float, float, float]:
     """(alpha, beta, alpha+beta) of the pointwise-optimal deterministic detector."""
-    active = cached_active_marginal(code, j, budget)
-    innocent = exact_innocent_marginal(model, j, code.params.n, budget)
+    _jam_space(model, j, code.params.n, DETECTOR_BUDGET)
+    active = cached_active_marginal(code, j)
+    innocent = exact_innocent_marginal(model, j, code.params.n)
     flag = active.mass > innocent.mass  # verdict 1 exactly where active dominates
     alpha = float(innocent.mass[flag].sum())
     beta = float(active.mass[~flag].sum())
     return alpha, beta, alpha + beta
 
 
-def brute_force_min_ab(innocent: Distribution, active: Distribution,
-                       max_points: int = 16) -> float:
+def brute_force_min_ab(innocent: Distribution, active: Distribution) -> float:
     """min over ALL deterministic detectors of alpha+beta, by literal enumeration."""
     s = innocent.alphabet_size
     if s != active.alphabet_size:
         raise ValueError("alphabet mismatch")
-    if s > max_points:
+    if s > BRUTE_FORCE_POINTS:
         raise ResourceBudgetError(f"2^{s} detectors exceed the enumeration budget")
     best = 2.0
     for bits in range(1 << s):
@@ -237,10 +236,10 @@ def brute_force_min_ab(innocent: Distribution, active: Distribution,
 # Exact decoder error probability
 # ---------------------------------------------------------------------------
 
-def _innocent_blocks(model: NetworkModel, n: int, budget: int) -> Iterator[Tuple[float, np.ndarray]]:
+def _innocent_blocks(model: NetworkModel, n: int) -> Iterator[Tuple[float, np.ndarray]]:
     """Every innocent n-block with its probability (zero-mass blocks skipped)."""
     a = model.product_alphabet_size
-    if a ** n > budget:
+    if a ** n > ENUMERATION_BUDGET:
         raise ResourceBudgetError("innocent block enumeration exceeds the budget")
     mass = model.innocent.mass
     support = np.nonzero(mass)[0]
@@ -249,8 +248,7 @@ def _innocent_blocks(model: NetworkModel, n: int, budget: int) -> Iterator[Tuple
         yield p, indexing.unpack_links(np.array(combo), model.link_alphabet_sizes)
 
 
-def _active_blocks(code: Code, m: int, model: NetworkModel,
-                   budget: int) -> Iterator[Tuple[float, np.ndarray]]:
+def _active_blocks(code: Code, m: int) -> Iterator[Tuple[float, np.ndarray]]:
     """Every possible transmitted block for message m with its probability."""
     if isinstance(code, DirectCode):
         yield 1.0, code.codeword_links(m)
@@ -259,7 +257,7 @@ def _active_blocks(code: Code, m: int, model: NetworkModel,
     kern = code.kernel.matrix
     supports = [np.nonzero(kern[int(u)])[0] for u in u_seq]
     total = int(np.prod([s.size for s in supports]))
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise ResourceBudgetError("kernel randomness enumeration exceeds the budget")
     for combo in itertools.product(*supports):
         p = float(np.prod([kern[int(u), int(x)] for u, x in zip(u_seq, combo)]))
@@ -267,8 +265,7 @@ def _active_blocks(code: Code, m: int, model: NetworkModel,
 
 
 def _received_words(links: np.ndarray, j: JamSet, jamming: Union[str, JammingStrategy],
-                    model: NetworkModel, code: Code,
-                    budget: int) -> Iterator[Tuple[float, ReceivedWord]]:
+                    model: NetworkModel, code: Code) -> Iterator[Tuple[float, ReceivedWord]]:
     c = links.shape[0]
     if jamming == "erasure":
         erased = np.zeros(c, dtype=bool)
@@ -284,7 +281,7 @@ def _received_words(links: np.ndarray, j: JamSet, jamming: Union[str, JammingStr
         yield 1.0, ReceivedWord(links=links.copy(), erased=np.zeros(c, dtype=bool))
         return
     x_j = links[list(j.links)]
-    for p, y_j in strategy.outcomes(x_j, j, model, code, budget):
+    for p, y_j in strategy.outcomes(x_j, j, model, code):
         out = links.copy()
         out[list(j.links)] = y_j
         yield p, ReceivedWord(links=out, erased=np.zeros(c, dtype=bool))
@@ -292,17 +289,15 @@ def _received_words(links: np.ndarray, j: JamSet, jamming: Union[str, JammingStr
 
 def exact_error_probability(code: Code, model: NetworkModel, j: JamSet,
                             jamming: Union[str, JammingStrategy],
-                            tp: Optional[TypicalityParams] = None,
-                            budget: int = ENUMERATION_BUDGET) -> float:
+                            tp: Optional[TypicalityParams] = None) -> float:
     """Exact error probability, summed over the innocent and active hypotheses."""
-    err0, err1 = exact_error_components(code, model, j, jamming, tp, budget)
+    err0, err1 = exact_error_components(code, model, j, jamming, tp)
     return err0 + err1
 
 
 def exact_error_components(code: Code, model: NetworkModel, j: JamSet,
                            jamming: Union[str, JammingStrategy],
-                           tp: Optional[TypicalityParams] = None,
-                           budget: int = ENUMERATION_BUDGET) -> Tuple[float, float]:
+                           tp: Optional[TypicalityParams] = None) -> Tuple[float, float]:
     """Exact per-hypothesis error probabilities (innocent, active).
 
     Enumerates message choice, encoder randomness, and strategy randomness.
@@ -323,18 +318,18 @@ def exact_error_components(code: Code, model: NetworkModel, j: JamSet,
     n = code.params.n
     # Innocent hypothesis: error whenever the verdict is not "innocent".
     err0 = 0.0
-    for p_block, links in _innocent_blocks(model, n, budget):
-        for p_rx, rx in _received_words(links, j, jamming, model, code, budget):
+    for p_block, links in _innocent_blocks(model, n):
+        for p_rx, rx in _received_words(links, j, jamming, model, code):
             if decode(rx).verdict != "innocent":
                 err0 += p_block * p_rx
     # Active hypothesis: uniform message; error unless that exact message decodes.
     count = code.message_count
-    if count > budget:
+    if count > ENUMERATION_BUDGET:
         raise ResourceBudgetError("message enumeration exceeds the budget")
     err1 = 0.0
     for m in range(1, count + 1):
-        for p_block, links in _active_blocks(code, m, model, budget):
-            for p_rx, rx in _received_words(links, j, jamming, model, code, budget):
+        for p_block, links in _active_blocks(code, m):
+            for p_rx, rx in _received_words(links, j, jamming, model, code):
                 result = decode(rx)
                 if not (result.verdict == "message" and result.message == m):
                     err1 += p_block * p_rx / count
@@ -345,12 +340,11 @@ def exact_error_components(code: Code, model: NetworkModel, j: JamSet,
 # Grid reference for the entropy-bound optimization
 # ---------------------------------------------------------------------------
 
-def grid_solve_b(model: NetworkModel, grid_resolution: float = 1e-2,
-                 max_dimension: int = 4) -> SolutionB:
+def grid_solve_b(model: NetworkModel, grid_resolution: float = 1e-2) -> SolutionB:
     """Exhaustive multi-resolution grid over the marginal-matching polytope.
 
     A slow certified reference for the projected-ascent solver; refuses
-    instances whose polytope has more than `max_dimension` free directions.
+    instances whose polytope has more than GRID_MAX_DIMENSION free directions.
     """
     if grid_resolution <= 0:
         raise ValueError("grid_resolution must be positive")
@@ -369,9 +363,9 @@ def grid_solve_b(model: NetworkModel, grid_resolution: float = 1e-2,
     rank = int((sv > 1e-10).sum())
     null = vt[rank:].T  # (dim_x, d)
     d = null.shape[1]
-    if d > max_dimension:
+    if d > GRID_MAX_DIMENSION:
         raise ResourceBudgetError(
-            f"polytope dimension {d} exceeds the grid limit {max_dimension}")
+            f"polytope dimension {d} exceeds the grid limit {GRID_MAX_DIMENSION}")
     s_jc = unjammed_matrices(model)
     max_h_jammed = float(jammed_entropies(model).max())
     p0 = model.innocent.mass.copy()  # always satisfies the marginal constraints

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -591,22 +591,10 @@ def solve_a(
     )
 
 
-def achievable_rate(
-    model: NetworkModel,
-    scheme: str,
-    eps: float,
-    cfg: Optional[SolverConfig] = None,
-    u_size: Optional[int] = None,
-) -> AchievableRate:
-    """Bound minus epsilon for the requested jamming model, clamped at zero."""
+def achievable_rate(sol: Union[SolutionA, SolutionB], eps: float) -> AchievableRate:
+    """A solved bound (`solve_a` or `solve_b`) minus epsilon, clamped at zero."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if scheme == "erasure":
-        sol = solve_a(model, u_size=u_size, cfg=cfg)
-    elif scheme == "overwrite":
-        sol = solve_b(model, cfg=cfg)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
     if not sol.feasible:
         return AchievableRate(bits=0.0, feasible=False, clamped=True, reason=sol.reason)
     rate = sol.value - eps

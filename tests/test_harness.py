@@ -226,6 +226,35 @@ def test_one_bound_solve_per_run(monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_trial_block_is_encoded_once_for_every_jam_set(monkeypatch):
+    from stealthpath import harness
+    encodes, jam_keys = [], []
+    encode, derive_seed = harness.encode, harness.derive_seed
+
+    def counting_encode(*args, **kwargs):
+        encodes.append(args[2])
+        return encode(*args, **kwargs)
+
+    def recording_derive_seed(seed, label, *indices):
+        if label == "jam":
+            jam_keys.append(indices)  # (sweep, hypothesis, trial, *jammed links)
+        return derive_seed(seed, label, *indices)
+    monkeypatch.setattr(harness, "encode", counting_encode)
+    monkeypatch.setattr(harness, "derive_seed", recording_derive_seed)
+    trials = harness.TRIAL_BLOCK + 1
+    cfg = ExperimentConfig.from_json(base_config(
+        code={"n": [6, 8], "rate": {"rule": "absolute", "bits": 1.0}, "seed": 2},
+        adversary={"jam_rule": "worst-over-family", "strategies": ["resample-innocent"]},
+        trials=trials))
+    rows = run_experiment(cfg, FAST)
+    assert len(rows) == 2 and all(row.note == "" for row in rows)
+    # sweep points x blocks x hypotheses, although the family has four jam sets
+    assert encodes == [0, 1] * 2 * 2
+    # one key per (sweep point, hypothesis, trial) of each of the three singletons
+    assert len(jam_keys) == 2 * 2 * trials * 3
+    assert all(len(key) == 4 for key in jam_keys)
+
+
 def test_two_by_two_csv_bytes_are_pinned(tmp_path):
     # the bytes with every solve, code and marginal computed afresh per sweep
     # point; sharing them within a run must not move one

@@ -63,10 +63,11 @@ def test_exact_active_marginal_sums_to_one():
         assert abs(marg.mass.sum() - 1.0) < 1e-10
 
 
-def test_exact_marginal_budget():
+def test_exact_marginal_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "MARGINAL_BUDGET", 8)
     code = build_direct_code(MODEL.innocent, CodeParams(n=10, rate=1.0, seed=5))
     with pytest.raises(ResourceBudgetError):
-        oracle.exact_active_marginal(code, JamSet((0,)), budget=8)
+        oracle.exact_active_marginal(code, JamSet((0,)))
 
 
 def test_stealth_gap_zero_for_full_enumeration_code():

@@ -6,6 +6,7 @@ import pytest
 from stealthpath.probkit import Distribution, JointDistribution, entropy
 from stealthpath.ratesolver import (
     NetworkModel,
+    SolutionB,
     SolverConfig,
     achievable_rate,
     cardinality_bound,
@@ -146,16 +147,16 @@ def test_solve_a_marginals_match_innocent():
 
 
 def test_achievable_rate_rules():
-    model = uniform_bits_model()
-    r = achievable_rate(model, "overwrite", eps=0.2, cfg=FAST)
+    sol = solve_b(uniform_bits_model(), FAST)
+    r = achievable_rate(sol, eps=0.2)
     assert r.feasible and not r.clamped
     assert r.bits == pytest.approx(1.8, abs=5e-3)
-    clamped = achievable_rate(model, "overwrite", eps=5.0, cfg=FAST)
+    clamped = achievable_rate(sol, eps=5.0)
     assert clamped.clamped and clamped.bits == 0.0
+    infeasible = achievable_rate(SolutionB(feasible=False, reason="no margin"), eps=0.2)
+    assert not infeasible.feasible and infeasible.reason == "no margin"
     with pytest.raises(ValueError):
-        achievable_rate(model, "overwrite", eps=-1.0)
-    with pytest.raises(ValueError):
-        achievable_rate(model, "nonsense", eps=0.1)
+        achievable_rate(sol, eps=-1.0)
 
 
 def _model(factors, z=1):
