@@ -116,8 +116,8 @@ def _cmd_oracle(args) -> int:
                "feasibility_margin": sol.feasibility_margin,
                "info": sol.info}, args.out)
         return EXIT_OK
+    j = JamSet(tuple(obj.get("jam_set", []))).validate(model)
     code, = _codes_from_config(obj, model, _seed(args), [obj.get("code", {}).get("n", 4)])
-    j = JamSet(tuple(obj.get("jam_set", [])))
     if sub == "stealth-gap":
         gap = oracle.exact_stealth_gap(code, model, j)
         _emit({"jam_set": list(j.links), "stealth_gap": gap,

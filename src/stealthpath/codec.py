@@ -40,10 +40,8 @@ SYMBOL_BUDGET = 1 << 26
 MESSAGE_BUDGET = 1 << 31
 DECODE_SCAN_BUDGET = 1 << 28
 # Affine codes: message indices must stay below 2^63, where the harness's and
-# the strategies' 64-bit message draws are still uniform; solution lists of a
-# rank-deficient restriction are refused above LIST_BUDGET entries.
+# the strategies' 64-bit message draws are still uniform.
 AFFINE_MESSAGE_LIMIT = 1 << 63
-LIST_BUDGET = 1 << 20
 # Jammed restriction sequences `survey_restrictions` counts at most.
 CENSUS_BUDGET = 1 << 26
 
@@ -194,7 +192,6 @@ class AffineStore:
         self.g = rng.integers(0, 2, size=(self.rows, self.k), dtype=np.uint8)
         self.s = rng.integers(0, 2, size=self.rows, dtype=np.uint8)
         self._s = gf2.to_int(self.s)
-        self._encode = gf2.LinearMap(self.g)
         self._g_t = self.g.T.astype(np.float32)
         self._dtype = np.min_scalar_type(int(np.prod(self.link_sizes)) - 1)
         self._solvers: dict = {}
@@ -226,9 +223,6 @@ class AffineStore:
         bits = np.zeros(self.rows, dtype=np.uint8)
         bits[dest] = (np.asarray(link_rows)[row, pos] >> shift) & 1
         return gf2.to_int(bits)
-
-    def codeword_bits(self, b: int) -> int:
-        return self._encode(b) ^ self._s
 
     def _bits(self, b: np.ndarray) -> np.ndarray:
         """(...) message indices -> (..., rows) codeword bits, by one 0/1 product.
@@ -262,7 +256,7 @@ class AffineStore:
             self._solvers[links] = (lin, lin(self._s), gf2.reduced_basis(null))
         return self._solvers[links]
 
-    def matches(self, links: tuple, x: int, limit: Optional[int] = None) -> list:
+    def matches(self, links: tuple, x: int, limit: int) -> list:
         """Ascending 1-based messages whose bits on `links` equal x's, at most `limit`.
 
         One solve gives the coset of solutions b; its elements are walked in
@@ -273,10 +267,6 @@ class AffineStore:
         z = lin(x) ^ offset
         if z >> self.k:
             return []
-        if limit is None and 1 << len(null) > LIST_BUDGET:
-            raise ResourceBudgetError(
-                f"restriction to links {links} has 2^{len(null)} solutions; over the "
-                "list budget")
         b = z & ((1 << self.k) - 1)
         return [e + 1 for e in gf2.coset_elements(b, null, self.count, limit)]
 
@@ -294,13 +284,14 @@ class AffineStore:
         for i in links:
             mask_bits[self._segments[i]] = 1
         mask = gf2.to_int(mask_bits)
-        cols = [self._encode(1 << q) & mask for q in range(self.k)]
+        cols = [gf2.to_int(self.g[:, q]) & mask for q in range(self.k)]
         images = []
         for k in range(self.count.bit_length()):
             if self.count >> k & 1:
                 c = (self.count >> (k + 1)) << (k + 1)
                 basis = gf2.reduced_basis(cols[:k])
-                images.append((1 << (k - len(basis)), basis, self.codeword_bits(c) & mask))
+                offset = gf2.to_int(self._bits(np.int64(c))) & mask
+                images.append((1 << (k - len(basis)), basis, offset))
         return images, int(mask_bits.sum())
 
 
@@ -493,7 +484,6 @@ class ReceivedWord:
 class DecodeResult:
     verdict: str  # "innocent" | "message" | "error"
     message: int = 0
-    examined_sets: int = 0
 
     def __post_init__(self):
         if self.verdict == "message" and self.message < 1:
@@ -537,9 +527,9 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
     c = rx.links.shape[0]
     unjammed = [i for i in range(c) if not rx.erased[i]]
     if not unjammed:
-        return DecodeResult("error", examined_sets=0)
+        return DecodeResult("error")
     if model is not None and len(unjammed) < c - model.adversary_budget:
-        return DecodeResult("error", examined_sets=0)
+        return DecodeResult("error")
     count = code.message_count
     if not code.materialized and count > DECODE_SCAN_BUDGET:
         raise ResourceBudgetError(
@@ -564,10 +554,10 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
         if len(matches) > 1:
             break
     if not matches:
-        return DecodeResult("innocent", examined_sets=1)
+        return DecodeResult("innocent")
     if len(matches) == 1:
-        return DecodeResult("message", message=matches[0], examined_sets=1)
-    return DecodeResult("error", examined_sets=1)
+        return DecodeResult("message", message=matches[0])
+    return DecodeResult("error")
 
 
 @dataclass(frozen=True)
@@ -627,29 +617,6 @@ def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIn
     return code_cached(code, ("restriction-index", sets), build)
 
 
-def matching_messages(code: DirectCode, links: Sequence[int],
-                      y_links: np.ndarray) -> np.ndarray:
-    """1-based messages whose restriction to `links` equals the received rows."""
-    links = tuple(sorted(int(i) for i in links))
-    if not links:
-        return np.arange(1, code.message_count + 1)
-    if code.affine is not None:
-        return np.array(code.affine.matches(links, code.affine.pack(links, y_links)),
-                        dtype=np.int64)
-    sub_sizes = [code.link_sizes[i] for i in links]
-    ycodes = indexing.pack_links(np.asarray(y_links), sub_sizes)
-    index = _restriction_index(code, (links,))
-    if index is not None:
-        (lo,), (hi,) = index.search(np.array([ycodes @ index.weights[0]]))
-        return index.messages[lo:hi].astype(np.int64)
-    restrict = indexing.restrict_codes(code.link_sizes, links)
-    hits = []
-    for start, block in code.chunks():
-        eq = (restrict[block.astype(np.int64)] == ycodes[None, :]).all(axis=1)
-        hits.append(np.nonzero(eq)[0] + start + 1)
-    return np.concatenate(hits) if hits else np.array([], dtype=np.int64)
-
-
 def _streaming_list(code: DirectCode, links: np.ndarray, unjammed_sets: Sequence) -> set:
     """Messages agreeing with the received `links` on any of `unjammed_sets`.
 
@@ -690,7 +657,8 @@ def decode_overwrite(code: DirectCode, rx: ReceivedWord,
     i.i.d. code answers every jam set by one search of its restriction index;
     an affine code lists at most two messages per jam set, by one solve each;
     a streaming i.i.d. code, or one too wide for the index, is read once for
-    all jam sets.
+    all jam sets. Every message agrees with the word on an empty unjammed set,
+    so that set lists the first min(N, 2) messages.
     """
     if rx.erased.any():
         raise ValueError("overwrite decoding expects a fully symbol-valued word")
@@ -706,10 +674,7 @@ def decode_overwrite(code: DirectCode, rx: ReceivedWord,
         x = affine.pack(range(model.link_count), rx.links)
         listed = set()
         for jc in unjammed_sets:
-            if jc:
-                listed.update(affine.matches(jc, x, limit=2))
-            else:
-                listed.update(int(m) for m in matching_messages(code, jc, rx.links[list(jc)]))
+            listed.update(affine.matches(jc, x, limit=2) if jc else range(1, min(count, 2) + 1))
             if len(listed) > 1:
                 break
     elif index is not None:
@@ -720,12 +685,11 @@ def decode_overwrite(code: DirectCode, rx: ReceivedWord,
         listed = set(index.messages[lo[hit]].tolist()) | set(index.messages[hi[hit] - 1].tolist())
     else:
         listed = _streaming_list(code, rx.links, unjammed_sets)
-    examined = len(unjammed_sets)
     if not listed:
-        return DecodeResult("innocent", examined_sets=examined)
+        return DecodeResult("innocent")
     if len(listed) == 1:
-        return DecodeResult("message", message=next(iter(listed)), examined_sets=examined)
-    return DecodeResult("error", examined_sets=examined)
+        return DecodeResult("message", message=next(iter(listed)))
+    return DecodeResult("error")
 
 
 # ---------------------------------------------------------------------------

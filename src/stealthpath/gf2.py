@@ -8,7 +8,7 @@ many vectors (`LinearMap`), solve a fixed system for many right-hand sides
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -118,8 +118,7 @@ def in_span(x: int, basis: Sequence[int]) -> bool:
     return coset_min(x, basis) == 0
 
 
-def coset_elements(x: int, basis: Sequence[int], below: int,
-                   limit: Optional[int] = None) -> List[int]:
+def coset_elements(x: int, basis: Sequence[int], below: int, limit: int) -> List[int]:
     """Ascending elements of x + span(basis) that are < `below`, at most `limit`.
 
     Each step doubles the list with the next basis vector, whose top bit puts
@@ -128,10 +127,7 @@ def coset_elements(x: int, basis: Sequence[int], below: int,
     """
     found = [coset_min(x, basis)]
     for v in basis:
-        if limit is not None and len(found) >= limit:
-            break
-        if found[0] ^ v >= below:
+        if len(found) >= limit or found[0] ^ v >= below:
             break
         found += [e ^ v for e in found]
-    found = [e for e in found if e < below]
-    return found if limit is None else found[:limit]
+    return [e for e in found if e < below][:limit]

@@ -85,7 +85,8 @@ class NetworkModel:
     def product_alphabet_size(self) -> int:
         return int(np.prod(self.link_alphabet_sizes))
 
-    def jam_family(self) -> "JamSetFamily":
+    def jam_family(self) -> tuple:
+        """Every link subset of size at most Z, the empty set first."""
         return enumerate_jam_sets(self.link_count, self.adversary_budget)
 
     @functools.cached_property
@@ -107,28 +108,15 @@ class NetworkModel:
         return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class JamSetFamily:
-    """Every link subset of size at most Z, including the empty set."""
-
-    sets: tuple
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __iter__(self):
-        return iter(self.sets)
-
-
 @functools.lru_cache(maxsize=None)
-def enumerate_jam_sets(link_count: int, budget: int) -> JamSetFamily:
+def enumerate_jam_sets(link_count: int, budget: int) -> tuple:
     """All subsets of {0..C-1} with |J| <= Z, ordered by size then lexicographically."""
     if budget < 0 or budget > link_count:
         raise ValueError("budget must lie in [0, link_count]")
     sets = []
     for k in range(budget + 1):
         sets.extend(itertools.combinations(range(link_count), k))
-    return JamSetFamily(tuple(sets))
+    return tuple(sets)
 
 
 def cardinality_bound(alphabet_size_of_x: int, jam_family_size: int) -> int:

@@ -7,13 +7,13 @@ from stealthpath.adversary import SPOOF_DRAWS, JamSet, get_strategy, overwrite_j
 from stealthpath.codec import (
     MESSAGE_BUDGET,
     CodeParams,
+    DecodeResult,
     ReceivedWord,
     ResourceBudgetError,
     build_affine_code,
     build_code_for_bound,
     decode_overwrite,
     encode,
-    matching_messages,
 )
 from stealthpath.probkit import (
     Distribution,
@@ -63,7 +63,8 @@ def test_matching_messages_agree_with_a_chunk_scan(sizes, n, rate, seed):
                 y = np.vstack([rng.integers(0, s, size=n) for s in sub_sizes])
             target = indexing.pack_links(y, sub_sizes)
             want = np.nonzero((restricted == target[None, :]).all(axis=1))[0] + 1
-            np.testing.assert_array_equal(matching_messages(code, links, y), want)
+            got = code.affine.matches(links, code.affine.pack(links, y), code.message_count)
+            np.testing.assert_array_equal(got, want)
 
 
 def test_rank_deficient_restriction_decodes_as_error():
@@ -71,12 +72,34 @@ def test_rank_deficient_restriction_decodes_as_error():
     code = build_affine_code((2, 2, 2), CodeParams(n=2, rate=2.3, seed=0))
     # two links carry 4 bits of a 5-bit message index: every restriction that
     # occurs is shared by two indices, both messages when both are below N = 24
-    shared = [m for m in range(1, code.message_count + 1)
-              if matching_messages(code, (1, 2), code.codeword_links(m)[[1, 2]]).size > 1]
+    links = (1, 2)
+
+    def listed(m):
+        y = code.codeword_links(m)[list(links)]
+        return code.affine.matches(links, code.affine.pack(links, y), 2)
+
+    shared = [m for m in range(1, code.message_count + 1) if len(listed(m)) > 1]
     assert shared
     tx = encode(code, model, 1, shared[0], tx_seed=0)
     rx = ReceivedWord(links=tx.links, erased=np.zeros(3, dtype=bool))
     assert decode_overwrite(code, rx, model).verdict == "error"
+
+
+def test_empty_unjammed_set_lists_without_enumerating_messages():
+    # Z = C puts the empty set among the candidate unjammed sets; every one of
+    # the 2^32 messages agrees with the word there
+    sizes = (2, 2)
+    inn = JointDistribution.from_factors([Distribution.uniform(s) for s in sizes])
+    model = NetworkModel(2, 2, sizes, inn, allow_symmetrizable=True)
+    assert () in model.unjammed_sets
+    code = build_affine_code(sizes, CodeParams(n=40, rate=0.8, seed=0))
+    assert code.message_count == 1 << 32
+    rng = generator(0, "affine-empty-set")
+    rx = ReceivedWord(links=rng.integers(0, 2, size=(2, 40)), erased=np.zeros(2, dtype=bool))
+    assert decode_overwrite(code, rx, model).verdict == "error"
+    one = build_affine_code(sizes, CodeParams(n=40, rate=0.01, seed=0))
+    assert one.message_count == 1
+    assert decode_overwrite(one, rx, model) == DecodeResult("message", message=1)
 
 
 def test_spoof_codeword_samples_its_enumerated_law():

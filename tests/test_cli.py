@@ -171,3 +171,15 @@ def test_solve_command_solves_once(scheme, solver, tmp_path, monkeypatch, capsys
     payload = json.loads(capsys.readouterr().out)
     assert payload["rate_bits"] == 1.5 and payload["rate_feasible"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("op", ["stealth-gap", "detector"])
+@pytest.mark.parametrize("jam_set", [[5], [0, 1]])
+def test_oracle_rejects_a_jam_set_outside_the_family(op, jam_set, tmp_path, capsys):
+    # link 5 does not exist on three links; {0, 1} exceeds the budget Z = 1
+    cfg = write_config(tmp_path, {"schema": 1, "model": model_obj(),
+                                  "scheme": "overwrite-direct",
+                                  "code": {"n": 3, "rate_bits": 1.0, "seed": 4},
+                                  "jam_set": jam_set})
+    assert main(["oracle", op, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: jam set")

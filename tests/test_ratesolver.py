@@ -43,10 +43,10 @@ def test_model_validation():
 
 def test_jam_family_includes_empty_set():
     fam = enumerate_jam_sets(3, 1)
-    assert fam.sets == ((), (0,), (1,), (2,))
+    assert fam == ((), (0,), (1,), (2,))
     fam2 = enumerate_jam_sets(4, 2)
     assert len(fam2) == 1 + 4 + 6
-    assert fam2.sets[0] == ()
+    assert fam2[0] == ()
 
 
 def test_model_jam_set_table():
