@@ -175,18 +175,32 @@ GOLDEN_MODELS = {
 }
 # SHA-256 of p_x's bytes and repr(value) at seed 3. A change to the solver that
 # moves any of these moves every i.i.d. codebook drawn from the solved law.
+# One start and seven starts pin the lockstep ascent at a batch of one row and
+# at an odd batch whose rows retire at different rounds.
 GOLDEN_B = {
+    ("uniform-bits", 1): "75b3c74bd9a625144bd85dc1d2ac646e4a95e5e6a49a2f52d89ff19f9caf05a9",
     ("uniform-bits", 4): "d73049e7dc3e4059b98a410614a6350f2b0f17c3e0e24b5207ac5a4782cddb63",
+    ("uniform-bits", 7): "d73049e7dc3e4059b98a410614a6350f2b0f17c3e0e24b5207ac5a4782cddb63",
     ("uniform-bits", 32): "ed708662ed7a6260979079ec5d330c6f95b3ef34f5f045baad07f37b23412ad7",
+    ("bern-0.3", 1): "eab5a5e6101f7a7236d7806c303bbc1587ab539dabed724b60b697980307fc14",
     ("bern-0.3", 4): "951cd06f10b892a0e3756abdf7e8f7ec7ac15add6b857f02b103ca8f37b2b306",
+    ("bern-0.3", 7): "951cd06f10b892a0e3756abdf7e8f7ec7ac15add6b857f02b103ca8f37b2b306",
     ("bern-0.3", 32): "bd2f811ba9eb7b9007b2ef188d0a542705a9f455a45aff8a512f0b777955dec8",
+    ("mixed-bias", 1): "646bcc444724ac46342d2e6ae2a14e6faf39cc2df427563da52b1c91e90aa889",
     ("mixed-bias", 4): "9f22e3011d4f7c166a9ad0d08e1e90734c2e9e7182b0f30c4e30aa2c94cc8086",
+    ("mixed-bias", 7): "9f22e3011d4f7c166a9ad0d08e1e90734c2e9e7182b0f30c4e30aa2c94cc8086",
     ("mixed-bias", 32): "eb133d8f63c04ba5858addcbf989bc1da2e204f806add79963999d1bdaf7f5b2",
+    ("ternary-first", 1): "455fb50b0c59468f65a61811f8ddb80899afb7e1c8e7b1c51ddf17182d8797b2",
     ("ternary-first", 4): "b37a401105482afb17df2a8f1d7aebf9d2c46fa0feef867dfdc9442959822a41",
+    ("ternary-first", 7): "23dd89105d3c9a98afb08f9a02254a68196d645841b9d393798077026de3c87f",
     ("ternary-first", 32): "23dd89105d3c9a98afb08f9a02254a68196d645841b9d393798077026de3c87f",
+    ("c4-z1", 1): "9965f66dd8fe70baeb0461ae5c8b11a2a0cc5c24bb4d508989eadb266b4d67c8",
     ("c4-z1", 4): "1feb1c54e51c12b381ce19fbd66a6fd8f2f8be2fe1f5400894131c72c737f024",
+    ("c4-z1", 7): "2e60e87ddae42189e47eabfbb86d05f9aad23d239a0f3c2bf0ad9559e7e3a489",
     ("c4-z1", 32): "56efd84b782aefc064997c05a6bdcf57368fc8fed5cd1f446aba31232eb08c38",
+    ("c5-z2", 1): "79951d68efa822461abb6d2feeae03aa65c53ff9b07b248231a8ffe7ad15c6ca",
     ("c5-z2", 4): "4486333ac512e0e967213cab0e6219f6f5f1fcea391e124ccd195d08adafd694",
+    ("c5-z2", 7): "4486333ac512e0e967213cab0e6219f6f5f1fcea391e124ccd195d08adafd694",
     ("c5-z2", 32): "eb7500e9a6edefd3be479149628d1d0cb4f78eca583778ac87e2916dffad13a6",
 }
 # SHA-256 of p_u's and the kernel's bytes and repr(value), restarts=2, seed 3.
