@@ -215,6 +215,25 @@ def entropy_of_mass(mass: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def entropy_of_rows(mass: np.ndarray) -> np.ndarray:
+    """`entropy_of_mass` of each row of a 2-D array, bit for bit.
+
+    Zeros are dropped before the sum, as there: numpy's pairwise summation
+    groups the terms of a row of 8 or more differently when they are kept. So
+    rows are summed in groups that share their count of positive entries.
+    """
+    positive = mass > 0
+    if positive.all():
+        return -(mass * np.log2(mass)).sum(axis=1)
+    counts = positive.sum(axis=1)
+    out = np.empty(mass.shape[0])
+    for c in np.unique(counts):
+        rows = np.flatnonzero(counts == c)
+        p = mass[rows][positive[rows]].reshape(rows.size, c)
+        out[rows] = -(p * np.log2(p)).sum(axis=1)
+    return out
+
+
 def marginalize(j: JointDistribution, keep: Iterable[int]) -> Distribution:
     """Sum out every component not in `keep` (kept components in ascending order)."""
     keep = sorted(set(int(k) for k in keep))

@@ -10,10 +10,13 @@ control any subset of at most Z links:
     an auxiliary variable U and a kernel U -> X, which can only be larger.
 
 The entropy problem is concave over an affine polytope and is solved by
-projected supergradient ascent with multi-start. The auxiliary problem is
-non-concave; the solver is a best-effort alternating ascent whose result is a
-certified-feasible lower bound, never below the entropy bound (it seeds one
-start by embedding U = X at the entropy optimum).
+projected supergradient ascent with multi-start; the starts run in lockstep
+as the rows of one array. Projections and the backtracking line search are
+batch-first, and each row's arithmetic is the one it would do alone (one gemv
+per row, never a gemm), so batching moves no output byte. The auxiliary
+problem is non-concave; the solver is a best-effort alternating ascent whose
+result is a certified-feasible lower bound, never below the entropy bound (it
+seeds one start by embedding U = X at the entropy optimum).
 
 `SolverConfig` sets only the number of starts and their seed. The rest are
 module constants: a solution counts as feasible when every marginal gap is at
@@ -36,6 +39,7 @@ from .probkit import (
     Distribution,
     JointDistribution,
     entropy_of_mass,
+    entropy_of_rows,
 )
 from .rng import generator
 
@@ -133,6 +137,10 @@ class SolverConfig:
     restarts: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+
 
 @dataclass
 class JamSetReport:
@@ -178,8 +186,21 @@ class AchievableRate:
     reason: str = ""
 
 
+def _gemv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for one vector or for each row of a stack, one gemv per row.
+
+    A gemm over the stack would regroup the sums; one gemv per row gives each
+    row the bytes of `a @ row`.
+    """
+    return np.matmul(a, v[..., None])[..., 0]
+
+
 class _Polytope:
-    """{p : M p = b, p >= 0} with exact affine projection and Dykstra rounding."""
+    """{p : M p = b, p >= 0} with exact affine projection and Dykstra rounding.
+
+    Both projections are batch-first: they take one point or a stack of points,
+    one per row, and a row's result is bit-identical to projecting it alone.
+    """
 
     def __init__(self, m: np.ndarray, b: np.ndarray):
         self.m = m
@@ -187,27 +208,36 @@ class _Polytope:
         self.pinv = np.linalg.pinv(m)
 
     def affine_project(self, v: np.ndarray) -> np.ndarray:
-        return v - self.pinv @ (self.m @ v - self.b)
+        return v - _gemv(self.pinv, _gemv(self.m, v) - self.b)
 
     def project(self, v: np.ndarray, iterations: int = 400, tol: float = 1e-13) -> np.ndarray:
-        """Euclidean projection via Dykstra's alternating scheme."""
-        x = v.copy()
-        p_inc = np.zeros_like(v)
-        q_inc = np.zeros_like(v)
-        xp = np.empty_like(v)   # x + p_inc, then y + q_inc: each formed once
-        yq = np.empty_like(v)
+        """Euclidean projection via Dykstra's alternating scheme.
+
+        Each row leaves the loop once its own step falls below `tol`; the rest
+        carry on, up to `iterations`.
+        """
+        x = np.array(v, dtype=float, ndmin=2)
+        out = np.empty_like(x)
+        rows = np.arange(x.shape[0])
+        p_inc = np.zeros_like(x)
+        q_inc = np.zeros_like(x)
         for _ in range(iterations):
-            np.add(x, p_inc, out=xp)
+            xp = x + p_inc
             y = self.affine_project(xp)
-            np.subtract(xp, y, out=p_inc)
-            np.add(y, q_inc, out=yq)
+            p_inc = xp - y
+            yq = y + q_inc
             x_new = np.maximum(yq, 0.0)
-            np.subtract(yq, x_new, out=q_inc)
-            done = np.abs(x_new - x).max() < tol
+            q_inc = yq - x_new
+            done = np.abs(x_new - x).max(axis=1) < tol
             x = x_new
-            if done:
-                break
-        return x
+            if done.any():
+                out[rows[done]] = x[done]
+                left = ~done
+                rows, x, p_inc, q_inc = rows[left], x[left], p_inc[left], q_inc[left]
+                if not rows.size:
+                    break
+        out[rows] = x
+        return out if np.ndim(v) == 2 else out[0]
 
     def residual(self, p: np.ndarray) -> float:
         return float(np.max(np.abs(self.m @ p - self.b)))
@@ -258,64 +288,106 @@ def check_feasibility_b(
     return FeasibilityReport(entries=entries, margin=margin, passed=passed)
 
 
-def _entropy_objective(p: np.ndarray, s_jc: list) -> float:
-    return min(entropy_of_mass(s @ p) for s in s_jc)
+def _unjammed_entropies(p: np.ndarray, s_jc: list) -> np.ndarray:
+    """H(X_Jc) of each row of p (one column per jam set); a row's minimum is its objective."""
+    return np.stack([entropy_of_rows(_gemv(s, p)) for s in s_jc], axis=1)
 
 
-def _entropy_supergradient(p: np.ndarray, s_jc: list) -> np.ndarray:
-    """Average the gradients of all near-active minimum terms (valid supergradient)."""
-    vals = np.array([entropy_of_mass(s @ p) for s in s_jc])
-    active = np.where(vals <= vals.min() + 1e-9)[0]
+def _entropy_supergradients(p: np.ndarray, h: np.ndarray, s_jc: list) -> np.ndarray:
+    """Per row, average the gradients of all near-active minimum terms (valid supergradient).
+
+    `h` holds the rows' unjammed entropies; each row sums its active terms in
+    jam-set order.
+    """
+    active = h <= h.min(axis=1, keepdims=True) + 1e-9
     g = np.zeros_like(p)
-    for idx in active:
-        q = np.maximum(s_jc[idx] @ p, _MASS_FLOOR)
-        g += s_jc[idx].T @ (-np.log2(q) - _INV_LN2)
-    return g / active.size
+    for s, rows in zip(s_jc, active.T):
+        if rows.any():
+            q = np.maximum(_gemv(s, p[rows]), _MASS_FLOOR)
+            g[rows] += _gemv(s.T, -np.log2(q) - _INV_LN2)
+    return g / active.sum(axis=1)[:, None]
 
 
 def _line_search(x: np.ndarray, g: np.ndarray, poly: _Polytope, accept, min_step: float):
-    """Backtracking search from x along g, halving from _INITIAL_STEP.
+    """Backtracking search from each row of x along its row of g.
 
-    Returns the first non-None `accept(projected candidate)`, or None once the
-    step is no longer above `min_step`.
+    The steps halve from _INITIAL_STEP while above `min_step`. The candidate
+    steps of every row still searching are projected together, in chunks of 1,
+    2, 4, ... steps. `accept(owner, cands)` gets the row of each projected
+    candidate, grouped by row in step order, and returns a mask of the accepted
+    ones and a value for each; each row takes its first accepted step.
+
+    Returns a mask of the rows that found a step, their points and values (the
+    other rows' entries are undefined), and the number of candidates projected.
     """
-    step = _INITIAL_STEP
+    steps, step = [], _INITIAL_STEP
     while step > min_step:
-        found = accept(poly.project(x + step * g))
-        if found is not None:
-            return found
+        steps.append(step)
         step *= 0.5
-    return None
+    steps = np.array(steps)
+    count, dim = x.shape
+    found = np.zeros(count, dtype=bool)
+    new_x = np.empty_like(x)
+    new_val = None
+    rows = np.arange(count)
+    lo, width, projected = 0, 1, 0
+    while rows.size and lo < steps.size:
+        chunk = steps[lo:lo + width]
+        cands = poly.project(
+            (x[rows, None, :] + chunk[None, :, None] * g[rows, None, :]).reshape(-1, dim))
+        projected += len(cands)
+        ok, val = accept(np.repeat(rows, chunk.size), cands)
+        ok = ok.reshape(rows.size, chunk.size)
+        hit = ok.any(axis=1)
+        pick = np.flatnonzero(hit) * chunk.size + ok.argmax(axis=1)[hit]
+        if new_val is None:
+            new_val = np.empty((count,) + val.shape[1:])
+        won = rows[hit]
+        found[won] = True
+        new_x[won] = cands[pick]
+        new_val[won] = val[pick]
+        rows = rows[~hit]
+        lo += width
+        width *= 2
+    return found, new_x, new_val, projected
 
 
-def _projected_ascent(p0, objective, supergradient, poly: _Polytope):
-    """Maximize a concave-ish objective over the polytope from one start."""
-    p = poly.project(p0)
-    f = objective(p)
+def _projected_ascent(starts: np.ndarray, s_jc: list, poly: _Polytope):
+    """Maximize the min unjammed entropy over the polytope from every start at once.
 
-    def better(cand):
-        fc = objective(cand)
-        return (cand, fc) if fc > f else None
+    The starts are rows that ascend in lockstep: each round takes one
+    supergradient step for every row still running, and a row retires after
+    its own _PATIENCE stalled rounds, or _MAX_ITERATIONS rounds in all, as it
+    would alone. Returns each row's point and value, the rounds run and the
+    number of candidate points projected.
+    """
+    p = poly.project(starts)
+    h = _unjammed_entropies(p, s_jc)
+    stall = np.zeros(len(p), dtype=int)
+    live = np.arange(len(p))
+    rounds = projected = 0
+    while live.size and rounds < _MAX_ITERATIONS:
+        rounds += 1
+        x = p[live]
+        f = h[live].min(axis=1)
+        g = _entropy_supergradients(x, h[live], s_jc)
+        norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None]))[:, 0, 0]
+        moving = norm > 0
+        g[moving] /= norm[moving, None]
 
-    stall = 0
-    for _ in range(_MAX_ITERATIONS):
-        g = supergradient(p)
-        norm = np.linalg.norm(g)
-        if norm > 0:
-            g = g / norm
-        # Take an accepted step before the patience check can stop the ascent.
-        found = _line_search(p, g, poly, better, 1e-12)
-        improvement = 0.0
-        if found is not None:
-            improvement = found[1] - f
-            p, f = found
-        if improvement < _IMPROVEMENT_TOL:
-            stall += 1
-            if stall >= _PATIENCE:
-                break
-        else:
-            stall = 0
-    return p, f
+        def better(owner, cands):
+            hc = _unjammed_entropies(cands, s_jc)
+            return hc.min(axis=1) > f[owner], hc
+
+        found, x_new, h_new, n = _line_search(x, g, poly, better, 1e-12)
+        projected += n
+        improvement = np.zeros(live.size)
+        improvement[found] = h_new[found].min(axis=1) - f[found]
+        p[live[found]] = x_new[found]
+        h[live[found]] = h_new[found]
+        stall[live] = np.where(improvement < _IMPROVEMENT_TOL, stall[live] + 1, 0)
+        live = live[stall[live] < _PATIENCE]
+    return p, h.min(axis=1), rounds, projected
 
 
 def _polish_onto_affine(p: np.ndarray, poly: _Polytope) -> Optional[np.ndarray]:
@@ -339,18 +411,14 @@ def solve_b(model: NetworkModel, cfg: Optional[SolverConfig] = None) -> Solution
     s_jc = unjammed_matrices(model)
     max_h_jammed = float(jammed_entropies(model).max())
 
-    objective = lambda p: _entropy_objective(p, s_jc)
-    supergrad = lambda p: _entropy_supergradient(p, s_jc)
-
     dim = model.product_alphabet_size
-    starts = [model.innocent.mass.copy()]
     rng = generator(cfg.seed, "solve-b-starts")
-    for _ in range(max(cfg.restarts - 1, 0)):
-        starts.append(rng.dirichlet(np.ones(dim)))
+    starts = np.vstack([model.innocent.mass]
+                       + [rng.dirichlet(np.ones(dim)) for _ in range(cfg.restarts - 1)])
+    ps, fs, rounds, projected = _projected_ascent(starts, s_jc, poly)
 
     best_p, best_f = None, -np.inf
-    for p0 in starts:
-        p, f = _projected_ascent(p0, objective, supergrad, poly)
+    for p, f in zip(ps, fs.tolist()):
         if f > best_f + 1e-12:
             best_p, best_f = p, f
         elif abs(f - best_f) <= 1e-12 and best_p is not None:
@@ -360,12 +428,13 @@ def solve_b(model: NetworkModel, cfg: Optional[SolverConfig] = None) -> Solution
 
     polished = _polish_onto_affine(best_p, poly)
     if polished is not None:
-        f_pol = objective(polished)
+        f_pol = float(_unjammed_entropies(polished[None], s_jc).min())
         if f_pol >= best_f - 1e-9:
             best_p, best_f = polished, f_pol
 
     margin = best_f - max_h_jammed
-    info = {"restarts": len(starts), "method": "projected-ascent", "seed": cfg.seed}
+    info = {"restarts": len(starts), "method": "projected-ascent", "seed": cfg.seed,
+            "rounds": rounds, "projections": projected}
     if margin <= DELTA_FEAS:
         return SolutionB(feasible=False, value=best_f, feasibility_margin=margin,
                          reason="no point with entropy margin above delta_feas", info=info)
@@ -451,14 +520,19 @@ def _block_ascent_a(q0, s_jc, s_j, model):
     q = q0
     f = _objective_a(q, s_jc)
 
-    def accept(x):
-        cand_q = lift(x)
-        fc = _objective_a(cand_q, s_jc)
-        if fc > f and _margin_a(cand_q, s_jc, s_j) > DELTA_FEAS:
-            return x, cand_q, fc
-        return None
+    def accept(_, cands):
+        # One row: score its candidates in step order up to the first accepted.
+        ok = np.zeros(len(cands), dtype=bool)
+        val = np.zeros(len(cands))
+        for i, x in enumerate(cands):
+            cand_q = lift(x)
+            val[i] = _objective_a(cand_q, s_jc)
+            if val[i] > f and _margin_a(cand_q, s_jc, s_j) > DELTA_FEAS:
+                ok[i] = True
+                break
+        return ok, val
 
-    stall = 0
+    stall = projected = 0
     for _ in range(_ALT_ROUNDS):
         round_start = f
         for block in ("p_u", "kernel"):
@@ -479,17 +553,19 @@ def _block_ascent_a(q0, s_jc, s_j, model):
                 if norm == 0:
                     break
                 g /= norm
-                found = _line_search(x, g, poly, accept, 1e-10)
-                if found is None:
+                found, x_new, f_new, n = _line_search(x[None], g[None], poly, accept, 1e-10)
+                projected += n
+                if not found[0]:
                     break
-                x, q, f = found
+                x, f = x_new[0], float(f_new[0])
+                q = lift(x)
         if f - round_start < _IMPROVEMENT_TOL:
             stall += 1
             if stall >= _PATIENCE:
                 break
         else:
             stall = 0
-    return q, f
+    return q, f, projected
 
 
 def solve_a(
@@ -511,7 +587,7 @@ def solve_a(
 
     sol_b = solve_b(model, cfg)
     info = {"u_size": u_size, "cardinality_bound": bound,
-            "method": "alternating-ascent", "seed": cfg.seed}
+            "method": "alternating-ascent", "seed": cfg.seed, "projections": 0}
     if not sol_b.feasible:
         return SolutionA(feasible=False, reason=sol_b.reason, info=info)
 
@@ -528,9 +604,9 @@ def solve_a(
     m_joint = np.vstack([np.kron(np.ones((1, u_size)), row[None, :]) for row in m_marg])
     m_joint = m_joint.reshape(m_marg.shape[0], u_size * dim_x)
     poly_joint = _Polytope(m_joint, b_marg)
-    for _ in range(n_random):
-        raw = rng.dirichlet(np.ones(u_size * dim_x))
-        starts.append(poly_joint.project(raw).reshape(u_size, dim_x))
+    if n_random:
+        raw = np.vstack([rng.dirichlet(np.ones(u_size * dim_x)) for _ in range(n_random)])
+        starts.extend(poly_joint.project(raw).reshape(n_random, u_size, dim_x))
 
     best_q, best_f = None, -np.inf
     for q0 in starts:
@@ -542,7 +618,8 @@ def solve_a(
             # Only random starts can land here; the embedded start inherits the
             # entropy-bound margin, which is already above DELTA_FEAS.
             continue
-        q, f = _block_ascent_a(q0, s_jc, s_j, model)
+        q, f, projected = _block_ascent_a(q0, s_jc, s_j, model)
+        info["projections"] += projected
         if f > best_f + 1e-12:
             best_q, best_f = q, f
         elif abs(f - best_f) <= 1e-12 and best_q is not None:

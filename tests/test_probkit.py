@@ -10,6 +10,8 @@ from stealthpath.probkit import (
     SymbolSequence,
     TypicalityParams,
     entropy,
+    entropy_of_mass,
+    entropy_of_rows,
     inverse_cdf,
     is_strongly_typical,
     marginalize,
@@ -49,6 +51,21 @@ def test_entropy_known_values():
     assert entropy(Distribution.point_mass(5, 2)) == 0.0
     assert entropy(Distribution.bernoulli(0.3)) == pytest.approx(H2_03, abs=1e-12)
     assert entropy(Distribution.bernoulli(0.5)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_entropy_of_rows_matches_entropy_of_mass_bit_for_bit():
+    # Rows with zeros take the path that drops them before the sum; at length
+    # 8 and above keeping them would regroup numpy's pairwise summation.
+    rng = np.random.default_rng(7)
+    for length in (4, 8, 12, 32):
+        mass = rng.dirichlet(np.ones(length), size=60)
+        mass[rng.random(mass.shape) < 0.3] = 0.0
+        mass[0] = 0.0
+        mass[0, length - 1] = 1.0
+        positive = rng.dirichlet(np.ones(length), size=5)
+        for rows in (mass, positive):
+            expected = np.array([entropy_of_mass(row) for row in rows])
+            assert entropy_of_rows(rows).tobytes() == expected.tobytes()
 
 
 def test_joint_from_factors_and_grid():

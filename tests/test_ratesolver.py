@@ -12,9 +12,11 @@ from stealthpath.ratesolver import (
     cardinality_bound,
     check_feasibility_b,
     enumerate_jam_sets,
+    marginal_system,
     solve_a,
     solve_b,
 )
+from stealthpath.ratesolver import _Polytope
 
 H2_03 = 0.8812908992306927
 FAST = SolverConfig(restarts=4)
@@ -82,9 +84,16 @@ def test_feasibility_report_detects_mismatch():
     assert any(e.marginal_gap > 0.1 for e in report.entries)
 
 
+def test_restarts_below_one_raise():
+    for restarts in (0, -3):
+        with pytest.raises(ValueError, match="restarts"):
+            SolverConfig(restarts=restarts)
+
+
 def test_solve_b_uniform_bits():
     sol = solve_b(uniform_bits_model(), FAST)
     assert sol.feasible
+    assert 0 < sol.info["rounds"] <= 400 and sol.info["projections"] > 0
     assert sol.value == pytest.approx(2.0, abs=5e-3)
     assert sol.feasibility_margin > 0.9
 
@@ -121,6 +130,7 @@ def test_solve_b_infeasible_degenerate_innocent():
 def test_solve_a_uniform_matches_entropy_bound():
     sol = solve_a(uniform_bits_model(), cfg=SolverConfig(restarts=2))
     assert sol.feasible
+    assert sol.info["projections"] > 0
     assert sol.value >= 2.0 - 1e-3
     assert sol.feasibility_margin > 0.5
     assert sol.p_u.alphabet_size == cardinality_bound(8, 4)
@@ -227,3 +237,26 @@ def test_solve_b_bytes_are_pinned(name, restarts):
 def test_solve_a_bytes_are_pinned(name):
     sol = solve_a(GOLDEN_MODELS[name], cfg=SolverConfig(restarts=2, seed=3))
     assert _sha256(sol.p_u.mass, sol.kernel.matrix, sol.value) == GOLDEN_A[name]
+
+
+def test_batched_projection_matches_row_by_row():
+    model = GOLDEN_MODELS["c4-z1"]
+    poly = _Polytope(*marginal_system(model))
+    rng = np.random.default_rng(5)
+    dim = model.product_alphabet_size
+    rows = np.vstack([model.innocent.mass,               # feasible: done at once
+                      rng.dirichlet(np.ones(dim), size=5),
+                      3.0 * rng.standard_normal((3, dim))])  # far outside
+    for v in (rows, rows + 1.0):
+        np.testing.assert_array_equal(poly.affine_project(v),
+                                      [poly.affine_project(row) for row in v])
+    # The default call, _polish_onto_affine's call, and a cap of 3 iterations.
+    for iterations, tol in ((400, 1e-13), (2000, 1e-15), (3, 1e-13)):
+        batch = poly.project(rows, iterations, tol)
+        for i, row in enumerate(rows):
+            alone = poly.project(row, iterations, tol)
+            assert alone.shape == (dim,) and batch[i].tobytes() == alone.tobytes()
+    # Rows converge at different iterations: at a cap of 3 some have converged
+    # and some have reached the cap.
+    converged = [np.array_equal(a, b) for a, b in zip(poly.project(rows, 3), poly.project(rows))]
+    assert any(converged) and not all(converged)
