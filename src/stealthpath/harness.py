@@ -91,6 +91,10 @@ class ExperimentConfig:
         for sid in self.strategies:
             if sid and sid not in STRATEGY_IDS:
                 raise ConfigError(f"unknown strategy id {sid!r}")
+        sets = [self.jam_set] if self.jam_rule == "fixed" else self.model.jam_family()
+        if "symmetrize" in self.strategies and \
+                any(0 < 2 * len(j) < self.model.link_count for j in sets):
+            raise ConfigError("symmetrize needs every nonempty jam set to hold >= C/2 links")
         if self.detector not in ("optimal-oracle", "none"):
             raise ConfigError(f"unknown detector {self.detector!r}")
 

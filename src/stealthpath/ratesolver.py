@@ -7,16 +7,16 @@ control any subset of at most Z links:
     transmission seen on the unjammed links, subject to every size-<=Z marginal
     matching the innocent distribution;
   * the auxiliary-variable bound (layered scheme): the same game played through
-    an auxiliary variable U and a kernel U -> X, which can only be larger.
+    an auxiliary variable U and a kernel U -> X.
 
 The entropy problem is concave over an affine polytope and is solved by
 projected supergradient ascent with multi-start; the starts run in lockstep
 as the rows of one array. Projections and the backtracking line search are
 batch-first, and each row's arithmetic is the one it would do alone (one gemv
 per row, never a gemm), so batching moves no output byte. The auxiliary
-problem is non-concave; the solver is a best-effort alternating ascent whose
-result is a certified-feasible lower bound, never below the entropy bound (it
-seeds one start by embedding U = X at the entropy optimum).
+bound is never above the entropy bound, as I(U; X_Jc) <= H(X_Jc) for every
+kernel, and the U = X embedding of the entropy optimum attains it: `solve_a`
+returns that embedding without a search.
 
 `SolverConfig` sets only the number of starts and their seed. The rest are
 module constants: a solution counts as feasible when every marginal gap is at
@@ -509,13 +509,9 @@ def _block_ascent_a(q0, s_jc, s_j, model):
 
     def kernel_polytope(pu):
         # Constraints on vec(kern): marginal match rows plus per-row sums.
-        rows = [np.kron(pu[None, :], row_m) for row_m in m_marg[1:]]
-        marg = np.vstack(rows).reshape(-1, u_size * dim_x) if rows else \
-            np.zeros((0, u_size * dim_x))
-        row_sum = np.kron(np.eye(u_size), np.ones((1, dim_x)))
-        m = np.vstack([marg, row_sum])
-        b = np.concatenate([b_marg[1:], np.ones(u_size)])
-        return _Polytope(m, b)
+        m = np.vstack([np.kron(pu[None, :], m_marg[1:]),
+                       np.kron(np.eye(u_size), np.ones((1, dim_x)))])
+        return _Polytope(m, np.concatenate([b_marg[1:], np.ones(u_size)]))
 
     q = q0
     f = _objective_a(q, s_jc)
@@ -568,90 +564,90 @@ def _block_ascent_a(q0, s_jc, s_j, model):
     return q, f, projected
 
 
-def solve_a(
-    model: NetworkModel,
-    u_size: Optional[int] = None,
-    cfg: Optional[SolverConfig] = None,
-) -> SolutionA:
-    """Best-effort max-min I(U; unjammed links); certified-feasible lower bound."""
-    cfg = cfg or SolverConfig()
+def _search_a(model, u_size, cfg, poly_joint, s_jc, s_j):
+    """`solve_a`'s search for u_size < |X|: the best start (or None), and its projections."""
     dim_x = model.product_alphabet_size
-    bound = cardinality_bound(dim_x, len(model.jam_family()))
-    if u_size is None:
-        u_size = bound
-    if u_size < 1:
-        raise ValueError("u_size must be >= 1")
-
-    s_j = [pair[0] for pair in model.restrictions]
-    s_jc = [pair[1] for pair in model.restrictions]
-
-    sol_b = solve_b(model, cfg)
-    info = {"u_size": u_size, "cardinality_bound": bound,
-            "method": "alternating-ascent", "seed": cfg.seed, "projections": 0}
-    if not sol_b.feasible:
-        return SolutionA(feasible=False, reason=sol_b.reason, info=info)
-
-    starts = []
-    if u_size >= dim_x:
-        # Embed U = X at the entropy-bound optimum: guarantees value >= entropy bound.
-        q = np.zeros((u_size, dim_x))
-        q[np.arange(dim_x), np.arange(dim_x)] = sol_b.p_x.mass
-        starts.append(q)
     rng = generator(cfg.seed, "solve-a-starts")
-    n_random = max(cfg.restarts - len(starts), 0)
-    m_marg, b_marg = marginal_system(model)
-    # Joint-space polytope: q >= 0, sum 1, X-marginal in the entropy-bound polytope.
-    m_joint = np.vstack([np.kron(np.ones((1, u_size)), row[None, :]) for row in m_marg])
-    m_joint = m_joint.reshape(m_marg.shape[0], u_size * dim_x)
-    poly_joint = _Polytope(m_joint, b_marg)
-    if n_random:
-        raw = np.vstack([rng.dirichlet(np.ones(u_size * dim_x)) for _ in range(n_random)])
-        starts.extend(poly_joint.project(raw).reshape(n_random, u_size, dim_x))
-
-    best_q, best_f = None, -np.inf
-    for q0 in starts:
-        if q0.sum() <= 0:
-            continue
+    raw = np.vstack([rng.dirichlet(np.ones(u_size * dim_x)) for _ in range(cfg.restarts)])
+    best_q, best_f, projected = None, -np.inf, 0
+    for q0 in poly_joint.project(raw).reshape(cfg.restarts, u_size, dim_x):
         q0 = np.maximum(q0, 0.0)
         q0 /= q0.sum()
         if _margin_a(q0, s_jc, s_j) <= DELTA_FEAS:
-            # Only random starts can land here; the embedded start inherits the
-            # entropy-bound margin, which is already above DELTA_FEAS.
             continue
-        q, f, projected = _block_ascent_a(q0, s_jc, s_j, model)
-        info["projections"] += projected
+        q, f, n = _block_ascent_a(q0, s_jc, s_j, model)
+        projected += n
         if f > best_f + 1e-12:
             best_q, best_f = q, f
-        elif abs(f - best_f) <= 1e-12 and best_q is not None:
-            if tuple(np.round(q.reshape(-1), 12)) < tuple(np.round(best_q.reshape(-1), 12)):
-                best_q = q
-
+        elif (abs(f - best_f) <= 1e-12 and best_q is not None and
+              tuple(np.round(q.reshape(-1), 12)) < tuple(np.round(best_q.reshape(-1), 12))):
+            best_q = q
     if best_q is None:
-        return SolutionA(feasible=False, reason="no feasible start with positive margin",
-                         info=info)
+        return None, projected
 
     # Exact cleanup of the marginal constraints.
     polished = poly_joint.affine_project(best_q.reshape(-1))
     if np.min(polished) >= -1e-9:
         polished = np.maximum(polished, 0.0).reshape(u_size, dim_x)
         polished /= polished.sum()
-        f_pol = _objective_a(polished, s_jc)
-        if f_pol >= best_f - 1e-9 and _margin_a(polished, s_jc, s_j) > DELTA_FEAS:
-            best_q, best_f = polished, f_pol
+        if (_objective_a(polished, s_jc) >= best_f - 1e-9
+                and _margin_a(polished, s_jc, s_j) > DELTA_FEAS):
+            best_q = polished
+    return best_q, projected
+
+
+def solve_a(
+    model: NetworkModel,
+    u_size: Optional[int] = None,
+    cfg: Optional[SolverConfig] = None,
+) -> SolutionA:
+    """Max-min I(U; unjammed links) over (p_u, W), certified feasible.
+
+    I(U; X_Jc) <= H(X_Jc) for every kernel, so `solve_b`'s optimum bounds this
+    one and its U = X embedding (zero-padded) attains it; with u_size >= |X|,
+    as by default, that is returned at once. A smaller u_size runs a best-effort
+    alternating ascent from random starts. Both are checked for feasibility.
+    """
+    cfg = cfg or SolverConfig()
+    dim_x = model.product_alphabet_size
+    bound = cardinality_bound(dim_x, len(model.jam_family()))
+    u_size = bound if u_size is None else u_size
+    if u_size < 1:
+        raise ValueError("u_size must be >= 1")
+
+    s_j, s_jc = zip(*model.restrictions)
+    sol_b = solve_b(model, cfg)
+    info = {"u_size": u_size, "cardinality_bound": bound,
+            "method": "embedding" if u_size >= dim_x else "alternating-ascent",
+            "seed": cfg.seed, "projections": 0}
+    if not sol_b.feasible:
+        return SolutionA(feasible=False, reason=sol_b.reason, info=info)
+
+    m_marg, b_marg = marginal_system(model)
+    # Joint-space polytope: q >= 0, sum 1, X-marginal in the entropy-bound polytope.
+    m_joint = np.tile(m_marg, u_size)
+    if u_size >= dim_x:
+        best_q = np.zeros((u_size, dim_x))
+        best_q[np.arange(dim_x), np.arange(dim_x)] = sol_b.p_x.mass
+    else:
+        best_q, info["projections"] = _search_a(model, u_size, cfg,
+                                                _Polytope(m_joint, b_marg), s_jc, s_j)
+        if best_q is None:
+            return SolutionA(feasible=False, reason="no feasible start with positive margin",
+                             info=info)
 
     gaps = np.abs(m_joint @ best_q.reshape(-1) - b_marg)
     if float(gaps.max()) > TOL_MARG:
         return SolutionA(feasible=False,
                          reason=f"marginal residual {gaps.max():.2e} above tol_marg",
                          info=info)
-    margin = _margin_a(best_q, s_jc, s_j)
     pu, kern = _split_joint(best_q)
     return SolutionA(
         feasible=True,
         p_u=Distribution(u_size, pu),
         kernel=ConditionalKernel(u_size, dim_x, kern),
-        value=best_f,
-        feasibility_margin=margin,
+        value=_objective_a(best_q, s_jc),
+        feasibility_margin=_margin_a(best_q, s_jc, s_j),
         info=info,
     )
 

@@ -59,6 +59,18 @@ def test_config_parse_and_validation():
             adversary={"jam_rule": "worst-over-family", "strategies": ["bogus"]}))
 
 
+@pytest.mark.parametrize("adversary", [{"jam_rule": "fixed", "jam_set": [0]},
+                                       {"jam_rule": "worst-over-family"}])
+def test_symmetrize_on_a_jam_set_below_half_the_links_is_a_config_error(adversary):
+    # C=3: a one-link jam set cannot carry a fake codeword's image
+    with pytest.raises(ConfigError, match="C/2"):
+        ExperimentConfig.from_json(base_config(
+            adversary={**adversary, "strategies": ["symmetrize"]}))
+    # the empty set calls no strategy
+    ExperimentConfig.from_json(base_config(
+        adversary={"jam_rule": "fixed", "jam_set": [], "strategies": ["symmetrize"]}))
+
+
 def test_model_from_config_mass_form():
     model = model_from_config({
         "link_count": 2, "adversary_budget": 0,

@@ -8,6 +8,7 @@ from stealthpath.ratesolver import (
     NetworkModel,
     SolutionB,
     SolverConfig,
+    TOL_MARG,
     achievable_rate,
     cardinality_bound,
     check_feasibility_b,
@@ -130,7 +131,7 @@ def test_solve_b_infeasible_degenerate_innocent():
 def test_solve_a_uniform_matches_entropy_bound():
     sol = solve_a(uniform_bits_model(), cfg=SolverConfig(restarts=2))
     assert sol.feasible
-    assert sol.info["projections"] > 0
+    assert sol.info["method"] == "embedding"
     assert sol.value >= 2.0 - 1e-3
     assert sol.feasibility_margin > 0.5
     assert sol.p_u.alphabet_size == cardinality_bound(8, 4)
@@ -213,10 +214,11 @@ GOLDEN_B = {
     ("c5-z2", 7): "4486333ac512e0e967213cab0e6219f6f5f1fcea391e124ccd195d08adafd694",
     ("c5-z2", 32): "eb7500e9a6edefd3be479149628d1d0cb4f78eca583778ac87e2916dffad13a6",
 }
-# SHA-256 of p_u's and the kernel's bytes and repr(value), restarts=2, seed 3.
+# SHA-256 of p_u's and the kernel's bytes and repr(value), restarts=2, seed 3:
+# the U = X embedding of solve_b's law at that setting.
 GOLDEN_A = {
-    "mixed-bias": "c03327b772f32df147a17a3bd745e3b26b9e83b375b99a028a049a03cf26472e",
-    "ternary-first": "295af3aae48c7f04f36655083bcb39239a08966a8c1cd9e9e564982822b85bbf",
+    "mixed-bias": "c2984626743b6171b8cb4598bea6c93c505466d7a9fbd6a5cea529fbf5a08756",
+    "ternary-first": "0366d830ebf17c7fc8a0e79cbb2abc17a2f10c1696a5a0cc7aa25d6a1007b16b",
 }
 
 
@@ -237,6 +239,35 @@ def test_solve_b_bytes_are_pinned(name, restarts):
 def test_solve_a_bytes_are_pinned(name):
     sol = solve_a(GOLDEN_MODELS[name], cfg=SolverConfig(restarts=2, seed=3))
     assert _sha256(sol.p_u.mass, sol.kernel.matrix, sol.value) == GOLDEN_A[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_solve_a_is_the_embedding_of_solve_b(name):
+    model, cfg = GOLDEN_MODELS[name], SolverConfig(restarts=2, seed=3)
+    sol_a, sol_b = solve_a(model, cfg=cfg), solve_b(model, cfg)
+    dim = model.product_alphabet_size
+    assert sol_a.feasible and sol_a.info["method"] == "embedding"
+    assert sol_a.p_u.mass[:dim].tobytes() == sol_b.p_x.mass.tobytes()
+    assert not sol_a.p_u.mass[dim:].any()
+    np.testing.assert_array_equal(sol_a.kernel.matrix[:dim], np.eye(dim))
+    assert abs(sol_a.value - sol_b.value) <= 1e-12
+
+
+def test_solve_a_returns_solve_b_infeasibility():
+    inn = JointDistribution.from_factors([Distribution.point_mass(2, 0)] * 3)
+    model = NetworkModel(3, 1, (2, 2, 2), inn)
+    sol = solve_a(model, cfg=FAST)
+    assert not sol.feasible and sol.reason == solve_b(model, FAST).reason
+
+
+def test_solve_a_ascends_when_u_is_smaller_than_x():
+    model, cfg = uniform_bits_model(), SolverConfig(restarts=1)
+    sol = solve_a(model, u_size=4, cfg=cfg)
+    assert sol.feasible and sol.info["method"] == "alternating-ascent"
+    m, b = marginal_system(model)
+    assert np.abs(m @ (sol.p_u.mass @ sol.kernel.matrix) - b).max() <= TOL_MARG
+    # I(U; X_Jc) <= H(X_Jc): no kernel beats the entropy bound
+    assert sol.value <= solve_b(model, cfg).value + 1e-9
 
 
 def test_batched_projection_matches_row_by_row():
