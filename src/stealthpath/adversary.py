@@ -177,7 +177,7 @@ def _codeword_restrictions(code: DirectCode, j: JamSet) -> np.ndarray:
     """(N, n) restriction codes of every codeword on the jammed links."""
     restrict = indexing.restrict_codes(code.link_sizes, j.links)
     restrict = restrict.astype(np.min_scalar_type(int(restrict.max())))
-    parts = [restrict[block] for _, block in code.chunks()]
+    parts = [part for _, part in code.chunks(lambda block: restrict[block])]
     return np.concatenate(parts, axis=0)
 
 

@@ -8,7 +8,13 @@ typicality on the unjammed links.
 
 Codebooks above the in-memory symbol budget fall back to streaming chunked
 regeneration: chunk c of CHUNK_MESSAGES codewords is reproducible from the
-code seed alone, so codeword m never needs to be stored.
+code seed alone, so codeword m never needs to be stored. Every read of a
+whole codebook is an ordered chunk pass (`_ordered_pass`): chunks are drawn,
+each from its one Philox generator in sub-blocks of DRAW_ROWS rows, and the
+pass's kernel runs on them on a pool of min(CPUs, 4) threads, at most that
+many chunks in flight; generators are derived and results consumed in chunk
+order on the calling thread, so no byte depends on the threads. A one-chunk
+pass (every materialised code) starts no thread.
 
 Direct codes over the message budget can come from a second ensemble instead,
 an affine code over GF(2) (`build_code_for_bound` decides): codeword m is
@@ -17,9 +23,12 @@ solve per candidate jam set, with no enumeration.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +45,8 @@ from .ratesolver import OPT_TOL, NetworkModel, SolutionB, check_feasibility_b
 from .rng import generator, streams
 
 CHUNK_MESSAGES = 1 << 16
+# A chunk is drawn this many rows at a time; the rows do not depend on it.
+DRAW_ROWS = 1 << 12
 SYMBOL_BUDGET = 1 << 26
 MESSAGE_BUDGET = 1 << 31
 DECODE_SCAN_BUDGET = 1 << 28
@@ -92,11 +103,48 @@ def _indices(m, count: int):
     return int(m) if isinstance(m, (int, np.integer)) else np.asarray(m, dtype=np.int64)
 
 
+def _identity(block: np.ndarray) -> np.ndarray:
+    return block
+
+
+def _ordered_pass(tasks: Iterable, run: Callable, size: int) -> Iterator:
+    """run(task) for each of the `size` tasks, yielded in task order.
+
+    Tasks are taken from `tasks` on the calling thread, so whatever makes a
+    task (a chunk's seed derivation, say) happens there; `run` works on a
+    thread pool of min(CPUs, 4) workers, with at most that many tasks
+    submitted and not yet yielded. A one-task pass, or a one-CPU process,
+    runs inline and starts no thread. Leaving the pass early, or an exception
+    from `run`, shuts the pool down and joins its threads.
+    """
+    workers = min(len(os.sched_getaffinity(0)), 4)
+    if size < 2 or workers < 2:
+        for task in tasks:
+            yield run(task)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    tasks = iter(tasks)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(run, task) for task in itertools.islice(tasks, workers))
+        try:
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(run, task) for task in itertools.islice(tasks, 1))
+                yield result
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 class _ChunkedStore:
     """Deterministic chunked source of i.i.d. codeword symbols.
 
     Chunk c is regenerated from derive(seed, label, c); a codebook is fully
-    determined by (mass, n, seed) and the fixed chunk size.
+    determined by (mass, n, seed) and the fixed chunk size. A chunk is drawn
+    in sub-blocks of DRAW_ROWS rows from its one generator, which give the
+    numbers of one draw of the whole chunk without a chunk-sized int64 or
+    float64 temporary.
     """
 
     ensemble = "iid"
@@ -114,38 +162,52 @@ class _ChunkedStore:
         self._dtype = np.min_scalar_type(self.alphabet - 1)
         self._all: Optional[np.ndarray] = None
         if materialize:
-            self._all = np.concatenate([block for _, block in self._iter_chunks()], axis=0)
+            everything = np.empty((count, n), dtype=self._dtype)
+            for start, block in self.chunks():
+                everything[start:start + block.shape[0]] = block
+            self._all = everything
 
     @property
     def materialized(self) -> bool:
         return self._all is not None
 
-    def _generate(self, chunk_index: int, rows: int) -> np.ndarray:
-        rng = generator(self.seed, self.label, chunk_index)
-        if self._uniform:
-            return rng.integers(0, self.alphabet, size=(rows, self.n), dtype=np.int64
-                                ).astype(self._dtype)
-        return inverse_cdf(self._cdf, rng.random((rows, self.n)))  # dtype is self._dtype
+    def _draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """The first `rows` rows of the chunk whose generator is `rng`."""
+        out = np.empty((rows, self.n), dtype=self._dtype)
+        for lo in range(0, rows, DRAW_ROWS):
+            shape = (min(DRAW_ROWS, rows - lo), self.n)
+            if self._uniform:
+                out[lo:lo + shape[0]] = rng.integers(0, self.alphabet, size=shape,
+                                                     dtype=np.int64)
+            else:
+                out[lo:lo + shape[0]] = inverse_cdf(self._cdf, rng.random(shape))
+        return out
 
-    def _iter_chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
-        start = 0
-        chunk_index = 0
-        while start < self.count:
-            rows = min(CHUNK_MESSAGES, self.count - start)
-            yield start, self._generate(chunk_index, rows)
-            start += rows
-            chunk_index += 1
+    def _generator(self, chunk_index: int) -> np.random.Generator:
+        return generator(self.seed, self.label, chunk_index)
 
-    def chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
+    def chunks(self, kernel: Callable = _identity) -> Iterator[Tuple[int, object]]:
+        """(start, kernel(block)) for each chunk in order; one block if materialised.
+
+        A streaming store draws its chunks and runs `kernel` on them in an
+        ordered pass (`_ordered_pass`); `kernel` must not touch shared state.
+        """
         if self._all is not None:
-            yield 0, self._all
-        else:
-            yield from self._iter_chunks()
+            yield 0, kernel(self._all)
+            return
+        size = -(-self.count // CHUNK_MESSAGES)
+        tasks = ((c * CHUNK_MESSAGES, self._generator(c)) for c in range(size))
+
+        def run(task):
+            start, rng = task
+            return start, kernel(self._draw(rng, min(CHUNK_MESSAGES, self.count - start)))
+        yield from _ordered_pass(tasks, run, size)
 
     def codeword(self, m) -> np.ndarray:
         """Symbols of codeword m (0-based); (..., n) for an array of indices.
 
-        A streaming store regenerates each chunk once for all indices in it.
+        A streaming store draws each chunk it touches once, up to the highest
+        row asked of it.
         """
         m = _indices(m, self.count)
         if self._all is not None:
@@ -153,10 +215,16 @@ class _ChunkedStore:
         m = np.asarray(m)
         out = np.empty(m.shape + (self.n,), dtype=np.int64)
         chunk_of = m // CHUNK_MESSAGES
-        for c in np.unique(chunk_of).tolist():
-            rows = min(CHUNK_MESSAGES, self.count - c * CHUNK_MESSAGES)
+        touched = np.unique(chunk_of).tolist()
+
+        def run(task):
+            c, rng = task
             hit = chunk_of == c
-            out[hit] = self._generate(c, rows)[m[hit] - c * CHUNK_MESSAGES]
+            rows = m[hit] - c * CHUNK_MESSAGES
+            return hit, self._draw(rng, int(rows.max()) + 1)[rows]
+        tasks = ((c, self._generator(c)) for c in touched)
+        for hit, words in _ordered_pass(tasks, run, len(touched)):
+            out[hit] = words
         return out
 
 
@@ -236,14 +304,18 @@ class AffineStore:
         """Product codes of codeword b (0-based); (..., n) for an array of indices."""
         return self._codes(self._bits(np.asarray(_indices(b, self.count))))
 
-    def chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
+    def chunks(self, kernel: Callable = _identity) -> Iterator[Tuple[int, object]]:
+        """(start, kernel(block)) for each chunk in order, as an ordered pass."""
         if self.count > MESSAGE_BUDGET:
             raise ResourceBudgetError(
                 f"enumerating {self.count} affine codewords exceeds the message budget "
                 f"{MESSAGE_BUDGET}")
-        for start in range(0, self.count, CHUNK_MESSAGES):
+
+        def run(start):
             idx = np.arange(start, min(start + CHUNK_MESSAGES, self.count), dtype=np.int64)
-            yield start, self._codes(self._bits(idx)).astype(self._dtype)
+            return start, kernel(self._codes(self._bits(idx)).astype(self._dtype))
+        starts = range(0, self.count, CHUNK_MESSAGES)
+        yield from _ordered_pass(starts, run, len(starts))
 
     def _solver(self, links: tuple):
         """(map x -> syndrome|solution, its value at s, reduced null basis), cached."""
@@ -350,8 +422,9 @@ class DirectCode:
         """Per-link symbols of codeword m, (..., C, n)."""
         return indexing.unpack_links(self.codeword(m), self.link_sizes)
 
-    def chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
-        return self._store.chunks()
+    def chunks(self, kernel: Callable = _identity) -> Iterator[Tuple[int, object]]:
+        """(start, kernel(block)) for each chunk of codewords, in order."""
+        return self._store.chunks(kernel)
 
 
 @dataclass
@@ -380,8 +453,9 @@ class LayeredCode:
     def u_codeword(self, m) -> np.ndarray:
         return self._store.codeword(m - 1)
 
-    def u_chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
-        return self._store.chunks()
+    def u_chunks(self, kernel: Callable = _identity) -> Iterator[Tuple[int, object]]:
+        """(start, kernel(block)) for each chunk of intermediate codewords, in order."""
+        return self._store.chunks(kernel)
 
 
 Code = Union[DirectCode, LayeredCode]
@@ -544,12 +618,14 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
     pair_dtype = np.min_scalar_type(joint.alphabet_size)
     y = y.astype(pair_dtype)
 
-    matches: list = []
-    for start, block in code.u_chunks():
+    def typical(block):
         pair = block.astype(pair_dtype)
         pair *= pair_dtype.type(ax)
         pair += y
-        hit = np.nonzero(typical_rows(pair, joint.mass, tp.gamma))[0]
+        return np.flatnonzero(typical_rows(pair, joint.mass, tp.gamma))
+
+    matches: list = []
+    for start, hit in code.u_chunks(typical):
         matches.extend(int(start + h + 1) for h in hit)
         if len(matches) > 1:
             break
@@ -602,11 +678,8 @@ def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIn
         offsets = np.arange(len(sets), dtype=np.int64) << bits
         keys = np.empty(len(sets) * count, dtype=np.int64)
         messages = np.empty(len(sets) * count, dtype=np.int32)
-        values = np.empty(count, dtype=np.int64)
         for s in range(len(sets)):
-            values[:] = 0
-            for t in range(n):
-                values += tables[s][block[:, t]] * weights[s, t]
+            values = indexing.fold_sequences(block, tables[s], alphas[s])
             order = np.argsort(values, kind="stable")
             keys[s * count:(s + 1) * count] = values[order] + offsets[s]
             messages[s * count:(s + 1) * count] = order + 1
@@ -623,9 +696,9 @@ def _streaming_list(code: DirectCode, links: np.ndarray, unjammed_sets: Sequence
     One pass over the chunks matches each chunk against every set at once:
     bit b of table[t, x] says whether product symbol x agrees with the word at
     position t on set b of its group of eight, so a codeword matches a set
-    where that bit survives an AND over its positions. The pass stops once two
-    messages are listed, which already makes the list decoder's verdict an
-    error.
+    where that bit survives an AND over its positions, taken one position at a
+    time over the rows still alive. The pass stops once two messages are
+    listed, which already makes the list decoder's verdict an error.
     """
     n = code.params.n
     tables = []
@@ -636,13 +709,23 @@ def _streaming_list(code: DirectCode, links: np.ndarray, unjammed_sets: Sequence
             agree = indexing.restrict_codes(code.link_sizes, jc)[None, :] == target[:, None]
             table |= agree.astype(np.uint8) << b
         tables.append(table)
-    positions = np.arange(n)
-    listed: set = set()
-    for start, block in code.chunks():
-        hit = np.zeros(block.shape[0], dtype=bool)
+
+    def matching(block):
+        rows = []
         for table in tables:
-            hit |= np.bitwise_and.reduce(table[positions, block], axis=1) != 0
-        listed.update((np.nonzero(hit)[0] + start + 1).tolist())
+            acc = np.take(table[0], block[:, 0])
+            alive = np.flatnonzero(acc)
+            acc = acc[alive]
+            for t in range(1, n):
+                acc &= np.take(table[t], block[alive, t])
+                keep = np.flatnonzero(acc)
+                alive, acc = alive[keep], acc[keep]
+            rows.append(alive)
+        return np.concatenate(rows)
+
+    listed: set = set()
+    for start, rows in code.chunks(matching):
+        listed.update((rows + start + 1).tolist())
         if len(listed) > 1:
             break
     return listed
@@ -735,31 +818,33 @@ def survey_restrictions(code: DirectCode, j_links: Sequence[int],
 
     restrict_j = indexing.restrict_codes(sizes, j_links)
     restrict_g = indexing.restrict_codes(sizes, g_links)
-    targets = np.sort(np.asarray(xj_targets, dtype=np.int64)) if xj_targets is not None \
-        else None
+    wanted = np.zeros(j_space, dtype=bool)
+    if xj_targets is not None:
+        targets = np.asarray(xj_targets, dtype=np.int64)
+        wanted[targets[(targets >= 0) & (targets < j_space)]] = True
 
     pair_dtype = np.uint32 if j_space * g_space <= (1 << 32) else np.uint64
+
+    def census(block):
+        pj = indexing.fold_sequences(block, restrict_j, aj)
+        pg = indexing.fold_sequences(block, restrict_g, ag)
+        mask = wanted[pj]
+        return pj, (pj * g_space + pg).astype(pair_dtype), pj[mask], pg[mask]
+
     pair_values = np.empty(code.message_count, dtype=pair_dtype)
     counts = np.zeros(j_space, dtype=np.int64)
     got_xj, got_g = [], []
-    for start, block in code.chunks():
-        block64 = block.astype(np.int64)
-        pj = indexing.pack_sequences(restrict_j[block64], aj)
-        pg = indexing.pack_sequences(restrict_g[block64], ag)
+    for start, (pj, pair, xj, g) in code.chunks(census):
         counts += np.bincount(pj, minlength=j_space)
-        pair_values[start:start + block.shape[0]] = (pj * g_space + pg).astype(pair_dtype)
-        if targets is not None:
-            pos = np.searchsorted(targets, pj)
-            pos[pos == targets.size] = 0
-            mask = targets[pos] == pj
-            got_xj.append(pj[mask])
-            got_g.append(pg[mask])
+        pair_values[start:start + pair.size] = pair
+        got_xj.append(xj)
+        got_g.append(g)
     pair_values.sort()
     return RestrictionSurvey(
         counts_j=counts,
         pair_values_sorted=pair_values,
-        match_xj=np.concatenate(got_xj) if got_xj else np.array([], dtype=np.int64),
-        match_g=np.concatenate(got_g) if got_g else np.array([], dtype=np.int64),
+        match_xj=np.concatenate(got_xj),
+        match_g=np.concatenate(got_g),
         j_space=j_space,
         g_space=g_space,
     )

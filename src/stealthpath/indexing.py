@@ -98,6 +98,20 @@ def pack_sequences(seqs: np.ndarray, alphabet_size: int) -> np.ndarray:
     return seqs @ sequence_weights(int(alphabet_size), n)
 
 
+def fold_sequences(block: np.ndarray, table: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """(rows, n) symbols -> (rows,) int64 packed sequences of table[symbol].
+
+    Equals pack_sequences(table[block], alphabet_size), folded one position at
+    a time (acc = acc * a + table[block[:, t]]), so no (rows, n) int64 copy
+    of the block is made. Caller must ensure alphabet_size**n fits in 63 bits.
+    """
+    acc = np.zeros(block.shape[0], dtype=np.int64)
+    for t in range(block.shape[1]):
+        acc *= alphabet_size
+        acc += np.take(table, block[:, t])
+    return acc
+
+
 def unpack_sequences(codes: np.ndarray, alphabet_size: int, n: int) -> np.ndarray:
     """Inverse of pack_sequences: (m,) packed integers -> (m, n) sequences."""
     weights = sequence_weights(int(alphabet_size), int(n))

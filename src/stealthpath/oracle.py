@@ -101,8 +101,7 @@ def exact_active_marginal(code: Code, j: JamSet) -> Distribution:
             raise ResourceBudgetError("marginal enumeration work exceeds the budget")
         restrict = indexing.restrict_codes(sizes, j.links)
         hist = np.zeros(space, dtype=np.int64)
-        for _, block in code.chunks():
-            packed = indexing.pack_sequences(restrict[block.astype(np.int64)], aj)
+        for _, packed in code.chunks(lambda block: indexing.fold_sequences(block, restrict, aj)):
             hist += np.bincount(packed, minlength=space)
         return Distribution(space, hist / count)
     # Layered: exact per-position convolution of the kernel rows. A batch of

@@ -22,8 +22,10 @@ from stealthpath.probkit import (
     Distribution,
     JointDistribution,
     TypicalityParams,
+    inverse_cdf,
 )
 from stealthpath.ratesolver import NetworkModel
+from stealthpath.rng import generator
 
 
 def uniform_model(c=3, z=1):
@@ -88,16 +90,222 @@ def test_codeword_symbol_frequencies_near_uniform():
     np.testing.assert_allclose(freq, np.full(8, 1 / 8), atol=0.02)
 
 
-def test_streaming_store_matches_materialized():
-    mass = UNIFORM8.mass
-    kw = dict(mass=mass, n=5, seed=17, count=300, label="codeword-chunk")
-    mat = _ChunkedStore(materialize=True, **kw)
-    stream = _ChunkedStore(materialize=False, **kw)
+SKEW8 = JointDistribution((2, 2, 2), np.array([.2, .1, .1, .15, .1, .1, .15, .1]))
+
+
+def _one_shot_chunk(store, c, rows):
+    """Chunk c of a store, drawn in one call of its generator."""
+    rng = generator(store.seed, store.label, c)
+    if store._uniform:
+        return rng.integers(0, store.alphabet, size=(rows, store.n), dtype=np.int64
+                            ).astype(store._dtype)
+    return inverse_cdf(store._cdf, rng.random((rows, store.n)))
+
+
+def _code_pair(monkeypatch, build):
+    """(materialised, streaming) codes from the same build call."""
+    from stealthpath import codec
+    monkeypatch.setattr(codec, "SYMBOL_BUDGET", 1 << 26)
+    materialised = build()
+    monkeypatch.setattr(codec, "SYMBOL_BUDGET", 0)
+    streaming = build()
+    monkeypatch.setattr(codec, "SYMBOL_BUDGET", 1 << 26)
+    assert materialised.materialized and not streaming.materialized
+    return materialised, streaming
+
+
+def test_streaming_store_matches_materialized(monkeypatch):
+    from stealthpath import codec, oracle
+    from stealthpath.adversary import JamSet
+    kw = dict(n=5, seed=17, count=300, label="codeword-chunk")
+    mat = _ChunkedStore(mass=UNIFORM8.mass, materialize=True, **kw)
+    stream = _ChunkedStore(mass=UNIFORM8.mass, materialize=False, **kw)
     for m in (0, 1, 150, 299):
         np.testing.assert_array_equal(mat.codeword(m), stream.codeword(m))
-    blocks = list(stream.chunks())
-    np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]),
+    np.testing.assert_array_equal(np.concatenate([b for _, b in stream.chunks()]),
                                   np.concatenate([b for _, b in mat.chunks()]))
+
+    # chunks of 128 rows (the last one partial) drawn in sub-blocks of 5 rows
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 128)
+    monkeypatch.setattr(codec, "DRAW_ROWS", 5)
+    for mass in (UNIFORM8.mass, SKEW8.mass):
+        for n in (5, 6):
+            kw = dict(mass=mass, n=n, seed=17, count=300, label="codeword-chunk")
+            stream = _ChunkedStore(materialize=False, **kw)
+            blocks = list(stream.chunks())
+            assert [start for start, _ in blocks] == [0, 128, 256]
+            for c, (start, block) in enumerate(blocks):
+                np.testing.assert_array_equal(
+                    block, _one_shot_chunk(stream, c, min(128, 300 - start)))
+            mat = _ChunkedStore(materialize=True, **kw)
+            np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]), mat._all)
+
+    # streaming and materialised codes agree on every pass that reads them
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 48)
+    for p_x in (UNIFORM8, SKEW8):
+        for n in (5, 6):
+            materialised, streaming = _code_pair(
+                monkeypatch, lambda: build_direct_code(p_x, CodeParams(n=n, rate=1.6, seed=3)))
+            for links in ((0,), (1, 2)):
+                np.testing.assert_array_equal(
+                    oracle.exact_active_marginal(streaming, JamSet(links)).mass,
+                    oracle.exact_active_marginal(materialised, JamSet(links)).mass)
+            targets = np.array([5, 0, 5, 2 ** n - 1, -1, 2 ** n])
+            want = survey_restrictions(materialised, (0,), (1, 2), xj_targets=targets)
+            got = survey_restrictions(streaming, (0,), (1, 2), xj_targets=targets)
+            # the materialised survey against one pack of the whole codebook
+            (_, words), = materialised.chunks()
+            pj = indexing.pack_sequences(indexing.restrict_codes((2, 2, 2), (0,))[words], 2)
+            pg = indexing.pack_sequences(indexing.restrict_codes((2, 2, 2), (1, 2))[words], 4)
+            hit = np.isin(pj, targets)
+            np.testing.assert_array_equal(want.counts_j, np.bincount(pj, minlength=2 ** n))
+            np.testing.assert_array_equal(want.pair_values_sorted, np.sort(pj * 4 ** n + pg))
+            np.testing.assert_array_equal(want.match_xj, pj[hit])
+            np.testing.assert_array_equal(want.match_g, pg[hit])
+            assert np.unique(want.match_xj).size < want.match_xj.size
+            for name in ("counts_j", "pair_values_sorted", "match_xj", "match_g"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert (got.j_space, got.g_space) == (want.j_space, want.g_space)
+            rng = np.random.default_rng(n)
+            for t in range(20):
+                links = materialised.codeword_links(1 + t * 7) if t % 2 else \
+                    rng.integers(0, 2, size=(3, n))
+                rx = ReceivedWord(links=links, erased=np.zeros(3, dtype=bool))
+                assert decode_overwrite(streaming, rx, MODEL) == \
+                    decode_overwrite(materialised, rx, MODEL)
+
+    p_u = Distribution(3, np.array([0.5, 0.3, 0.2]))
+    kern = ConditionalKernel(3, 8, np.eye(3, 8) * 0.5 + 0.5 / 8)
+    materialised, streaming = _code_pair(
+        monkeypatch, lambda: build_layered_code(p_u, kern, CodeParams(n=5, rate=1.4, seed=8),
+                                                (2, 2, 2)))
+    np.testing.assert_array_equal(
+        oracle.exact_active_marginal(streaming, JamSet((0,))).mass,
+        oracle.exact_active_marginal(materialised, JamSet((0,))).mass)
+    verdicts = set()
+    for t in range(40):
+        tx = encode(materialised, MODEL, t % 2, 1 + 11 * t % 2 ** 7 if t % 2 else 0, t)
+        erased = np.arange(3) == t % 3
+        rx = ReceivedWord(links=np.where(erased[:, None], 0, tx.links), erased=erased)
+        for gamma in (0.3, 0.8):
+            want = decode_erasure(materialised, rx, TypicalityParams(gamma=gamma), MODEL)
+            assert decode_erasure(streaming, rx, TypicalityParams(gamma=gamma), MODEL) == want
+            verdicts.add(want.verdict)
+    assert len(verdicts) > 1
+
+
+def test_streaming_codeword_draws_only_the_prefix_it_needs(monkeypatch):
+    from stealthpath import codec
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 128)
+    monkeypatch.setattr(codec, "DRAW_ROWS", 5)
+    for mass in (UNIFORM8.mass, SKEW8.mass):
+        stream = _ChunkedStore(mass=mass, n=5, seed=17, count=300, label="codeword-chunk",
+                               materialize=False)
+        (_, last), = [(s, b) for s, b in stream.chunks() if s == 256]
+        drawn = []
+        draw = stream._draw
+        monkeypatch.setattr(stream, "_draw", lambda rng, rows: drawn.append(rows) or
+                            draw(rng, rows))
+        # first, middle and last row of the partial last chunk (rows 256..299)
+        for m, rows in ((256, 1), (278, 23), (299, 44)):
+            np.testing.assert_array_equal(stream.codeword(m), last[m - 256])
+            assert drawn[-1] == rows
+        np.testing.assert_array_equal(stream.codeword(np.array([299, 256, 278])),
+                                      last[[43, 0, 22]])
+        assert drawn[-1] == 44
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Counts threads started; checks that all of them are gone afterwards."""
+    import threading
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    before = threading.active_count()
+    yield started
+    assert threading.active_count() == before
+    assert not any(t.is_alive() for t in started)
+
+
+def _pooled():
+    import os
+    return min(len(os.sched_getaffinity(0)), 4) > 1
+
+
+def test_no_thread_outlives_a_pass(monkeypatch, thread_starts):
+    import threading
+    from stealthpath import codec
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 16)
+    # n=3 over three binary links: 304 codewords share restrictions all over,
+    # so the decode lists two messages in its first chunk and stops there
+    _, code = _code_pair(monkeypatch, lambda: build_direct_code(
+        UNIFORM8, CodeParams(n=3, rate=2.75, seed=2)))
+    assert code.message_count == 304
+    derived = []
+    make = codec._ChunkedStore._generator
+    monkeypatch.setattr(codec._ChunkedStore, "_generator",
+                        lambda self, c: derived.append(c) or make(self, c))
+    rx = ReceivedWord(links=code.codeword_links(1), erased=np.zeros(3, dtype=bool))
+    count = threading.active_count()
+    assert decode_overwrite(code, rx, MODEL) == DecodeResult("error")
+    assert threading.active_count() == count
+    assert len(derived) < 19
+
+    p_u = Distribution.uniform(3)
+    kern = ConditionalKernel.constant(3, UNIFORM8.as_distribution())
+    _, layered = _code_pair(monkeypatch, lambda: build_layered_code(
+        p_u, kern, CodeParams(n=4, rate=2.0, seed=2), (2, 2, 2)))
+    tx = encode(layered, MODEL, 1, 5, 0)
+    rx = ReceivedWord(links=tx.links, erased=np.array([True, False, False]))
+    derived.clear()
+    assert decode_erasure(layered, rx, TypicalityParams(gamma=4.0)) == DecodeResult("error")
+    assert threading.active_count() == count
+    assert len(derived) < 16
+
+    def broken(block):
+        raise RuntimeError("kernel failed")
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        for _ in code.chunks(broken):
+            pass
+    assert threading.active_count() == count
+    assert bool(thread_starts) == _pooled()
+
+    # one chunk: drawn inline on this thread
+    thread_starts.clear()
+    monkeypatch.setattr(codec, "SYMBOL_BUDGET", 0)
+    one = build_direct_code(UNIFORM8, CodeParams(n=3, rate=1.0, seed=2))
+    assert not one.materialized and one.message_count <= 16
+    threads = [threading.get_ident() for _ in one.chunks(lambda b: threading.get_ident())]
+    assert threads == [threading.main_thread().ident]
+    assert survey_restrictions(one, (0,), (1, 2)).counts_j.sum() == one.message_count
+    assert thread_starts == []
+
+
+def test_streaming_passes_derive_seeds_on_the_calling_thread(monkeypatch):
+    import sys
+    import threading
+    from stealthpath import codec, rng
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 64)
+    # as the benchmark's tracer does: replace derive_seed wherever it is bound
+    callers = []
+    original = rng.derive_seed
+
+    def derive_seed(*args):
+        callers.append(threading.get_ident())
+        return original(*args)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stealthpath") and getattr(module, "derive_seed", None) is original:
+            monkeypatch.setattr(module, "derive_seed", derive_seed)
+    _, code = _code_pair(monkeypatch, lambda: build_direct_code(
+        SKEW8, CodeParams(n=8, rate=1.2, seed=5)))
+    survey_restrictions(code, (0,), (1, 2), xj_targets=np.arange(10))
+    rx = ReceivedWord(links=code.codeword_links(2), erased=np.zeros(3, dtype=bool))
+    decode_overwrite(code, rx, MODEL)
+    code.codeword(np.array([1, 100, 700]))
+    assert len(callers) >= 2 * -(-code.message_count // 64)
+    assert set(callers) == {threading.main_thread().ident}
 
 
 def test_streaming_store_batch_lookup_matches_one_by_one(monkeypatch):

@@ -66,3 +66,12 @@ def test_pack_sequences_round_trip():
 def test_pack_sequences_overflow_guard():
     with pytest.raises(ValueError):
         indexing.pack_sequences(np.zeros((1, 64), dtype=np.int64), 4)
+
+
+def test_fold_sequences_matches_pack_sequences():
+    rng = np.random.default_rng(3)
+    table = np.array([0, 2, 1, 2, 0, 1], dtype=np.int64)
+    for n in (1, 7, 20):
+        block = rng.integers(0, 6, size=(33, n)).astype(np.uint8)
+        np.testing.assert_array_equal(indexing.fold_sequences(block, table, 3),
+                                      indexing.pack_sequences(table[block], 3))
