@@ -103,12 +103,16 @@ def fold_sequences(block: np.ndarray, table: np.ndarray, alphabet_size: int) -> 
 
     Equals pack_sequences(table[block], alphabet_size), folded one position at
     a time (acc = acc * a + table[block[:, t]]), so no (rows, n) int64 copy
-    of the block is made. Caller must ensure alphabet_size**n fits in 63 bits.
+    of the block is made. Every symbol must index `table` (the gathers clip
+    rather than check, which lets them write into one reused buffer), and
+    alphabet_size**n must fit in 63 bits.
     """
-    acc = np.zeros(block.shape[0], dtype=np.int64)
-    for t in range(block.shape[1]):
+    table = np.asarray(table, dtype=np.int64)
+    acc = np.take(table, block[:, 0], mode="clip")
+    column = np.empty_like(acc)
+    for t in range(1, block.shape[1]):
         acc *= alphabet_size
-        acc += np.take(table, block[:, t])
+        acc += np.take(table, block[:, t], out=column, mode="clip")
     return acc
 
 
