@@ -105,11 +105,11 @@ def _one_shot_chunk(store, c, rows):
 def _code_pair(monkeypatch, build):
     """(materialised, streaming) codes from the same build call."""
     from stealthpath import codec
-    monkeypatch.setattr(codec, "SYMBOL_BUDGET", 1 << 26)
+    budget = codec.SYMBOL_BUDGET
     materialised = build()
     monkeypatch.setattr(codec, "SYMBOL_BUDGET", 0)
     streaming = build()
-    monkeypatch.setattr(codec, "SYMBOL_BUDGET", 1 << 26)
+    monkeypatch.setattr(codec, "SYMBOL_BUDGET", budget)
     assert materialised.materialized and not streaming.materialized
     return materialised, streaming
 
