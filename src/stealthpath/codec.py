@@ -1,10 +1,11 @@
 """Codebook construction and decoding for the two random-coding schemes.
 
 The direct scheme draws i.i.d. codewords from a network distribution and
-decodes by exact sub-codeword matching over every candidate jam set. The
-layered scheme draws intermediate codewords from an auxiliary distribution,
-maps them through a stochastic kernel at transmit time, and decodes by joint
-typicality on the unjammed links.
+decodes by exact sub-codeword matching over every candidate jam set, one
+received word per call. The layered scheme draws intermediate codewords from
+an auxiliary distribution, maps them through a stochastic kernel at transmit
+time, and decodes by joint typicality on the unjammed links; its decoder takes
+a batch of received words and reads the code once per erasure pattern in it.
 
 Codebooks above the in-memory symbol budget fall back to streaming chunked
 regeneration: chunk c of CHUNK_MESSAGES codewords is reproducible from the
@@ -13,8 +14,8 @@ whole codebook is an ordered chunk pass (`_ordered_pass`): chunks are drawn,
 each from its one Philox generator in sub-blocks of DRAW_ROWS rows, and the
 pass's kernel runs on them on a pool of min(CPUs, 4) threads, at most that
 many chunks in flight; generators are derived and results consumed in chunk
-order on the calling thread, so no byte depends on the threads. A one-chunk
-pass (every materialised code) starts no thread.
+order on the calling thread, so no byte depends on the threads. A pass of no
+more chunks than workers (every materialised code) starts no thread.
 
 Direct codes over the message budget can come from a second ensemble instead,
 an affine code over GF(2) (`build_code_for_bound` decides): codeword m is
@@ -50,6 +51,9 @@ DRAW_ROWS = 1 << 12
 SYMBOL_BUDGET = 1 << 26
 MESSAGE_BUDGET = 1 << 31
 DECODE_SCAN_BUDGET = 1 << 28
+# Candidate (codeword, received word) pairs a batched erasure decode tests for
+# typicality at once, whatever the batch or chunk size.
+DECODE_CELLS = 1 << 16
 # Affine codes: message indices must stay below 2^63, where the harness's and
 # the strategies' 64-bit message draws are still uniform.
 AFFINE_MESSAGE_LIMIT = 1 << 63
@@ -113,12 +117,13 @@ def _ordered_pass(tasks: Iterable, run: Callable, size: int) -> Iterator:
     Tasks are taken from `tasks` on the calling thread, so whatever makes a
     task (a chunk's seed derivation, say) happens there; `run` works on a
     thread pool of min(CPUs, 4) workers, with at most that many tasks
-    submitted and not yet yielded. A one-task pass, or a one-CPU process,
-    runs inline and starts no thread. Leaving the pass early, or an exception
-    from `run`, shuts the pool down and joins its threads.
+    submitted and not yet yielded. A pass of no more tasks than workers, or a
+    one-CPU process, runs inline and starts no thread: thread start-up would
+    cost more than the few tasks overlap. Leaving the pass early, or an
+    exception from `run`, shuts the pool down and joins its threads.
     """
     workers = min(len(os.sched_getaffinity(0)), 4)
-    if size < 2 or workers < 2:
+    if size <= workers or workers < 2:
         for task in tasks:
             yield run(task)
         return
@@ -595,45 +600,102 @@ def induced_unjammed_joint(code: LayeredCode, unjammed_links: Sequence[int]) -> 
     return JointDistribution((code.p_u.alphabet_size, s.shape[0]), joint.reshape(-1))
 
 
-def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
-                   model: Optional[NetworkModel] = None) -> DecodeResult:
-    """Typicality decoding on the unjammed links, jam set read off the erasures."""
-    c = rx.links.shape[0]
-    unjammed = [i for i in range(c) if not rx.erased[i]]
-    if not unjammed:
-        return DecodeResult("error")
-    if model is not None and len(unjammed) < c - model.adversary_budget:
-        return DecodeResult("error")
-    count = code.message_count
-    if not code.materialized and count > DECODE_SCAN_BUDGET:
-        raise ResourceBudgetError(
-            f"typicality decoding scans all {count} codewords; over the scan budget"
-        )
-    sub_sizes = [code.link_sizes[i] for i in unjammed]
-    y = indexing.pack_links(rx.links[unjammed], sub_sizes)
+def _typical_matches(code: LayeredCode, unjammed: tuple, y: np.ndarray,
+                     gamma: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(match count, a matching message) for each row of y, (W, n) unjammed codes.
 
-    joint = code_cached(code, ("unjammed-joint", tuple(unjammed)),
+    One pass over the code serves all W words, in groups of 64. Bit b of
+    masks[g][t, u] says whether letter u pairs with a positive joint mass
+    with word b of group g at position t; a codeword stays a candidate for a
+    word while that bit survives an AND over its positions, taken one position
+    at a time over the rows still alive. The candidate (codeword, word) pairs,
+    at most DECODE_CELLS at a time, then go to `typical_rows`, which decides
+    each on its own row, so a word's matches do not depend on the others. The
+    pass stops once every word has two matches; a count is exact below two.
+    """
+    joint = code_cached(code, ("unjammed-joint", unjammed),
                         lambda: induced_unjammed_joint(code, unjammed))
-    ax = joint.factor_sizes[1]
+    au, ax = joint.factor_sizes
     pair_dtype = np.min_scalar_type(joint.alphabet_size)
     y = y.astype(pair_dtype)
+    words, n = y.shape
+    allowed = (joint.mass.reshape(au, ax) > 0).T  # [x, u]
+    bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    masks = [(allowed[y[g:g + 64]] * bits[:min(64, words - g), None, None]).sum(
+        axis=0, dtype=np.uint64) for g in range(0, words, 64)]
 
     def typical(block):
-        pair = block.astype(pair_dtype)
-        pair *= pair_dtype.type(ax)
-        pair += y
-        return np.flatnonzero(typical_rows(pair, joint.mass, tp.gamma))
+        hits = [(np.empty(0, dtype=np.int64),) * 2]
+        for g, mask in enumerate(masks):
+            width = min(64, words - 64 * g)
+            step = DECODE_CELLS // width
+            acc = np.take(mask[0], block[:, 0])
+            alive = np.flatnonzero(acc)
+            acc = acc[alive]
+            for t in range(1, n):
+                acc &= np.take(mask[t], block[alive, t])
+                keep = np.flatnonzero(acc)
+                alive, acc = alive[keep], acc[keep]
+            for lo in range(0, alive.size, step):
+                cand, bit = np.nonzero(acc[lo:lo + step, None] & bits[:width])
+                row, word = alive[lo:lo + step][cand], bit + 64 * g
+                pair = block[row].astype(pair_dtype)
+                pair *= pair_dtype.type(ax)
+                pair += y[word]
+                ok = typical_rows(pair, joint.mass, gamma)
+                hits.append((row[ok], word[ok]))
+        return tuple(np.concatenate(h) for h in zip(*hits))
 
-    matches: list = []
-    for start, hit in code.u_chunks(typical):
-        matches.extend(int(start + h + 1) for h in hit)
-        if len(matches) > 1:
+    count = np.zeros(words, dtype=np.int64)
+    match = np.zeros(words, dtype=np.int64)
+    for start, (row, word) in code.u_chunks(typical):
+        count += np.bincount(word, minlength=words)
+        match[word] = start + row + 1
+        if (count > 1).all():
             break
-    if not matches:
-        return DecodeResult("innocent")
-    if len(matches) == 1:
-        return DecodeResult("message", message=matches[0])
-    return DecodeResult("error")
+    return count, match
+
+
+def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
+                   model: Optional[NetworkModel] = None) -> Union[DecodeResult, list]:
+    """Typicality decoding on the unjammed links, jam set read off the erasures.
+
+    A word decodes to the messages whose pair sequence (u, unjammed symbols)
+    is strongly typical for the code's unjammed joint: none is innocent, one
+    is that message, more is an error. A word with every link erased, or (with
+    a model) more erasures than the adversary's budget, is an error.
+
+    One word, (C, n) links and (C,) erasures, gives one DecodeResult; a batch,
+    (T, C, n) and (T, C), gives a list of T of them, in order. The words of a
+    batch that share an erasure pattern share one pass over the code.
+    """
+    links = np.asarray(rx.links)
+    one = links.ndim == 2
+    c = links.shape[-2]
+    links = links.reshape(-1, c, links.shape[-1])
+    # each word's erasure pattern as an integer, bit i for link i
+    keys = np.asarray(rx.erased, dtype=bool).reshape(-1, c) @ (1 << np.arange(c))
+    results = [DecodeResult("error")] * links.shape[0]
+    for key in np.unique(keys).tolist():
+        unjammed = tuple(i for i in range(c) if not key >> i & 1)
+        if not unjammed:
+            continue
+        if model is not None and len(unjammed) < c - model.adversary_budget:
+            continue
+        count = code.message_count
+        if not code.materialized and count > DECODE_SCAN_BUDGET:
+            raise ResourceBudgetError(
+                f"typicality decoding scans all {count} codewords; over the scan budget"
+            )
+        members = np.flatnonzero(keys == key)
+        y = indexing.pack_links(links[members][:, list(unjammed)],
+                                [code.link_sizes[i] for i in unjammed])
+        found, match = _typical_matches(code, unjammed, y, tp.gamma)
+        for w, k, m in zip(members.tolist(), found.tolist(), match.tolist()):
+            results[w] = (DecodeResult("innocent") if k == 0 else
+                          DecodeResult("message", message=m) if k == 1 else
+                          DecodeResult("error"))
+    return results[0] if one else results
 
 
 @dataclass(frozen=True)

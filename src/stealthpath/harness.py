@@ -5,8 +5,9 @@ A run is fully determined by the config plus the master seed: every trial
 derives its randomness as hash(master_seed, label, sweep, hypothesis, trial),
 so re-running, reordering, or parallelizing cannot change any number. Trials
 run in blocks of at most TRIAL_BLOCK: one encode call per block and
-hypothesis, whose transmissions every jam set then detects, jams and decodes;
-each call's per-trial streams are those of one call per trial.
+hypothesis, whose transmissions every jam set then detects, jams and decodes
+(the erasure decoder takes the block in one call, the list decoder one word at
+a time); each call's per-trial streams are those of one call per trial.
 """
 from __future__ import annotations
 
@@ -332,17 +333,14 @@ def _run_sweep_point(cfg: ExperimentConfig, sweep: int, built: _Blocklength,
                     verdicts = detectors[k](tx.links[:, list(j.links)])
                     wrong_verdicts[k][hyp] += int(np.count_nonzero(verdicts != hyp))
                 if cfg.scheme == "erasure-layered":
-                    rx = erasure_jam(tx, j)
+                    results = decode_erasure(code, erasure_jam(tx, j), tp, model)
                 else:  # the empty set calls no strategy, so it needs no jam seeds
                     jam_seeds = [derive_seed(seed, "jam", sweep, hyp, t, *j.links)
                                  for t in block] if j.links else None
                     rx = overwrite_jam(tx, j, strategy, jam_seeds, model, code)
-                for i in range(len(block)):
-                    word = ReceivedWord(links=rx.links[i], erased=rx.erased[i])
-                    if cfg.scheme == "erasure-layered":
-                        result = decode_erasure(code, word, tp, model)
-                    else:
-                        result = decode_overwrite(code, word, model)
+                    results = [decode_overwrite(code, ReceivedWord(rx.links[i], rx.erased[i]),
+                                                model) for i in range(len(block))]
+                for i, result in enumerate(results):
                     right = result.verdict == "innocent" if hyp == 0 else \
                         result.verdict == "message" and result.message == m[i]
                     err[k][hyp] += not right

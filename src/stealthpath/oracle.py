@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +58,8 @@ _WORK_BUDGET = 1 << 28
 # builds at once, and of the observation sequences the gap partition unpacks at
 # once; small enough not to move a run's peak memory.
 _BATCH_ELEMENTS = 1 << 15
+# Received words an exact error probability hands the decoder per call.
+_DECODE_BATCH = 1 << 12
 
 
 def _jam_space(model_or_code, j: JamSet, n: int, budget: int) -> int:
@@ -308,31 +310,48 @@ def exact_error_components(code: Code, model: NetworkModel, j: JamSet,
             raise ValueError("erasure jamming uses the layered scheme")
         if tp is None:
             tp = TypicalityParams()
-        decode = lambda rx: decode_erasure(code, rx, tp, model)
+
+        def decode(words):
+            rx = ReceivedWord(links=np.stack([w.links for w in words]),
+                              erased=np.stack([w.erased for w in words]))
+            return decode_erasure(code, rx, tp, model)
     else:
         if not isinstance(code, DirectCode):
             raise ValueError("overwrite strategies use the direct scheme")
-        decode = lambda rx: decode_overwrite(code, rx, model)
+        decode = lambda words: [decode_overwrite(code, rx, model) for rx in words]
 
     n = code.params.n
     # Innocent hypothesis: error whenever the verdict is not "innocent".
+    innocent = ((p_block * p_rx, rx) for p_block, links in _innocent_blocks(model, n)
+                for p_rx, rx in _received_words(links, j, jamming, model, code))
     err0 = 0.0
-    for p_block, links in _innocent_blocks(model, n):
-        for p_rx, rx in _received_words(links, j, jamming, model, code):
-            if decode(rx).verdict != "innocent":
-                err0 += p_block * p_rx
+    for p, result in _decoded(innocent, decode):
+        if result.verdict != "innocent":
+            err0 += p
     # Active hypothesis: uniform message; error unless that exact message decodes.
     count = code.message_count
     if count > ENUMERATION_BUDGET:
         raise ResourceBudgetError("message enumeration exceeds the budget")
+    active = (((p_block * p_rx, m), rx) for m in range(1, count + 1)
+              for p_block, links in _active_blocks(code, m)
+              for p_rx, rx in _received_words(links, j, jamming, model, code))
     err1 = 0.0
-    for m in range(1, count + 1):
-        for p_block, links in _active_blocks(code, m):
-            for p_rx, rx in _received_words(links, j, jamming, model, code):
-                result = decode(rx)
-                if not (result.verdict == "message" and result.message == m):
-                    err1 += p_block * p_rx / count
+    for (p, m), result in _decoded(active, decode):
+        if not (result.verdict == "message" and result.message == m):
+            err1 += p / count
     return err0, err1
+
+
+def _decoded(outcomes: Iterator, decode: Callable) -> Iterator:
+    """(key, verdict) for each (key, received word) of `outcomes`, in order.
+
+    decode(words) gets _DECODE_BATCH words at a time and returns one
+    DecodeResult per word.
+    """
+    outcomes = iter(outcomes)
+    while batch := list(itertools.islice(outcomes, _DECODE_BATCH)):
+        keys, words = zip(*batch)
+        yield from zip(keys, decode(words))
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,15 @@ def test_no_thread_outlives_a_pass(monkeypatch, thread_starts):
     assert decode_erasure(layered, rx, TypicalityParams(gamma=4.0)) == DecodeResult("error")
     assert threading.active_count() == count
     assert len(derived) < 16
+    # a batch of two erasure patterns: two passes, each left once all its
+    # words have two matches
+    erased = np.array([[True, False, False], [False, False, True]] * 3)
+    batch = ReceivedWord(links=np.where(erased[:, :, None], 0, tx.links), erased=erased)
+    derived.clear()
+    assert decode_erasure(layered, batch, TypicalityParams(gamma=4.0)) == \
+        [DecodeResult("error")] * 6
+    assert threading.active_count() == count
+    assert derived.count(0) == 2 and len(derived) < 16
 
     def broken(block):
         raise RuntimeError("kernel failed")
@@ -281,6 +290,24 @@ def test_no_thread_outlives_a_pass(monkeypatch, thread_starts):
     assert threads == [threading.main_thread().ident]
     assert survey_restrictions(one, (0,), (1, 2)).counts_j.sum() == one.message_count
     assert thread_starts == []
+
+
+def test_a_pass_of_no_more_chunks_than_workers_starts_no_thread(monkeypatch, thread_starts):
+    import os
+    from stealthpath import codec
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 16)
+    workers = min(len(os.sched_getaffinity(0)), 4)
+    # two chunks, as in a 131,072-codeword code at 65,536-row chunks
+    code = build_direct_code(UNIFORM8, CodeParams(n=3, rate=5 / 3, seed=2))
+    assert code.materialized and code.message_count == 32
+    assert thread_starts == []
+    small = _ChunkedStore(mass=UNIFORM8.mass, n=3, seed=2, count=16 * workers,
+                          label="codeword-chunk", materialize=False)
+    assert len(list(small.chunks())) == workers and thread_starts == []
+    large = _ChunkedStore(mass=UNIFORM8.mass, n=3, seed=2, count=16 * workers + 1,
+                          label="codeword-chunk", materialize=False)
+    assert len(list(large.chunks())) == workers + 1
+    assert bool(thread_starts) == _pooled()
 
 
 def test_streaming_passes_derive_seeds_on_the_calling_thread(monkeypatch):
@@ -438,6 +465,49 @@ def test_decode_erasure_too_many_erasures_with_model():
     assert result.verdict == "error"
 
 
+def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
+    from stealthpath import codec
+    from stealthpath.harness import TRIAL_BLOCK
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 8)
+    # none, one and two links erased (too many for MODEL's budget), and all three
+    patterns = np.array([[False, False, False], [True, False, False], [False, True, False],
+                         [False, False, True], [True, True, False], [True, True, True]])
+    kernels = {
+        "identity": (UNIFORM8.as_distribution(), ConditionalKernel.identity(8), 1.0),
+        "stochastic": (Distribution(3, np.array([0.5, 0.3, 0.2])),
+                       ConditionalKernel(3, 8, np.eye(3, 8) * 0.5 + 0.5 / 8), 0.8),
+    }
+    size = TRIAL_BLOCK + 1
+    cells = codec.DECODE_CELLS
+    for name, (p_u, kern, gamma) in kernels.items():
+        codes = _code_pair(monkeypatch, lambda: build_layered_code(
+            p_u, kern, CodeParams(n=5, rate=1.0, seed=8), (2, 2, 2)))
+        count = codes[0].message_count
+        links = np.empty((size, 3, 5), dtype=np.int64)
+        for t in range(size):
+            m = 1 + 7 * t % count if t % 3 else 0
+            links[t] = encode(codes[0], MODEL, int(m > 0), m, t).links
+        # the first 70 words share link 0's erasure; the rest cycle the patterns
+        t = np.arange(size)
+        erased = patterns[np.where(t < 70, 1, t % len(patterns))]
+        links[erased] = 0
+        tp = TypicalityParams(gamma)
+        for model in (MODEL, None):
+            want = [decode_erasure(codes[0], ReceivedWord(links[t], erased[t]), tp, model)
+                    for t in range(size)]
+            assert {r.verdict for r in want} == {"innocent", "message", "error"}, name
+            for code in codes:
+                # one word, one 64-word group and a word either side of it,
+                # all of one pattern; TRIAL_BLOCK + 1 words of every pattern
+                for batch in (1, 63, 64, 65, size):
+                    rx = ReceivedWord(links[:batch], erased[:batch])
+                    assert decode_erasure(code, rx, tp, model) == want[:batch], name
+                # candidate tables of two codewords for a 64-word group
+                monkeypatch.setattr(codec, "DECODE_CELLS", 128)
+                assert decode_erasure(code, ReceivedWord(links, erased), tp, model) == want
+                monkeypatch.setattr(codec, "DECODE_CELLS", cells)
+
+
 def test_decode_overwrite_honest_word():
     code = build_direct_code(UNIFORM8, CodeParams(n=24, rate=0.5, seed=11))
     for m in (1, 9, code.message_count):
@@ -565,13 +635,18 @@ def test_decode_erasure_memory_is_bounded_on_a_full_support_kernel():
     assert code.materialized and code.message_count == 65536
     rx = ReceivedWord(links=encode(code, MODEL, 1, 5, 0).links,
                       erased=np.array([True, False, False]))
-    tracemalloc.start()
-    try:
-        decode_erasure(code, rx, TypicalityParams(0.5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 << 20
+    # and a batch, where every (codeword, word) pair survives the support filter
+    words = np.stack([encode(code, MODEL, 1, m, m).links for m in (5, 9, 70, 4000)])
+    erased = np.array([[True, False, False]] * 3 + [[False, False, True]])
+    batch = ReceivedWord(links=np.where(erased[:, :, None], 0, words), erased=erased)
+    for word in (rx, batch):
+        tracemalloc.start()
+        try:
+            decode_erasure(code, word, TypicalityParams(0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 def test_layered_transmit_map_matches_the_strict_comparison_form():

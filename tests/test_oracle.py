@@ -156,6 +156,39 @@ def test_exact_error_erasure_layered():
     assert 0.0 <= err0 <= 0.1
 
 
+def test_batched_erasure_error_components_match_a_per_word_loop(monkeypatch):
+    from stealthpath.codec import decode_erasure
+    # batches of 7 words: boundaries fall inside the innocent blocks and
+    # inside one message's kernel outcomes
+    monkeypatch.setattr(oracle, "_DECODE_BATCH", 7)
+    rng = np.random.default_rng(4)
+    sparse = rng.random((3, 8)) * (rng.random((3, 8)) < 0.4) + np.eye(3, 8)
+    # the identity kernel with no link erased, the stochastic one with link 1 erased
+    codes = [
+        build_layered_code(MODEL.innocent.as_distribution(), ConditionalKernel.identity(8),
+                           CodeParams(n=4, rate=1.0, seed=3), (2, 2, 2)),
+        build_layered_code(Distribution(3, np.array([0.5, 0.3, 0.2])),
+                           ConditionalKernel(3, 8, sparse / sparse.sum(axis=1, keepdims=True)),
+                           CodeParams(n=4, rate=0.8, seed=5), (2, 2, 2)),
+    ]
+    tp = TypicalityParams(1.25)
+    for code, j in zip(codes, (JamSet(()), JamSet((1,)))):
+        err0 = 0.0
+        for p_block, links in oracle._innocent_blocks(MODEL, 4):
+            for p_rx, rx in oracle._received_words(links, j, "erasure", MODEL, code):
+                if decode_erasure(code, rx, tp, MODEL).verdict != "innocent":
+                    err0 += p_block * p_rx
+        err1 = 0.0
+        for m in range(1, code.message_count + 1):
+            for p_block, links in oracle._active_blocks(code, m):
+                for p_rx, rx in oracle._received_words(links, j, "erasure", MODEL, code):
+                    result = decode_erasure(code, rx, tp, MODEL)
+                    if not (result.verdict == "message" and result.message == m):
+                        err1 += p_block * p_rx / code.message_count
+        assert 0 < err0 < 1 and 0 < err1 < 1
+        assert oracle.exact_error_components(code, MODEL, j, "erasure", tp) == (err0, err1)
+
+
 def test_grid_solve_b_uniform():
     sol = oracle.grid_solve_b(uniform_model(), 1e-2)
     assert sol.feasible
