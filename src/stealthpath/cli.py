@@ -15,7 +15,7 @@ import sys
 from . import harness, oracle
 from .adversary import JamSet, get_strategy, list_strategies
 from .codec import CodeParams, ResourceBudgetError
-from .harness import ConfigError, ExperimentConfig, model_from_config
+from .harness import ConfigError, ExperimentConfig, config_int, model_from_config, parse_config
 from .probkit import TypicalityParams
 from .ratesolver import SolverConfig, achievable_rate, solve_a, solve_b
 
@@ -26,10 +26,7 @@ EXIT_RUNTIME = 2
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        obj = json.load(fh)
-    if obj.get("schema") != 1:
-        raise ConfigError('config must declare "schema": 1')
-    return obj
+        return parse_config(fh.read())
 
 
 def _seed(args) -> int:
@@ -98,8 +95,8 @@ def _codes_from_config(obj: dict, model, seed: int, ns):
     `seed` seeds the solver and, where the config names none, the code.
     """
     code = obj.get("code", {})
-    params = [CodeParams(n=int(n), rate=float(code.get("rate_bits", 1.0)),
-                         seed=int(code.get("seed", seed))) for n in ns]
+    params = [CodeParams(n=config_int(n, "code.n"), rate=float(code.get("rate_bits", 1.0)),
+                         seed=config_int(code.get("seed", seed), "code.seed")) for n in ns]
     scheme = obj.get("scheme", "overwrite-direct")
     sol = harness.solve_bound(model, scheme, SolverConfig(seed=seed))
     for p in params:

@@ -600,6 +600,21 @@ def induced_unjammed_joint(code: LayeredCode, unjammed_links: Sequence[int]) -> 
     return JointDistribution((code.p_u.alphabet_size, s.shape[0]), joint.reshape(-1))
 
 
+def _surviving_rows(table: np.ndarray, block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows of `block` whose AND of table[t, block[row, t]] over t is nonzero, and that AND.
+
+    The AND is taken one position at a time over the rows still alive.
+    """
+    acc = np.take(table[0], block[:, 0])
+    alive = np.flatnonzero(acc)
+    acc = acc[alive]
+    for t in range(1, block.shape[1]):
+        acc &= np.take(table[t], block[alive, t])
+        keep = np.flatnonzero(acc)
+        alive, acc = alive[keep], acc[keep]
+    return alive, acc
+
+
 def _typical_matches(code: LayeredCode, unjammed: tuple, y: np.ndarray,
                      gamma: float) -> Tuple[np.ndarray, np.ndarray]:
     """(match count, a matching message) for each row of y, (W, n) unjammed codes.
@@ -618,7 +633,7 @@ def _typical_matches(code: LayeredCode, unjammed: tuple, y: np.ndarray,
     au, ax = joint.factor_sizes
     pair_dtype = np.min_scalar_type(joint.alphabet_size)
     y = y.astype(pair_dtype)
-    words, n = y.shape
+    words = len(y)
     allowed = (joint.mass.reshape(au, ax) > 0).T  # [x, u]
     bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
     masks = [(allowed[y[g:g + 64]] * bits[:min(64, words - g), None, None]).sum(
@@ -629,13 +644,7 @@ def _typical_matches(code: LayeredCode, unjammed: tuple, y: np.ndarray,
         for g, mask in enumerate(masks):
             width = min(64, words - 64 * g)
             step = DECODE_CELLS // width
-            acc = np.take(mask[0], block[:, 0])
-            alive = np.flatnonzero(acc)
-            acc = acc[alive]
-            for t in range(1, n):
-                acc &= np.take(mask[t], block[alive, t])
-                keep = np.flatnonzero(acc)
-                alive, acc = alive[keep], acc[keep]
+            alive, acc = _surviving_rows(mask, block)
             for lo in range(0, alive.size, step):
                 cand, bit = np.nonzero(acc[lo:lo + step, None] & bits[:width])
                 row, word = alive[lo:lo + step][cand], bit + 64 * g
@@ -773,17 +782,7 @@ def _streaming_list(code: DirectCode, links: np.ndarray, unjammed_sets: Sequence
         tables.append(table)
 
     def matching(block):
-        rows = []
-        for table in tables:
-            acc = np.take(table[0], block[:, 0])
-            alive = np.flatnonzero(acc)
-            acc = acc[alive]
-            for t in range(1, n):
-                acc &= np.take(table[t], block[alive, t])
-                keep = np.flatnonzero(acc)
-                alive, acc = alive[keep], acc[keep]
-            rows.append(alive)
-        return np.concatenate(rows)
+        return np.concatenate([_surviving_rows(table, block)[0] for table in tables])
 
     listed: set = set()
     for start, rows in code.chunks(matching):

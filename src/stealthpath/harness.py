@@ -101,9 +101,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        obj = json.loads(text)
-        if obj.get("schema") != 1:
-            raise ConfigError('config must declare "schema": 1')
+        obj = parse_config(text)
         model = model_from_config(obj["model"])
         scheme = obj.get("scheme", "overwrite-direct")
         code = obj.get("code", {})
@@ -116,30 +114,57 @@ class ExperimentConfig:
         return cls(
             model=model,
             scheme=scheme,
-            blocklengths=tuple(int(n) for n in ns),
+            blocklengths=tuple(config_int(n, "code.n") for n in ns),
             rate_rule=dict(code.get("rate", {"rule": "absolute", "bits": 1.0})),
             gamma=float(obj.get("gamma", 0.1)),
             jam_rule=adversary.get("jam_rule", "worst-over-family"),
             jam_set=tuple(adversary.get("jam_set", [])),
             strategies=strategies,
             detector=obj.get("detector", "none"),
-            trials=int(obj.get("trials", 10_000)),
-            master_seed=int(obj.get("master_seed", 0)),
-            code_seed=int(code.get("seed", 0)),
+            trials=config_int(obj.get("trials", 10_000), "trials"),
+            master_seed=config_int(obj.get("master_seed", 0), "master_seed"),
+            code_seed=config_int(code.get("seed", 0), "code.seed"),
         )
 
 
+def _require(obj: dict, keys: tuple, where: str):
+    """Raise a ConfigError naming the first of `keys` that `obj` lacks."""
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ConfigError(f'{where} has no "{key}"')
+
+
+def config_int(value, name: str) -> int:
+    """int(value), or a ConfigError naming field `name` if value is not one number."""
+    try:
+        return int(value)
+    except TypeError:
+        raise ConfigError(f'"{name}" must be one integer, got {value!r}') from None
+
+
+def parse_config(text: str) -> dict:
+    """The JSON object of a schema-1 config, which must name its model."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict) or obj.get("schema") != 1:
+        raise ConfigError('config must declare "schema": 1')
+    _require(obj, ("model",), "config")
+    return obj
+
+
 def model_from_config(obj: dict) -> NetworkModel:
+    _require(obj, ("link_count", "adversary_budget", "link_alphabet_sizes", "innocent"),
+             "model")
     sizes = tuple(int(s) for s in obj["link_alphabet_sizes"])
     inn = obj["innocent"]
     if "factors" in inn:
         factors = [Distribution(len(f), np.array(f, dtype=float)) for f in inn["factors"]]
         innocent = JointDistribution.from_factors(factors)
     else:
+        _require(inn, ("mass",), "model.innocent")
         innocent = JointDistribution(sizes, np.array(inn["mass"], dtype=float))
     return NetworkModel(
-        link_count=int(obj["link_count"]),
-        adversary_budget=int(obj["adversary_budget"]),
+        link_count=config_int(obj["link_count"], "model.link_count"),
+        adversary_budget=config_int(obj["adversary_budget"], "model.adversary_budget"),
         link_alphabet_sizes=sizes,
         innocent=innocent,
         allow_symmetrizable=bool(obj.get("allow_symmetrizable", False)),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,10 +62,8 @@ _BATCH_ELEMENTS = 1 << 15
 _DECODE_BATCH = 1 << 12
 
 
-def _jam_space(model_or_code, j: JamSet, n: int, budget: int) -> int:
-    """Size of the n-letter observation space on j; raises above `budget`."""
-    sizes = model_or_code.link_alphabet_sizes if isinstance(model_or_code, NetworkModel) \
-        else model_or_code
+def _jam_space(sizes: Sequence[int], j: JamSet, n: int, budget: int) -> int:
+    """Size of j's n-letter observation space, given the link sizes; raises above `budget`."""
     aj = int(np.prod([sizes[i] for i in j.links])) if j.links else 1
     if n * math.log2(max(aj, 2)) > 62:
         raise ResourceBudgetError("observation space exceeds 63-bit indexing")
@@ -77,7 +75,7 @@ def _jam_space(model_or_code, j: JamSet, n: int, budget: int) -> int:
 
 def exact_innocent_marginal(model: NetworkModel, j: JamSet, n: int) -> Distribution:
     """n-fold product of the innocent marginal on the jammed links."""
-    space = _jam_space(model, j, n, MARGINAL_BUDGET)
+    space = _jam_space(model.link_alphabet_sizes, j, n, MARGINAL_BUDGET)
     if not j.links:
         return Distribution(1, np.array([1.0]))
     s = indexing.restriction_matrix(model.link_alphabet_sizes, j.links)
@@ -93,7 +91,7 @@ def exact_active_marginal(code: Code, j: JamSet) -> Distribution:
     sizes = code.link_sizes
     n = code.params.n
     aj = int(np.prod([sizes[i] for i in j.links])) if j.links else 1
-    space = _jam_space(tuple(sizes), j, n, MARGINAL_BUDGET)
+    space = _jam_space(sizes, j, n, MARGINAL_BUDGET)
     count = code.message_count
     if not j.links:
         return Distribution(1, np.array([1.0]))
@@ -209,7 +207,7 @@ def stealth_gap_partition(code: Code, model: NetworkModel, j: JamSet,
 def exhaustive_best_detector(code: Code, model: NetworkModel,
                              j: JamSet) -> Tuple[float, float, float]:
     """(alpha, beta, alpha+beta) of the pointwise-optimal deterministic detector."""
-    _jam_space(model, j, code.params.n, DETECTOR_BUDGET)
+    _jam_space(model.link_alphabet_sizes, j, code.params.n, DETECTOR_BUDGET)
     active = cached_active_marginal(code, j)
     innocent = exact_innocent_marginal(model, j, code.params.n)
     flag = active.mass > innocent.mass  # verdict 1 exactly where active dominates

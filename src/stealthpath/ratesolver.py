@@ -16,7 +16,8 @@ batch-first, and each row's arithmetic is the one it would do alone (one gemv
 per row, never a gemm), so batching moves no output byte. The auxiliary
 bound is never above the entropy bound, as I(U; X_Jc) <= H(X_Jc) for every
 kernel, and the U = X embedding of the entropy optimum attains it: `solve_a`
-returns that embedding without a search.
+returns that embedding without a search, and refuses an auxiliary alphabet
+smaller than the product alphabet.
 
 `SolverConfig` sets only the number of starts and their seed. The rest are
 module constants: a solution counts as feasible when every marginal gap is at
@@ -49,15 +50,14 @@ TOL_MARG = 1e-9
 
 _INV_LN2 = 1.0 / np.log(2.0)
 _MASS_FLOOR = 1e-300
-# Ascent schedule: iterations per start, stalled iterations (or alternating
-# rounds) before giving up, the gain that counts as progress, and the first
-# step of each backtracking line search.
+# Ascent schedule: iterations per start, stalled iterations before giving
+# up, the gain that counts as progress, and the first and smallest steps of
+# each backtracking line search.
 _MAX_ITERATIONS = 400
 _PATIENCE = 20
 _IMPROVEMENT_TOL = 1e-8
 _INITIAL_STEP = 0.5
-_ALT_ROUNDS = 60
-_ALT_BLOCK_STEPS = 4
+_MIN_STEP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -308,27 +308,27 @@ def _entropy_supergradients(p: np.ndarray, h: np.ndarray, s_jc: list) -> np.ndar
     return g / active.sum(axis=1)[:, None]
 
 
-def _line_search(x: np.ndarray, g: np.ndarray, poly: _Polytope, accept, min_step: float):
+def _line_search(x: np.ndarray, g: np.ndarray, f: np.ndarray, poly: _Polytope, s_jc: list):
     """Backtracking search from each row of x along its row of g.
 
-    The steps halve from _INITIAL_STEP while above `min_step`. The candidate
+    The steps halve from _INITIAL_STEP while above _MIN_STEP. The candidate
     steps of every row still searching are projected together, in chunks of 1,
-    2, 4, ... steps. `accept(owner, cands)` gets the row of each projected
-    candidate, grouped by row in step order, and returns a mask of the accepted
-    ones and a value for each; each row takes its first accepted step.
+    2, 4, ... steps, and each row takes its first step whose min unjammed
+    entropy beats its value in `f`.
 
-    Returns a mask of the rows that found a step, their points and values (the
-    other rows' entries are undefined), and the number of candidates projected.
+    Returns a mask of the rows that found a step, their points and unjammed
+    entropies (the other rows' entries are undefined), and the number of
+    candidates projected.
     """
     steps, step = [], _INITIAL_STEP
-    while step > min_step:
+    while step > _MIN_STEP:
         steps.append(step)
         step *= 0.5
     steps = np.array(steps)
     count, dim = x.shape
     found = np.zeros(count, dtype=bool)
     new_x = np.empty_like(x)
-    new_val = None
+    new_h = np.empty((count, len(s_jc)))
     rows = np.arange(count)
     lo, width, projected = 0, 1, 0
     while rows.size and lo < steps.size:
@@ -336,20 +336,18 @@ def _line_search(x: np.ndarray, g: np.ndarray, poly: _Polytope, accept, min_step
         cands = poly.project(
             (x[rows, None, :] + chunk[None, :, None] * g[rows, None, :]).reshape(-1, dim))
         projected += len(cands)
-        ok, val = accept(np.repeat(rows, chunk.size), cands)
-        ok = ok.reshape(rows.size, chunk.size)
+        h = _unjammed_entropies(cands, s_jc)
+        ok = (h.min(axis=1) > np.repeat(f[rows], chunk.size)).reshape(rows.size, chunk.size)
         hit = ok.any(axis=1)
         pick = np.flatnonzero(hit) * chunk.size + ok.argmax(axis=1)[hit]
-        if new_val is None:
-            new_val = np.empty((count,) + val.shape[1:])
         won = rows[hit]
         found[won] = True
         new_x[won] = cands[pick]
-        new_val[won] = val[pick]
+        new_h[won] = h[pick]
         rows = rows[~hit]
         lo += width
         width *= 2
-    return found, new_x, new_val, projected
+    return found, new_x, new_h, projected
 
 
 def _projected_ascent(starts: np.ndarray, s_jc: list, poly: _Polytope):
@@ -374,12 +372,7 @@ def _projected_ascent(starts: np.ndarray, s_jc: list, poly: _Polytope):
         norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None]))[:, 0, 0]
         moving = norm > 0
         g[moving] /= norm[moving, None]
-
-        def better(owner, cands):
-            hc = _unjammed_entropies(cands, s_jc)
-            return hc.min(axis=1) > f[owner], hc
-
-        found, x_new, h_new, n = _line_search(x, g, poly, better, 1e-12)
+        found, x_new, h_new, n = _line_search(x, g, f, poly, s_jc)
         projected += n
         improvement = np.zeros(live.size)
         improvement[found] = h_new[found].min(axis=1) - f[found]
@@ -465,137 +458,6 @@ def _mi_terms(q: np.ndarray, s_sub: np.ndarray) -> float:
     return float(np.sum(qa[nz] * np.log2(np.maximum(ratio, _MASS_FLOOR))))
 
 
-def _objective_a(q: np.ndarray, s_jc: list) -> float:
-    return min(_mi_terms(q, s) for s in s_jc)
-
-
-def _margin_a(q: np.ndarray, s_jc: list, s_j: list) -> float:
-    return _objective_a(q, s_jc) - max(_mi_terms(q, s) for s in s_j)
-
-
-def _mi_gradient(q: np.ndarray, s_sub: np.ndarray) -> np.ndarray:
-    """d I(U;X_sub) / d q[u, x] up to an additive constant."""
-    qa = np.maximum(q @ s_sub.T, _MASS_FLOOR)
-    pu = np.maximum(q.sum(axis=1), _MASS_FLOOR)
-    pa = np.maximum(qa.sum(axis=0), _MASS_FLOOR)
-    log_ratio = np.log2(qa) - np.log2(pu)[:, None] - np.log2(pa)[None, :]
-    return log_ratio @ s_sub
-
-
-def _objective_a_supergradient(q: np.ndarray, s_jc: list) -> np.ndarray:
-    vals = np.array([_mi_terms(q, s) for s in s_jc])
-    active = np.where(vals <= vals.min() + 1e-9)[0]
-    g = np.zeros_like(q)
-    for idx in active:
-        g += _mi_gradient(q, s_jc[idx])
-    return g / active.size
-
-
-def _split_joint(q: np.ndarray):
-    pu = q.sum(axis=1)
-    kern = np.where(pu[:, None] > 0, q / np.maximum(pu[:, None], _MASS_FLOOR),
-                    1.0 / q.shape[1])
-    return pu, kern
-
-
-def _block_ascent_a(q0, s_jc, s_j, model):
-    """Alternating p_u / kernel projected-gradient ascent from one start.
-
-    Steps are accepted only if the min-MI objective improves and the strict
-    feasibility margin stays above DELTA_FEAS; the start itself is the floor.
-    """
-    u_size, dim_x = q0.shape
-    m_marg, b_marg = marginal_system(model)
-
-    def kernel_polytope(pu):
-        # Constraints on vec(kern): marginal match rows plus per-row sums.
-        m = np.vstack([np.kron(pu[None, :], m_marg[1:]),
-                       np.kron(np.eye(u_size), np.ones((1, dim_x)))])
-        return _Polytope(m, np.concatenate([b_marg[1:], np.ones(u_size)]))
-
-    q = q0
-    f = _objective_a(q, s_jc)
-
-    def accept(_, cands):
-        # One row: score its candidates in step order up to the first accepted.
-        ok = np.zeros(len(cands), dtype=bool)
-        val = np.zeros(len(cands))
-        for i, x in enumerate(cands):
-            cand_q = lift(x)
-            val[i] = _objective_a(cand_q, s_jc)
-            if val[i] > f and _margin_a(cand_q, s_jc, s_j) > DELTA_FEAS:
-                ok[i] = True
-                break
-        return ok, val
-
-    stall = projected = 0
-    for _ in range(_ALT_ROUNDS):
-        round_start = f
-        for block in ("p_u", "kernel"):
-            pu, kern = _split_joint(q)
-            if block == "p_u":
-                # For a fixed kernel, the marginal rows (the all-ones one
-                # included, via the kernel's row sums) constrain p_u.
-                x, poly = pu, _Polytope(m_marg @ kern.T, b_marg)
-                lift = lambda v: v[:, None] * kern
-                direction = lambda g_q: (kern * g_q).sum(axis=1)
-            else:
-                x, poly = kern.reshape(-1), kernel_polytope(pu)
-                lift = lambda v: pu[:, None] * v.reshape(u_size, dim_x)
-                direction = lambda g_q: (pu[:, None] * g_q).reshape(-1)
-            for _ in range(_ALT_BLOCK_STEPS):
-                g = direction(_objective_a_supergradient(q, s_jc))
-                norm = np.linalg.norm(g)
-                if norm == 0:
-                    break
-                g /= norm
-                found, x_new, f_new, n = _line_search(x[None], g[None], poly, accept, 1e-10)
-                projected += n
-                if not found[0]:
-                    break
-                x, f = x_new[0], float(f_new[0])
-                q = lift(x)
-        if f - round_start < _IMPROVEMENT_TOL:
-            stall += 1
-            if stall >= _PATIENCE:
-                break
-        else:
-            stall = 0
-    return q, f, projected
-
-
-def _search_a(model, u_size, cfg, poly_joint, s_jc, s_j):
-    """`solve_a`'s search for u_size < |X|: the best start (or None), and its projections."""
-    dim_x = model.product_alphabet_size
-    rng = generator(cfg.seed, "solve-a-starts")
-    raw = np.vstack([rng.dirichlet(np.ones(u_size * dim_x)) for _ in range(cfg.restarts)])
-    best_q, best_f, projected = None, -np.inf, 0
-    for q0 in poly_joint.project(raw).reshape(cfg.restarts, u_size, dim_x):
-        q0 = np.maximum(q0, 0.0)
-        q0 /= q0.sum()
-        if _margin_a(q0, s_jc, s_j) <= DELTA_FEAS:
-            continue
-        q, f, n = _block_ascent_a(q0, s_jc, s_j, model)
-        projected += n
-        if f > best_f + 1e-12:
-            best_q, best_f = q, f
-        elif (abs(f - best_f) <= 1e-12 and best_q is not None and
-              tuple(np.round(q.reshape(-1), 12)) < tuple(np.round(best_q.reshape(-1), 12))):
-            best_q = q
-    if best_q is None:
-        return None, projected
-
-    # Exact cleanup of the marginal constraints.
-    polished = poly_joint.affine_project(best_q.reshape(-1))
-    if np.min(polished) >= -1e-9:
-        polished = np.maximum(polished, 0.0).reshape(u_size, dim_x)
-        polished /= polished.sum()
-        if (_objective_a(polished, s_jc) >= best_f - 1e-9
-                and _margin_a(polished, s_jc, s_j) > DELTA_FEAS):
-            best_q = polished
-    return best_q, projected
-
-
 def solve_a(
     model: NetworkModel,
     u_size: Optional[int] = None,
@@ -604,50 +466,43 @@ def solve_a(
     """Max-min I(U; unjammed links) over (p_u, W), certified feasible.
 
     I(U; X_Jc) <= H(X_Jc) for every kernel, so `solve_b`'s optimum bounds this
-    one and its U = X embedding (zero-padded) attains it; with u_size >= |X|,
-    as by default, that is returned at once. A smaller u_size runs a best-effort
-    alternating ascent from random starts. Both are checked for feasibility.
+    one and its U = X embedding, zero-padded to u_size letters, attains it.
+    That embedding is returned, after a check of its marginals. u_size
+    defaults to the cardinality bound; below |X| it raises ValueError.
     """
     cfg = cfg or SolverConfig()
     dim_x = model.product_alphabet_size
     bound = cardinality_bound(dim_x, len(model.jam_family()))
     u_size = bound if u_size is None else u_size
-    if u_size < 1:
-        raise ValueError("u_size must be >= 1")
+    if u_size < dim_x:
+        raise ValueError(f"u_size must be at least |X| = {dim_x}, got {u_size}")
 
-    s_j, s_jc = zip(*model.restrictions)
     sol_b = solve_b(model, cfg)
-    info = {"u_size": u_size, "cardinality_bound": bound,
-            "method": "embedding" if u_size >= dim_x else "alternating-ascent",
-            "seed": cfg.seed, "projections": 0}
+    info = {"u_size": u_size, "cardinality_bound": bound, "method": "embedding",
+            "seed": cfg.seed}
     if not sol_b.feasible:
         return SolutionA(feasible=False, reason=sol_b.reason, info=info)
 
+    best_q = np.zeros((u_size, dim_x))
+    best_q[np.arange(dim_x), np.arange(dim_x)] = sol_b.p_x.mass
+    # The joint's X-marginal must lie in the entropy-bound polytope.
     m_marg, b_marg = marginal_system(model)
-    # Joint-space polytope: q >= 0, sum 1, X-marginal in the entropy-bound polytope.
-    m_joint = np.tile(m_marg, u_size)
-    if u_size >= dim_x:
-        best_q = np.zeros((u_size, dim_x))
-        best_q[np.arange(dim_x), np.arange(dim_x)] = sol_b.p_x.mass
-    else:
-        best_q, info["projections"] = _search_a(model, u_size, cfg,
-                                                _Polytope(m_joint, b_marg), s_jc, s_j)
-        if best_q is None:
-            return SolutionA(feasible=False, reason="no feasible start with positive margin",
-                             info=info)
-
-    gaps = np.abs(m_joint @ best_q.reshape(-1) - b_marg)
+    gaps = np.abs(np.tile(m_marg, u_size) @ best_q.reshape(-1) - b_marg)
     if float(gaps.max()) > TOL_MARG:
         return SolutionA(feasible=False,
                          reason=f"marginal residual {gaps.max():.2e} above tol_marg",
                          info=info)
-    pu, kern = _split_joint(best_q)
+    s_j, s_jc = zip(*model.restrictions)
+    value = min(_mi_terms(best_q, s) for s in s_jc)
+    pu = best_q.sum(axis=1)
+    # A padded letter has no mass; its kernel row is uniform.
+    kern = np.where(pu[:, None] > 0, best_q / np.maximum(pu[:, None], _MASS_FLOOR), 1.0 / dim_x)
     return SolutionA(
         feasible=True,
         p_u=Distribution(u_size, pu),
         kernel=ConditionalKernel(u_size, dim_x, kern),
-        value=_objective_a(best_q, s_jc),
-        feasibility_margin=_margin_a(best_q, s_jc, s_j),
+        value=value,
+        feasibility_margin=value - max(_mi_terms(best_q, s) for s in s_j),
         info=info,
     )
 

@@ -89,6 +89,20 @@ def test_validation_exit_code(tmp_path, capsys):
     assert main(["solve", "--config", missing]) == 1
     cfg = write_config(tmp_path, {"schema": 7, "model": model_obj()})
     assert main(["solve", "--config", cfg]) == 1
+    capsys.readouterr()
+    # a malformed config is an `error:` line naming the field, not a traceback
+    no_model = write_config(tmp_path, {"schema": 1, "scheme": "overwrite-direct"})
+    for command in ("solve", "simulate"):
+        assert main([command, "--config", no_model]) == 1
+        assert capsys.readouterr().err == 'error: config has no "model"\n'
+    no_budget = {k: v for k, v in model_obj().items() if k != "adversary_budget"}
+    cfg = write_config(tmp_path, {"schema": 1, "model": no_budget})
+    assert main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().err == 'error: model has no "adversary_budget"\n'
+    two_ns = write_config(tmp_path, {"schema": 1, "model": model_obj(),
+                                     "code": {"n": [3, 4], "rate_bits": 1.0}})
+    assert main(["oracle", "stealth-gap", "--config", two_ns]) == 1
+    assert capsys.readouterr().err.startswith('error: "code.n" must be one integer')
 
 
 def test_simulate_seed_zero_overrides_master_seed(tmp_path):

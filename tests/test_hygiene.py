@@ -78,6 +78,22 @@ def test_no_unused_private_names():
     assert unused == []
 
 
+def test_no_unused_private_methods():
+    # a `_method` of a module-level class that no attribute read in its module names
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{item.lineno} {cls.name}.{item.name}"
+                   for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for item in cls.body
+                   if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and item.name.startswith("_") and not item.name.startswith("__")
+                   and item.name not in read]
+    assert unused == []
+
+
 def test_no_id_calls_in_the_package():
     # cache keys name content; an id() key outlives its object and can be reused
     calls = []

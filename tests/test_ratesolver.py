@@ -8,7 +8,6 @@ from stealthpath.ratesolver import (
     NetworkModel,
     SolutionB,
     SolverConfig,
-    TOL_MARG,
     achievable_rate,
     cardinality_bound,
     check_feasibility_b,
@@ -244,13 +243,17 @@ def test_solve_a_bytes_are_pinned(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
 def test_solve_a_is_the_embedding_of_solve_b(name):
     model, cfg = GOLDEN_MODELS[name], SolverConfig(restarts=2, seed=3)
-    sol_a, sol_b = solve_a(model, cfg=cfg), solve_b(model, cfg)
+    sol_b = solve_b(model, cfg)
     dim = model.product_alphabet_size
-    assert sol_a.feasible and sol_a.info["method"] == "embedding"
-    assert sol_a.p_u.mass[:dim].tobytes() == sol_b.p_x.mass.tobytes()
-    assert not sol_a.p_u.mass[dim:].any()
-    np.testing.assert_array_equal(sol_a.kernel.matrix[:dim], np.eye(dim))
-    assert abs(sol_a.value - sol_b.value) <= 1e-12
+    # the default u_size (the cardinality bound) pads; u_size = |X| does not
+    for u_size in (None, dim):
+        sol_a = solve_a(model, u_size=u_size, cfg=cfg)
+        assert sol_a.feasible and sol_a.info["method"] == "embedding"
+        assert sol_a.p_u.alphabet_size == (u_size or sol_a.info["cardinality_bound"])
+        assert sol_a.p_u.mass[:dim].tobytes() == sol_b.p_x.mass.tobytes()
+        assert not sol_a.p_u.mass[dim:].any()
+        np.testing.assert_array_equal(sol_a.kernel.matrix[:dim], np.eye(dim))
+        assert abs(sol_a.value - sol_b.value) <= 1e-12
 
 
 def test_solve_a_returns_solve_b_infeasibility():
@@ -260,14 +263,10 @@ def test_solve_a_returns_solve_b_infeasibility():
     assert not sol.feasible and sol.reason == solve_b(model, FAST).reason
 
 
-def test_solve_a_ascends_when_u_is_smaller_than_x():
-    model, cfg = uniform_bits_model(), SolverConfig(restarts=1)
-    sol = solve_a(model, u_size=4, cfg=cfg)
-    assert sol.feasible and sol.info["method"] == "alternating-ascent"
-    m, b = marginal_system(model)
-    assert np.abs(m @ (sol.p_u.mass @ sol.kernel.matrix) - b).max() <= TOL_MARG
-    # I(U; X_Jc) <= H(X_Jc): no kernel beats the entropy bound
-    assert sol.value <= solve_b(model, cfg).value + 1e-9
+def test_solve_a_refuses_u_smaller_than_x():
+    for u_size in (4, 7):
+        with pytest.raises(ValueError, match=r"\|X\| = 8"):
+            solve_a(uniform_bits_model(), u_size=u_size, cfg=SolverConfig(restarts=1))
 
 
 def test_batched_projection_matches_row_by_row():
