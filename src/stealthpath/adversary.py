@@ -90,15 +90,17 @@ class JammingStrategy:
                  code: Optional[Code]) -> List[Tuple[float, np.ndarray]]:
         raise NotImplementedError
 
+    def _direct(self, code) -> DirectCode:
+        """`code`, which this strategy reads codewords from, if it is a direct code."""
+        if not isinstance(code, DirectCode):
+            raise ValueError(f"strategy {self.id!r} needs a direct codebook handle")
+        return code
 
-def _jam_marginal(model: NetworkModel, j: JamSet, code: Optional[Code] = None) -> Distribution:
-    """The innocent law on the jammed links; its key is the model's content."""
-    def compute():
-        s = indexing.restriction_matrix(model.link_alphabet_sizes, j.links)
-        return Distribution(s.shape[0], s @ model.innocent.mass)
-    key = ("innocent-jam-marginal", model.link_alphabet_sizes,
-           model.innocent.mass.tobytes(), j.links)
-    return code_cached(code, key, compute)
+
+def _jam_marginal(model: NetworkModel, j: JamSet) -> Distribution:
+    """The innocent law on the jammed links."""
+    mass = model.innocent_marginal(j.links)
+    return Distribution(mass.size, mass)
 
 
 def _sub_sizes(model: NetworkModel, j: JamSet) -> list:
@@ -150,13 +152,13 @@ class ResampleInnocent(JammingStrategy):
         if not j.links:
             return x_j.copy()
         draws = streams(seed, "innocent-jam").random(x_j.shape[-1])
-        codes = inverse_cdf(_jam_marginal(model, j, code).cdf, draws)
+        codes = inverse_cdf(_jam_marginal(model, j).cdf, draws)
         return indexing.unpack_links(codes, _sub_sizes(model, j))
 
     def outcomes(self, x_j, j, model, code):
         if not j.links:
             return [(1.0, x_j.copy())]
-        marg = _jam_marginal(model, j, code)
+        marg = _jam_marginal(model, j)
         n = x_j.shape[1]
         if marg.alphabet_size ** n > OUTCOME_BUDGET:
             raise ResourceBudgetError("innocent-jam outcome space exceeds the budget")
@@ -208,11 +210,6 @@ class SpoofCodeword(JammingStrategy):
             return cand if cand.size else np.arange(1, sub.shape[0] + 1)
         return code_cached(code, ("spoof-candidates", self.gamma, j.links), compute)
 
-    def _require_direct(self, code) -> DirectCode:
-        if not isinstance(code, DirectCode):
-            raise ValueError(f"strategy {self.id!r} needs a direct codebook handle")
-        return code
-
     def _affine_messages(self, code: DirectCode, j: JamSet, seed) -> np.ndarray:
         """Each block's message on an affine code, from generator(seed, "spoof").
 
@@ -246,7 +243,7 @@ class SpoofCodeword(JammingStrategy):
     def apply(self, x_j, j, model, code, seed):
         if not j.links:
             return x_j.copy()
-        code = self._require_direct(code)
+        code = self._direct(code)
         if code.affine is not None:
             m = self._affine_messages(code, j, seed)
         else:
@@ -257,7 +254,7 @@ class SpoofCodeword(JammingStrategy):
     def outcomes(self, x_j, j, model, code):
         if not j.links:
             return [(1.0, x_j.copy())]
-        code = self._require_direct(code)
+        code = self._direct(code)
         cand = self._candidates(code, j)
         sizes = _sub_sizes(model, j)
         weights: Dict[tuple, float] = {}
@@ -273,9 +270,8 @@ class SpoofConsistent(JammingStrategy):
 
     id = "spoof-consistent"
 
-    def _best(self, x_j, j, code: DirectCode) -> int:
-        if not isinstance(code, DirectCode):
-            raise ValueError(f"strategy {self.id!r} needs a direct codebook handle")
+    def _best(self, x_j, j, code) -> int:
+        code = self._direct(code)
         if code.affine is not None:
             # A codeword that agrees everywhere is the best; the smallest such
             # one is a coset solve.
@@ -314,9 +310,7 @@ class Symmetrize(JammingStrategy):
     def _check(self, j: JamSet, model: NetworkModel, code) -> DirectCode:
         if 2 * len(j.links) < model.link_count:
             raise ValueError("symmetrization needs |j| >= C/2")
-        if not isinstance(code, DirectCode):
-            raise ValueError(f"strategy {self.id!r} needs a direct codebook handle")
-        return code
+        return self._direct(code)
 
     def apply(self, x_j, j, model, code, seed):
         code = self._check(j, model, code)

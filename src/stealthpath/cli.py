@@ -15,7 +15,8 @@ import sys
 from . import harness, oracle
 from .adversary import JamSet, get_strategy, list_strategies
 from .codec import CodeParams, ResourceBudgetError
-from .harness import ConfigError, ExperimentConfig, config_int, model_from_config, parse_config
+from .harness import (ConfigError, ExperimentConfig, config_blocklengths, config_field,
+                      model_from_config, parse_config)
 from .probkit import TypicalityParams
 from .ratesolver import SolverConfig, achievable_rate, solve_a, solve_b
 
@@ -24,9 +25,11 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
+    """The config at `path` and its model."""
     with open(path) as fh:
-        return parse_config(fh.read())
+        obj = parse_config(fh.read())
+    return obj, model_from_config(obj["model"])
 
 
 def _seed(args) -> int:
@@ -44,8 +47,7 @@ def _emit(payload, out: str):
 
 
 def _cmd_solve(args) -> int:
-    obj = _load_config(args.config)
-    model = model_from_config(obj["model"])
+    obj, model = _load_config(args.config)
     cfg = SolverConfig(seed=_seed(args))
     scheme = obj.get("scheme", "overwrite-direct")
     if scheme == "overwrite-direct":
@@ -60,7 +62,7 @@ def _cmd_solve(args) -> int:
                    "p_u": sol.p_u.mass.tolist() if sol.p_u is not None else None,
                    "kernel": sol.kernel.matrix.tolist() if sol.kernel is not None else None}
     if "epsilon" in obj:
-        rate = achievable_rate(sol, float(obj["epsilon"]))
+        rate = achievable_rate(sol, config_field(obj, "epsilon", float))
         payload["rate_bits"] = rate.bits
         payload["rate_feasible"] = rate.feasible
     _emit(payload, args.out)
@@ -95,8 +97,9 @@ def _codes_from_config(obj: dict, model, seed: int, ns):
     `seed` seeds the solver and, where the config names none, the code.
     """
     code = obj.get("code", {})
-    params = [CodeParams(n=config_int(n, "code.n"), rate=float(code.get("rate_bits", 1.0)),
-                         seed=config_int(code.get("seed", seed), "code.seed")) for n in ns]
+    rate = config_field(code, "code.rate_bits", float, 1.0)
+    code_seed = config_field(code, "code.seed", int, seed)
+    params = [CodeParams(n=n, rate=rate, seed=code_seed) for n in ns]
     scheme = obj.get("scheme", "overwrite-direct")
     sol = harness.solve_bound(model, scheme, SolverConfig(seed=seed))
     for p in params:
@@ -104,17 +107,17 @@ def _codes_from_config(obj: dict, model, seed: int, ns):
 
 
 def _cmd_oracle(args) -> int:
-    obj = _load_config(args.config)
-    model = model_from_config(obj["model"])
+    obj, model = _load_config(args.config)
     sub = args.oracle_op
     if sub == "grid-solve":
-        sol = oracle.grid_solve_b(model, float(obj.get("resolution", 1e-2)))
+        sol = oracle.grid_solve_b(model, config_field(obj, "resolution", float, 1e-2))
         _emit({"feasible": sol.feasible, "value": sol.value,
                "feasibility_margin": sol.feasibility_margin,
                "info": sol.info}, args.out)
         return EXIT_OK
-    j = JamSet(tuple(obj.get("jam_set", []))).validate(model)
-    code, = _codes_from_config(obj, model, _seed(args), [obj.get("code", {}).get("n", 4)])
+    j = JamSet(config_field(obj, "jam_set", tuple, ())).validate(model)
+    n = config_field(obj.get("code", {}), "code.n", int, 4)
+    code, = _codes_from_config(obj, model, _seed(args), [n])
     if sub == "stealth-gap":
         gap = oracle.exact_stealth_gap(code, model, j)
         _emit({"jam_set": list(j.links), "stealth_gap": gap,
@@ -128,7 +131,7 @@ def _cmd_oracle(args) -> int:
         if jamming != "erasure":
             jamming = get_strategy(jamming)
         p = oracle.exact_error_probability(
-            code, model, j, jamming, TypicalityParams(float(obj.get("gamma", 0.1))))
+            code, model, j, jamming, TypicalityParams(config_field(obj, "gamma", float, 0.1)))
         _emit({"jam_set": list(j.links), "p_err": p}, args.out)
     else:
         raise ConfigError(f"unknown oracle operation {sub!r}")
@@ -136,11 +139,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_stealth_scan(args) -> int:
-    obj = _load_config(args.config)
-    model = model_from_config(obj["model"])
-    ns = obj.get("code", {}).get("n", [2, 4])
-    if isinstance(ns, int):
-        ns = [ns]
+    obj, model = _load_config(args.config)
+    ns = config_blocklengths(obj.get("code", {}), [2, 4])
     rows = []
     for code in _codes_from_config(obj, model, _seed(args), ns):
         for j in model.jam_family():

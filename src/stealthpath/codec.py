@@ -1,11 +1,12 @@
 """Codebook construction and decoding for the two random-coding schemes.
 
 The direct scheme draws i.i.d. codewords from a network distribution and
-decodes by exact sub-codeword matching over every candidate jam set, one
-received word per call. The layered scheme draws intermediate codewords from
-an auxiliary distribution, maps them through a stochastic kernel at transmit
-time, and decodes by joint typicality on the unjammed links; its decoder takes
-a batch of received words and reads the code once per erasure pattern in it.
+decodes by exact sub-codeword matching over every candidate jam set. The
+layered scheme draws intermediate codewords from an auxiliary distribution,
+maps them through a stochastic kernel at transmit time, and decodes by joint
+typicality on the unjammed links. `decode` takes a batch of received words for
+either: one typicality pass over the code per erasure pattern in it, or one
+list decode per word. `DecodeResult.decodes` scores a verdict.
 
 Codebooks above the in-memory symbol budget fall back to streaming chunked
 regeneration: chunk c of CHUNK_MESSAGES codewords is reproducible from the
@@ -29,7 +30,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -384,23 +385,48 @@ def _build_store(mass: np.ndarray, params: CodeParams, symbols_per_use: int,
 
 
 @dataclass
-class DirectCode:
-    """Codewords over the network product alphabet: i.i.d. from p_x, or affine.
+class _Code:
+    """A codebook: its parameters and the store its codewords come from.
 
-    An affine code's p_x is the uniform product law, the single-letter law of
-    each of its codewords. `cache` holds tables derived from the codewords
-    (restriction indices, strategy tables, oracle marginals) under tagged keys;
-    they live as long as the code.
+    `cache` holds tables derived from the codewords (restriction indices,
+    strategy tables, oracle marginals) under tagged keys; they live as long as
+    the code.
     """
 
     params: CodeParams
-    p_x: JointDistribution
     _store: Union[_ChunkedStore, AffineStore]
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
+    cache: dict = field(default_factory=dict, repr=False, compare=False, kw_only=True)
+
+    @property
+    def message_count(self) -> int:
+        return self._store.count
+
+    @property
+    def materialized(self) -> bool:
+        return self._store.materialized
 
     @property
     def ensemble(self) -> str:
         return self._store.ensemble
+
+    def codeword(self, m) -> np.ndarray:
+        """Codeword m (1-based); (..., n) for an array of messages."""
+        return self._store.codeword(m - 1)
+
+    def chunks(self, kernel: Callable = _identity) -> Iterator[Tuple[int, object]]:
+        """(start, kernel(block)) for each chunk of codewords, in order."""
+        return self._store.chunks(kernel)
+
+
+@dataclass
+class DirectCode(_Code):
+    """Codewords over the network product alphabet: i.i.d. from p_x, or affine.
+
+    A codeword is a sequence of product codes. An affine code's p_x is the
+    uniform product law, the single-letter law of each of its codewords.
+    """
+
+    p_x: JointDistribution
 
     @property
     def affine(self) -> Optional[AffineStore]:
@@ -411,69 +437,29 @@ class DirectCode:
     def link_sizes(self) -> tuple:
         return self.p_x.factor_sizes
 
-    @property
-    def message_count(self) -> int:
-        return self._store.count
-
-    @property
-    def materialized(self) -> bool:
-        return self._store.materialized
-
-    def codeword(self, m) -> np.ndarray:
-        """Product codes of codeword m (1-based); (..., n) for an array of messages."""
-        return self._store.codeword(m - 1)
-
     def codeword_links(self, m) -> np.ndarray:
         """Per-link symbols of codeword m, (..., C, n)."""
         return indexing.unpack_links(self.codeword(m), self.link_sizes)
 
-    def chunks(self, kernel: Callable = _identity) -> Iterator[Tuple[int, object]]:
-        """(start, kernel(block)) for each chunk of codewords, in order."""
-        return self._store.chunks(kernel)
-
 
 @dataclass
-class LayeredCode:
+class LayeredCode(_Code):
     """Intermediate codewords over the auxiliary alphabet plus a transmit kernel."""
 
-    params: CodeParams
     p_u: Distribution
     kernel: ConditionalKernel
     link_sizes: tuple
-    _store: _ChunkedStore
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def message_count(self) -> int:
-        return self._store.count
-
-    @property
-    def materialized(self) -> bool:
-        return self._store.materialized
-
-    @property
-    def ensemble(self) -> str:
-        return self._store.ensemble
-
-    def u_codeword(self, m) -> np.ndarray:
-        return self._store.codeword(m - 1)
-
-    def u_chunks(self, kernel: Callable = _identity) -> Iterator[Tuple[int, object]]:
-        """(start, kernel(block)) for each chunk of intermediate codewords, in order."""
-        return self._store.chunks(kernel)
 
 
 Code = Union[DirectCode, LayeredCode]
 
 
-def code_cached(code: Optional[Code], key: tuple, compute: Callable):
-    """compute(), kept in the code's cache under `key`; computed afresh without a code.
+def code_cached(code: Code, key: tuple, compute: Callable):
+    """compute(), kept in the code's cache under `key`.
 
     A key names the table and what it depends on beyond the code itself, by
     content.
     """
-    if code is None:
-        return compute()
     if key not in code.cache:
         code.cache[key] = compute()
     return code.cache[key]
@@ -568,6 +554,12 @@ class DecodeResult:
         if self.verdict == "message" and self.message < 1:
             raise ValueError("message verdict requires a positive message index")
 
+    def decodes(self, m) -> bool:
+        """Whether the verdict is right when message m was sent, 0 being innocent."""
+        if m == 0:
+            return self.verdict == "innocent"
+        return self.verdict == "message" and self.message == m
+
 
 def encode(code: Code, model: NetworkModel, t: int, m, tx_seed) -> Transmission:
     """Alice's encoder: innocent sampling or codeword (plus kernel map) lookup.
@@ -588,7 +580,7 @@ def encode(code: Code, model: NetworkModel, t: int, m, tx_seed) -> Transmission:
         return Transmission(ACTIVE, m, code.codeword_links(m))
     # Layered scheme: a fresh stochastic map from the intermediate codeword
     # on every transmission.
-    u = code.u_codeword(m)
+    u = code.codeword(m)
     codes = inverse_cdf(code.kernel.cdf[u], streams(tx_seed, "transmit-map").random(n))
     return Transmission(ACTIVE, m, indexing.unpack_links(codes, sizes))
 
@@ -657,7 +649,7 @@ def _typical_matches(code: LayeredCode, unjammed: tuple, y: np.ndarray,
 
     count = np.zeros(words, dtype=np.int64)
     match = np.zeros(words, dtype=np.int64)
-    for start, (row, word) in code.u_chunks(typical):
+    for start, (row, word) in code.chunks(typical):
         count += np.bincount(word, minlength=words)
         match[word] = start + row + 1
         if (count > 1).all():
@@ -666,7 +658,7 @@ def _typical_matches(code: LayeredCode, unjammed: tuple, y: np.ndarray,
 
 
 def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
-                   model: Optional[NetworkModel] = None) -> Union[DecodeResult, list]:
+                   model: Optional[NetworkModel] = None) -> List[DecodeResult]:
     """Typicality decoding on the unjammed links, jam set read off the erasures.
 
     A word decodes to the messages whose pair sequence (u, unjammed symbols)
@@ -674,17 +666,15 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
     is that message, more is an error. A word with every link erased, or (with
     a model) more erasures than the adversary's budget, is an error.
 
-    One word, (C, n) links and (C,) erasures, gives one DecodeResult; a batch,
-    (T, C, n) and (T, C), gives a list of T of them, in order. The words of a
-    batch that share an erasure pattern share one pass over the code.
+    Takes a batch of T words, (T, C, n) links and (T, C) erasures, and
+    returns one DecodeResult per word, in order. The words that share an
+    erasure pattern share one pass over the code.
     """
     links = np.asarray(rx.links)
-    one = links.ndim == 2
-    c = links.shape[-2]
-    links = links.reshape(-1, c, links.shape[-1])
+    words, c, _ = links.shape  # a one-word (C, n) call raises here
     # each word's erasure pattern as an integer, bit i for link i
-    keys = np.asarray(rx.erased, dtype=bool).reshape(-1, c) @ (1 << np.arange(c))
-    results = [DecodeResult("error")] * links.shape[0]
+    keys = np.asarray(rx.erased, dtype=bool) @ (1 << np.arange(c))
+    results = [DecodeResult("error")] * words
     for key in np.unique(keys).tolist():
         unjammed = tuple(i for i in range(c) if not key >> i & 1)
         if not unjammed:
@@ -704,7 +694,7 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
             results[w] = (DecodeResult("innocent") if k == 0 else
                           DecodeResult("message", message=m) if k == 1 else
                           DecodeResult("error"))
-    return results[0] if one else results
+    return results
 
 
 @dataclass(frozen=True)
@@ -834,6 +824,19 @@ def decode_overwrite(code: DirectCode, rx: ReceivedWord,
     if len(listed) == 1:
         return DecodeResult("message", message=next(iter(listed)))
     return DecodeResult("error")
+
+
+def decode(code: Code, rx: ReceivedWord, model: NetworkModel,
+           tp: TypicalityParams) -> List[DecodeResult]:
+    """One DecodeResult per word of a (T, C, n) batch, in order.
+
+    A layered code takes one `decode_erasure` call, a direct code one
+    `decode_overwrite` call per word (and ignores `tp`).
+    """
+    if isinstance(code, LayeredCode):
+        return decode_erasure(code, rx, tp, model)
+    return [decode_overwrite(code, ReceivedWord(rx.links[i], rx.erased[i]), model)
+            for i in range(len(rx.links))]
 
 
 # ---------------------------------------------------------------------------

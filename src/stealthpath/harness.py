@@ -5,9 +5,9 @@ A run is fully determined by the config plus the master seed: every trial
 derives its randomness as hash(master_seed, label, sweep, hypothesis, trial),
 so re-running, reordering, or parallelizing cannot change any number. Trials
 run in blocks of at most TRIAL_BLOCK: one encode call per block and
-hypothesis, whose transmissions every jam set then detects, jams and decodes
-(the erasure decoder takes the block in one call, the list decoder one word at
-a time); each call's per-trial streams are those of one call per trial.
+hypothesis, whose transmissions every jam set then detects, jams and decodes,
+with one `codec.decode` call per (block, jam set) that `DecodeResult.decodes`
+scores; each call's per-trial streams are those of one call per trial.
 """
 from __future__ import annotations
 
@@ -31,12 +31,10 @@ from .adversary import (
 from .codec import (
     Code,
     CodeParams,
-    ReceivedWord,
     ResourceBudgetError,
     build_code_for_bound,
     build_layered_code,
-    decode_erasure,
-    decode_overwrite,
+    decode,
     encode,
 )
 from .probkit import Distribution, JointDistribution, TypicalityParams
@@ -82,10 +80,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown jam rule {self.jam_rule!r}")
         rule = self.rate_rule.get("rule")
         if rule == "absolute":
-            if not float(self.rate_rule.get("bits", 0)) > 0:
+            if not config_field(self.rate_rule, "code.rate.bits", float, 0) > 0:
                 raise ConfigError("absolute rate rule needs positive bits")
         elif rule == "bound-minus-epsilon":
-            if not float(self.rate_rule.get("epsilon", 0)) > 0:
+            if not config_field(self.rate_rule, "code.rate.epsilon", float, 0) > 0:
                 raise ConfigError("bound-minus-epsilon rule needs positive epsilon")
         else:
             raise ConfigError(f"unknown rate rule {rule!r}")
@@ -105,41 +103,55 @@ class ExperimentConfig:
         model = model_from_config(obj["model"])
         scheme = obj.get("scheme", "overwrite-direct")
         code = obj.get("code", {})
-        ns = code.get("n", [8])
-        if isinstance(ns, int):
-            ns = [ns]
         adversary = obj.get("adversary", {})
         strategies = tuple(adversary.get("strategies", [])) or \
             (("",) if scheme == "erasure-layered" else ("passthrough",))
         return cls(
             model=model,
             scheme=scheme,
-            blocklengths=tuple(config_int(n, "code.n") for n in ns),
+            blocklengths=config_blocklengths(code, [8]),
             rate_rule=dict(code.get("rate", {"rule": "absolute", "bits": 1.0})),
-            gamma=float(obj.get("gamma", 0.1)),
+            gamma=config_field(obj, "gamma", float, 0.1),
             jam_rule=adversary.get("jam_rule", "worst-over-family"),
-            jam_set=tuple(adversary.get("jam_set", [])),
+            jam_set=config_field(adversary, "adversary.jam_set", tuple, ()),
             strategies=strategies,
             detector=obj.get("detector", "none"),
-            trials=config_int(obj.get("trials", 10_000), "trials"),
-            master_seed=config_int(obj.get("master_seed", 0), "master_seed"),
-            code_seed=config_int(code.get("seed", 0), "code.seed"),
+            trials=config_field(obj, "trials", int, 10_000),
+            master_seed=config_field(obj, "master_seed", int, 0),
+            code_seed=config_field(code, "code.seed", int, 0),
         )
 
 
-def _require(obj: dict, keys: tuple, where: str):
-    """Raise a ConfigError naming the first of `keys` that `obj` lacks."""
-    for key in keys:
-        if not isinstance(obj, dict) or key not in obj:
-            raise ConfigError(f'{where} has no "{key}"')
+_KINDS = {int: "one integer", float: "one number", tuple: "a list of integers"}
 
 
-def config_int(value, name: str) -> int:
-    """int(value), or a ConfigError naming field `name` if value is not one number."""
+def config_field(obj: dict, name: str, kind=int, default=None):
+    """Field `name` (dotted from the config's root) of `obj`, read as `kind`.
+
+    `kind` is int, float, tuple (of ints) or None (as it is). A missing field
+    takes `default`; with no default, or a value `kind` cannot take, it is a
+    ConfigError naming the field.
+    """
+    where, _, key = name.rpartition(".")
+    if not isinstance(obj, dict) or key not in obj:
+        if default is None:
+            raise ConfigError(f'{where or "config"} has no "{key}"')
+        value = default
+    else:
+        value = obj[key]
     try:
-        return int(value)
+        if kind is tuple:
+            return tuple(int(v) for v in value)
+        return value if kind is None else kind(value)
     except TypeError:
-        raise ConfigError(f'"{name}" must be one integer, got {value!r}') from None
+        raise ConfigError(f'"{name}" must be {_KINDS[kind]}, got {value!r}') from None
+
+
+def config_blocklengths(code: dict, default: list) -> tuple:
+    """The blocklengths of a config's `code` section: "n", one integer or a list."""
+    one = isinstance(code.get("n", default), int)
+    ns = config_field(code, "code.n", int if one else tuple, default)
+    return (ns,) if one else ns
 
 
 def parse_config(text: str) -> dict:
@@ -147,24 +159,24 @@ def parse_config(text: str) -> dict:
     obj = json.loads(text)
     if not isinstance(obj, dict) or obj.get("schema") != 1:
         raise ConfigError('config must declare "schema": 1')
-    _require(obj, ("model",), "config")
+    config_field(obj, "model", None)
     return obj
 
 
 def model_from_config(obj: dict) -> NetworkModel:
-    _require(obj, ("link_count", "adversary_budget", "link_alphabet_sizes", "innocent"),
-             "model")
-    sizes = tuple(int(s) for s in obj["link_alphabet_sizes"])
-    inn = obj["innocent"]
+    link_count = config_field(obj, "model.link_count")
+    budget = config_field(obj, "model.adversary_budget")
+    sizes = config_field(obj, "model.link_alphabet_sizes", tuple)
+    inn = config_field(obj, "model.innocent", None)
     if "factors" in inn:
         factors = [Distribution(len(f), np.array(f, dtype=float)) for f in inn["factors"]]
         innocent = JointDistribution.from_factors(factors)
     else:
-        _require(inn, ("mass",), "model.innocent")
-        innocent = JointDistribution(sizes, np.array(inn["mass"], dtype=float))
+        mass = config_field(inn, "model.innocent.mass", None)
+        innocent = JointDistribution(sizes, np.array(mass, dtype=float))
     return NetworkModel(
-        link_count=config_int(obj["link_count"], "model.link_count"),
-        adversary_budget=config_int(obj["adversary_budget"], "model.adversary_budget"),
+        link_count=link_count,
+        adversary_budget=budget,
         link_alphabet_sizes=sizes,
         innocent=innocent,
         allow_symmetrizable=bool(obj.get("allow_symmetrizable", False)),
@@ -358,17 +370,13 @@ def _run_sweep_point(cfg: ExperimentConfig, sweep: int, built: _Blocklength,
                     verdicts = detectors[k](tx.links[:, list(j.links)])
                     wrong_verdicts[k][hyp] += int(np.count_nonzero(verdicts != hyp))
                 if cfg.scheme == "erasure-layered":
-                    results = decode_erasure(code, erasure_jam(tx, j), tp, model)
+                    rx = erasure_jam(tx, j)
                 else:  # the empty set calls no strategy, so it needs no jam seeds
                     jam_seeds = [derive_seed(seed, "jam", sweep, hyp, t, *j.links)
                                  for t in block] if j.links else None
                     rx = overwrite_jam(tx, j, strategy, jam_seeds, model, code)
-                    results = [decode_overwrite(code, ReceivedWord(rx.links[i], rx.erased[i]),
-                                                model) for i in range(len(block))]
-                for i, result in enumerate(results):
-                    right = result.verdict == "innocent" if hyp == 0 else \
-                        result.verdict == "message" and result.message == m[i]
-                    err[k][hyp] += not right
+                results = decode(code, rx, model, tp)
+                err[k][hyp] += sum(not r.decodes(mi) for r, mi in zip(results, m.tolist()))
 
     trials = cfg.trials
     p_err = [e0 / trials + e1 / trials for e0, e1 in err]
@@ -422,11 +430,7 @@ def export(rows: Sequence[MetricsRow], fmt: str, path: str) -> None:
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        payload = []
-        for row in rows:
-            obj = dataclasses.asdict(row)
-            obj["stealth_gap"] = row.stealth_gap
-            payload.append(obj)
+        payload = [dataclasses.asdict(row) for row in rows]
         text = json.dumps(payload, indent=2, allow_nan=True) + "\n"
     else:
         raise ValueError(f"unknown export format {fmt!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .codec import (
     ReceivedWord,
     ResourceBudgetError,
     code_cached,
-    decode_erasure,
-    decode_overwrite,
+    decode,
 )
 from .probkit import (
     Distribution,
@@ -78,8 +77,7 @@ def exact_innocent_marginal(model: NetworkModel, j: JamSet, n: int) -> Distribut
     space = _jam_space(model.link_alphabet_sizes, j, n, MARGINAL_BUDGET)
     if not j.links:
         return Distribution(1, np.array([1.0]))
-    s = indexing.restriction_matrix(model.link_alphabet_sizes, j.links)
-    single = s @ model.innocent.mass
+    single = model.innocent_marginal(j.links)
     mass = np.array([1.0])
     for _ in range(n):
         mass = np.kron(mass, single)
@@ -114,7 +112,7 @@ def exact_active_marginal(code: Code, j: JamSet) -> Distribution:
     rows = code.kernel.matrix @ s.T  # (u_size, aj)
     batch = max(_BATCH_ELEMENTS // space, 1)
     mass = np.zeros(space)
-    for _, block in code.u_chunks():
+    for _, block in code.chunks():
         for lo in range(0, block.shape[0], batch):
             u = block[lo:lo + batch].astype(np.int64)
             v = np.ones((u.shape[0], 1))
@@ -142,8 +140,7 @@ def exact_stealth_gap(code: Code, model: NetworkModel, j: JamSet) -> float:
     to it.
     """
     if isinstance(code, DirectCode) and code.affine is not None and j.links:
-        s = indexing.restriction_matrix(model.link_alphabet_sizes, j.links)
-        single = s @ model.innocent.mass
+        single = model.innocent_marginal(j.links)
         if np.allclose(single, 1.0 / single.size, rtol=0.0, atol=1e-12):
             return _affine_uniform_gap(code, j)
     active = cached_active_marginal(code, j)
@@ -193,7 +190,7 @@ def stealth_gap_partition(code: Code, model: NetworkModel, j: JamSet,
     active = cached_active_marginal(code, j)
     innocent = exact_innocent_marginal(model, j, code.params.n)
     n = code.params.n
-    single = indexing.restriction_matrix(code.link_sizes, j.links) @ model.innocent.mass
+    single = model.innocent_marginal(j.links)
     space = active.alphabet_size
     typical = np.empty(space, dtype=bool)
     batch = max(_BATCH_ELEMENTS // n, 1)
@@ -252,7 +249,7 @@ def _active_blocks(code: Code, m: int) -> Iterator[Tuple[float, np.ndarray]]:
     if isinstance(code, DirectCode):
         yield 1.0, code.codeword_links(m)
         return
-    u_seq = code.u_codeword(m)
+    u_seq = code.codeword(m)
     kern = code.kernel.matrix
     supports = [np.nonzero(kern[int(u)])[0] for u in u_seq]
     total = int(np.prod([s.size for s in supports]))
@@ -306,26 +303,15 @@ def exact_error_components(code: Code, model: NetworkModel, j: JamSet,
     if jamming == "erasure":
         if not isinstance(code, LayeredCode):
             raise ValueError("erasure jamming uses the layered scheme")
-        if tp is None:
-            tp = TypicalityParams()
-
-        def decode(words):
-            rx = ReceivedWord(links=np.stack([w.links for w in words]),
-                              erased=np.stack([w.erased for w in words]))
-            return decode_erasure(code, rx, tp, model)
-    else:
-        if not isinstance(code, DirectCode):
-            raise ValueError("overwrite strategies use the direct scheme")
-        decode = lambda words: [decode_overwrite(code, rx, model) for rx in words]
-
+    elif not isinstance(code, DirectCode):
+        raise ValueError("overwrite strategies use the direct scheme")
+    tp = tp or TypicalityParams()
     n = code.params.n
     # Innocent hypothesis: error whenever the verdict is not "innocent".
     innocent = ((p_block * p_rx, rx) for p_block, links in _innocent_blocks(model, n)
                 for p_rx, rx in _received_words(links, j, jamming, model, code))
-    err0 = 0.0
-    for p, result in _decoded(innocent, decode):
-        if result.verdict != "innocent":
-            err0 += p
+    err0 = sum((p for p, result in _decoded(innocent, code, model, tp)
+                if not result.decodes(0)), 0.0)
     # Active hypothesis: uniform message; error unless that exact message decodes.
     count = code.message_count
     if count > ENUMERATION_BUDGET:
@@ -333,23 +319,23 @@ def exact_error_components(code: Code, model: NetworkModel, j: JamSet,
     active = (((p_block * p_rx, m), rx) for m in range(1, count + 1)
               for p_block, links in _active_blocks(code, m)
               for p_rx, rx in _received_words(links, j, jamming, model, code))
-    err1 = 0.0
-    for (p, m), result in _decoded(active, decode):
-        if not (result.verdict == "message" and result.message == m):
-            err1 += p / count
+    err1 = sum((p / count for (p, m), result in _decoded(active, code, model, tp)
+                if not result.decodes(m)), 0.0)
     return err0, err1
 
 
-def _decoded(outcomes: Iterator, decode: Callable) -> Iterator:
+def _decoded(outcomes: Iterator, code: Code, model: NetworkModel,
+             tp: TypicalityParams) -> Iterator:
     """(key, verdict) for each (key, received word) of `outcomes`, in order.
 
-    decode(words) gets _DECODE_BATCH words at a time and returns one
-    DecodeResult per word.
+    The words go to `codec.decode` _DECODE_BATCH at a time.
     """
     outcomes = iter(outcomes)
     while batch := list(itertools.islice(outcomes, _DECODE_BATCH)):
         keys, words = zip(*batch)
-        yield from zip(keys, decode(words))
+        rx = ReceivedWord(links=np.stack([w.links for w in words]),
+                          erased=np.stack([w.erased for w in words]))
+        yield from zip(keys, decode(code, rx, model, tp))
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,19 @@ class NetworkModel:
         return tuple(tuple(i for i in range(self.link_count) if i not in j)
                      for j in self.jam_family())
 
+    def innocent_marginal(self, links) -> np.ndarray:
+        """The innocent law on `links` (S @ innocent.mass), once per tuple; read-only."""
+        links = tuple(links)
+        if links not in self._innocent_marginals:
+            s = indexing.restriction_matrix(self.link_alphabet_sizes, links)
+            self._innocent_marginals[links] = mass = s @ self.innocent.mass
+            mass.flags.writeable = False
+        return self._innocent_marginals[links]
+
+    @functools.cached_property
+    def _innocent_marginals(self) -> dict:
+        return {}
+
     @functools.cached_property
     def restrictions(self) -> tuple:
         """(S_J, S_Jc) restriction matrices of each jam set, in jam-family order."""
@@ -239,9 +252,6 @@ class _Polytope:
         out[rows] = x
         return out if np.ndim(v) == 2 else out[0]
 
-    def residual(self, p: np.ndarray) -> float:
-        return float(np.max(np.abs(self.m @ p - self.b)))
-
 
 def marginal_system(model: NetworkModel):
     """Equality system pinning every size-<=Z marginal to the innocent one."""
@@ -250,7 +260,7 @@ def marginal_system(model: NetworkModel):
     for j, (s_j, _) in zip(model.jam_family(), model.restrictions):
         if j:
             rows.append(s_j)
-            rhs.append(s_j @ model.innocent.mass)
+            rhs.append(model.innocent_marginal(j))
     return np.vstack(rows), np.concatenate(rhs)
 
 
@@ -261,8 +271,8 @@ def unjammed_matrices(model: NetworkModel):
 
 def jammed_entropies(model: NetworkModel) -> np.ndarray:
     """H(X_J) for each J; fixed by the marginal-matching constraints."""
-    return np.array([entropy_of_mass(s_j @ model.innocent.mass) if j else 0.0
-                     for j, (s_j, _) in zip(model.jam_family(), model.restrictions)])
+    return np.array([entropy_of_mass(model.innocent_marginal(j)) if j else 0.0
+                     for j in model.jam_family()])
 
 
 def check_feasibility_b(
@@ -276,7 +286,7 @@ def check_feasibility_b(
         raise ValueError("candidate distribution does not match the model alphabets")
     entries = []
     for j, (s_j, s_jc) in zip(model.jam_family(), model.restrictions):
-        gap = 0.5 * float(np.abs(s_j @ p_x.mass - s_j @ model.innocent.mass).sum())
+        gap = 0.5 * float(np.abs(s_j @ p_x.mass - model.innocent_marginal(j)).sum())
         entries.append(JamSetReport(
             jam_set=j,
             marginal_gap=gap,

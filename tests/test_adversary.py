@@ -176,7 +176,7 @@ def test_per_transmission_tables_are_built_once_per_code(monkeypatch):
             j = JamSet((t % 3,))
             tx = encode(CODE, MODEL, t % 2, t % 2 * (1 + t % CODE.message_count), t)
             decode_overwrite(CODE, overwrite_jam(tx, j, strategy, t, MODEL, CODE), MODEL)
-            tx = encode(layered, MODEL, 1, 1 + t % layered.message_count, t)
+            tx = encode(layered, MODEL, 1, np.array([1 + t % layered.message_count]), [t])
             decode_erasure(layered, erasure_jam(tx, j), tp, MODEL)
 
     transmissions(range(10))  # 20 transmissions

@@ -103,6 +103,19 @@ def test_validation_exit_code(tmp_path, capsys):
                                      "code": {"n": [3, 4], "rate_bits": 1.0}})
     assert main(["oracle", "stealth-gap", "--config", two_ns]) == 1
     assert capsys.readouterr().err.startswith('error: "code.n" must be one integer')
+    # a list where one number belongs, and one number where a list belongs
+    malformed = [
+        ("oracle", {"code": {"n": 3, "rate_bits": [1, 2]}, "jam_set": [0]},
+         'error: "code.rate_bits" must be one number, got [1, 2]\n'),
+        ("solve", {"model": {**model_obj(), "link_alphabet_sizes": 2}},
+         'error: "model.link_alphabet_sizes" must be a list of integers, got 2\n'),
+        ("simulate", {"gamma": [0.1]}, 'error: "gamma" must be one number, got [0.1]\n'),
+    ]
+    for command, fields, err in malformed:
+        cfg = write_config(tmp_path, {"schema": 1, "model": model_obj(), **fields})
+        args = ["oracle", "stealth-gap"] if command == "oracle" else [command]
+        assert main([*args, "--config", cfg]) == 1
+        assert capsys.readouterr().err == err
 
 
 def test_simulate_seed_zero_overrides_master_seed(tmp_path):

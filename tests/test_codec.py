@@ -186,11 +186,12 @@ def test_streaming_store_matches_materialized(monkeypatch):
     for t in range(40):
         tx = encode(materialised, MODEL, t % 2, 1 + 11 * t % 2 ** 7 if t % 2 else 0, t)
         erased = np.arange(3) == t % 3
-        rx = ReceivedWord(links=np.where(erased[:, None], 0, tx.links), erased=erased)
+        rx = ReceivedWord(links=np.where(erased[:, None], 0, tx.links)[None],
+                          erased=erased[None])
         for gamma in (0.3, 0.8):
             want = decode_erasure(materialised, rx, TypicalityParams(gamma=gamma), MODEL)
             assert decode_erasure(streaming, rx, TypicalityParams(gamma=gamma), MODEL) == want
-            verdicts.add(want.verdict)
+            verdicts.add(want[0].verdict)
     assert len(verdicts) > 1
 
 
@@ -258,9 +259,9 @@ def test_no_thread_outlives_a_pass(monkeypatch, thread_starts):
     _, layered = _code_pair(monkeypatch, lambda: build_layered_code(
         p_u, kern, CodeParams(n=4, rate=2.0, seed=2), (2, 2, 2)))
     tx = encode(layered, MODEL, 1, 5, 0)
-    rx = ReceivedWord(links=tx.links, erased=np.array([True, False, False]))
+    rx = ReceivedWord(links=tx.links[None], erased=np.array([[True, False, False]]))
     derived.clear()
-    assert decode_erasure(layered, rx, TypicalityParams(gamma=4.0)) == DecodeResult("error")
+    assert decode_erasure(layered, rx, TypicalityParams(gamma=4.0)) == [DecodeResult("error")]
     assert threading.active_count() == count
     assert len(derived) < 16
     # a batch of two erasure patterns: two passes, each left once all its
@@ -357,7 +358,7 @@ def test_layered_code_validation_and_determinism():
     a = build_layered_code(p_u, kern, params, (2, 2, 2))
     b = build_layered_code(p_u, kern, params, (2, 2, 2))
     for m in range(1, a.message_count + 1):
-        np.testing.assert_array_equal(a.u_codeword(m), b.u_codeword(m))
+        np.testing.assert_array_equal(a.codeword(m), b.codeword(m))
     with pytest.raises(ValueError):
         build_layered_code(Distribution.uniform(2), kern, params, (2, 2, 2))
     with pytest.raises(ValueError):
@@ -377,6 +378,49 @@ def test_decode_result_validation():
     with pytest.raises(ValueError):
         DecodeResult("message", message=0)
     DecodeResult("innocent")
+
+
+def test_decodes_is_right_only_for_the_sent_message():
+    # m = 0 is the innocent hypothesis; an error verdict is never right
+    verdicts = (DecodeResult("innocent"), DecodeResult("message", message=3),
+                DecodeResult("error"))
+    assert [r.decodes(0) for r in verdicts] == [True, False, False]
+    assert [r.decodes(3) for r in verdicts] == [False, True, False]
+    assert [r.decodes(4) for r in verdicts] == [False, False, False]
+    assert verdicts[1].decodes(np.int64(3)) and verdicts[0].decodes(np.int64(0))
+
+
+def test_decode_on_a_batch_is_the_scheme_decoder():
+    from stealthpath.codec import build_affine_code, decode
+    codes = {
+        "layered": build_layered_code(
+            Distribution(3, np.array([0.5, 0.3, 0.2])),
+            ConditionalKernel(3, 8, np.eye(3, 8) * 0.5 + 0.5 / 8),
+            CodeParams(n=5, rate=1.0, seed=8), (2, 2, 2)),
+        "iid": build_direct_code(SKEW8, CodeParams(n=6, rate=1.8, seed=4)),
+        "affine": build_affine_code((2, 2, 2), CodeParams(n=6, rate=1.8, seed=3)),
+    }
+    tp = TypicalityParams(0.8)
+    rng = np.random.default_rng(6)
+    seeds = np.arange(40)
+    for name, code in codes.items():
+        m = seeds % code.message_count + 1
+        links = np.concatenate([encode(code, MODEL, 0, 0 * m[:20], seeds[:20]).links,
+                                encode(code, MODEL, 1, m[20:], seeds[20:]).links])
+        if name == "layered":  # erase no link, one link, or two (over the budget)
+            erased = np.array([[False] * 3, [True, False, False], [False, True, False],
+                               [True, False, True]])[seeds % 4]
+            links[erased] = 0
+            rx = ReceivedWord(links, erased)
+            want = decode_erasure(code, rx, tp, MODEL)
+        else:  # overwrite one link of every other word
+            erased = np.zeros((40, 3), dtype=bool)
+            links[1::2, 1] = rng.integers(0, 2, size=(20, 6))
+            rx = ReceivedWord(links, erased)
+            want = [decode_overwrite(code, ReceivedWord(links[t], erased[t]), MODEL)
+                    for t in range(40)]
+        assert len({r.verdict for r in want}) > 1, name
+        assert decode(code, rx, MODEL, tp) == want, name
 
 
 def test_encode_innocent_reproducible():
@@ -399,12 +443,12 @@ def test_encode_direct_returns_codeword():
         encode(code, MODEL, 0, 3, 5)
 
 
-def test_encode_layered_identity_kernel_is_u_codeword():
+def test_encode_layered_identity_kernel_is_the_codeword():
     code = build_layered_code(UNIFORM8.as_distribution(), ConditionalKernel.identity(8),
                               CodeParams(n=6, rate=1.0, seed=4), (2, 2, 2))
     tx = encode(code, MODEL, 1, 7, 5)
     np.testing.assert_array_equal(
-        indexing.pack_links(tx.links, (2, 2, 2)), code.u_codeword(7))
+        indexing.pack_links(tx.links, (2, 2, 2)), code.codeword(7))
 
 
 def test_encode_layered_resamples_per_transmission():
@@ -423,11 +467,12 @@ def identity_layered(n, rate, seed):
 
 
 def erase(links, erased_links, c=3):
+    """A batch of one word: `links` with `erased_links` erased."""
     erased = np.zeros(c, dtype=bool)
     erased[list(erased_links)] = True
     out = links.copy()
     out[erased] = 0
-    return ReceivedWord(links=out, erased=erased)
+    return ReceivedWord(links=out[None], erased=erased[None])
 
 
 def test_decode_erasure_round_trip():
@@ -436,7 +481,7 @@ def test_decode_erasure_round_trip():
     for m in (1, 5, code.message_count):
         tx = encode(code, MODEL, 1, m, 100 + m)
         for j in ((), (0,), (1,), (2,)):
-            result = decode_erasure(code, erase(tx.links, j), tp, MODEL)
+            result, = decode_erasure(code, erase(tx.links, j), tp, MODEL)
             assert result.verdict == "message" and result.message == m
 
 
@@ -446,7 +491,7 @@ def test_decode_erasure_innocent():
     hits = 0
     for t in range(50):
         tx = encode(code, MODEL, 0, 0, 2000 + t)
-        if decode_erasure(code, erase(tx.links, (0,)), tp, MODEL).verdict == "innocent":
+        if decode_erasure(code, erase(tx.links, (0,)), tp, MODEL)[0].verdict == "innocent":
             hits += 1
     assert hits >= 48  # false codeword matches require an exact 24-symbol hit
 
@@ -454,15 +499,23 @@ def test_decode_erasure_innocent():
 def test_decode_erasure_all_links_erased():
     code = identity_layered(8, 0.5, 11)
     tx = encode(code, MODEL, 1, 1, 7)
-    result = decode_erasure(code, erase(tx.links, (0, 1, 2)), TypicalityParams(0.6))
+    result, = decode_erasure(code, erase(tx.links, (0, 1, 2)), TypicalityParams(0.6))
     assert result.verdict == "error"
 
 
 def test_decode_erasure_too_many_erasures_with_model():
     code = identity_layered(8, 0.5, 11)
     tx = encode(code, MODEL, 1, 1, 7)
-    result = decode_erasure(code, erase(tx.links, (0, 1)), TypicalityParams(0.6), MODEL)
+    result, = decode_erasure(code, erase(tx.links, (0, 1)), TypicalityParams(0.6), MODEL)
     assert result.verdict == "error"
+
+
+def test_decode_erasure_refuses_a_single_word():
+    # one (C, n) word is refused, not misread as a batch (here n = C)
+    code = identity_layered(3, 0.5, 11)
+    tx = encode(code, MODEL, 1, 1, 7)
+    with pytest.raises(ValueError):
+        decode_erasure(code, ReceivedWord(tx.links, np.zeros(3, dtype=bool)), TypicalityParams())
 
 
 def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
@@ -493,8 +546,8 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
         links[erased] = 0
         tp = TypicalityParams(gamma)
         for model in (MODEL, None):
-            want = [decode_erasure(codes[0], ReceivedWord(links[t], erased[t]), tp, model)
-                    for t in range(size)]
+            want = [r for t in range(size) for r in decode_erasure(
+                codes[0], ReceivedWord(links[t:t + 1], erased[t:t + 1]), tp, model)]
             assert {r.verdict for r in want} == {"innocent", "message", "error"}, name
             for code in codes:
                 # one word, one 64-word group and a word either side of it,
@@ -633,8 +686,8 @@ def test_decode_erasure_memory_is_bounded_on_a_full_support_kernel():
     code = build_layered_code(Distribution.uniform(15), kernel,
                               CodeParams(n=10, rate=1.6, seed=1), (2, 2, 2))
     assert code.materialized and code.message_count == 65536
-    rx = ReceivedWord(links=encode(code, MODEL, 1, 5, 0).links,
-                      erased=np.array([True, False, False]))
+    rx = ReceivedWord(links=encode(code, MODEL, 1, 5, 0).links[None],
+                      erased=np.array([[True, False, False]]))
     # and a batch, where every (codeword, word) pair survives the support filter
     words = np.stack([encode(code, MODEL, 1, m, m).links for m in (5, 9, 70, 4000)])
     erased = np.array([[True, False, False]] * 3 + [[False, False, True]])
@@ -663,6 +716,6 @@ def test_layered_transmit_map_matches_the_strict_comparison_form():
     for m in range(1, code.message_count + 1):
         for tx_seed in range(5):
             u = generator(tx_seed, "transmit-map").random(12)
-            old = (u[:, None] > cdf_rows[code.u_codeword(m)]).sum(axis=1).clip(max=7)
+            old = (u[:, None] > cdf_rows[code.codeword(m)]).sum(axis=1).clip(max=7)
             tx = encode(code, MODEL, 1, m, tx_seed)
             np.testing.assert_array_equal(indexing.pack_links(tx.links, (2, 2, 2)), old)

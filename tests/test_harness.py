@@ -302,11 +302,11 @@ def test_invalid_fixed_jam_set_gives_failure_row():
 
 
 def test_value_error_in_a_decoder_propagates(monkeypatch):
-    from stealthpath import harness
+    from stealthpath import codec
 
     def broken(code, rx, model):
         raise ValueError("decoder bug")
-    monkeypatch.setattr(harness, "decode_overwrite", broken)
+    monkeypatch.setattr(codec, "decode_overwrite", broken)
     with pytest.raises(ValueError, match="decoder bug"):
         run_experiment(ExperimentConfig.from_json(base_config()), FAST)
 

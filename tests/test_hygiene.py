@@ -79,7 +79,8 @@ def test_no_unused_private_names():
 
 
 def test_no_unused_private_methods():
-    # a `_method` of a module-level class that no attribute read in its module names
+    # a `_method` of a module-level class, or any method of a `_Class`, that
+    # no attribute read in its module names
     unused = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -89,7 +90,8 @@ def test_no_unused_private_methods():
                    for cls in tree.body if isinstance(cls, ast.ClassDef)
                    for item in cls.body
                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                   and item.name.startswith("_") and not item.name.startswith("__")
+                   and not item.name.startswith("__")
+                   and (item.name.startswith("_") or cls.name.startswith("_"))
                    and item.name not in read]
     assert unused == []
 

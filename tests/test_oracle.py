@@ -157,7 +157,11 @@ def test_exact_error_erasure_layered():
 
 
 def test_batched_erasure_error_components_match_a_per_word_loop(monkeypatch):
-    from stealthpath.codec import decode_erasure
+    from stealthpath.codec import ReceivedWord, decode_erasure
+
+    def decode_one(code, rx, tp, model):
+        result, = decode_erasure(code, ReceivedWord(rx.links[None], rx.erased[None]), tp, model)
+        return result
     # batches of 7 words: boundaries fall inside the innocent blocks and
     # inside one message's kernel outcomes
     monkeypatch.setattr(oracle, "_DECODE_BATCH", 7)
@@ -176,13 +180,13 @@ def test_batched_erasure_error_components_match_a_per_word_loop(monkeypatch):
         err0 = 0.0
         for p_block, links in oracle._innocent_blocks(MODEL, 4):
             for p_rx, rx in oracle._received_words(links, j, "erasure", MODEL, code):
-                if decode_erasure(code, rx, tp, MODEL).verdict != "innocent":
+                if decode_one(code, rx, tp, MODEL).verdict != "innocent":
                     err0 += p_block * p_rx
         err1 = 0.0
         for m in range(1, code.message_count + 1):
             for p_block, links in oracle._active_blocks(code, m):
                 for p_rx, rx in oracle._received_words(links, j, "erasure", MODEL, code):
-                    result = decode_erasure(code, rx, tp, MODEL)
+                    result = decode_one(code, rx, tp, MODEL)
                     if not (result.verdict == "message" and result.message == m):
                         err1 += p_block * p_rx / code.message_count
         assert 0 < err0 < 1 and 0 < err1 < 1
@@ -230,7 +234,7 @@ def test_layered_marginal_matches_a_per_codeword_kron_loop(monkeypatch):
         mass = np.zeros(space)
         for m in range(1, code.message_count + 1):
             v = np.array([1.0])
-            for u in code.u_codeword(m):
+            for u in code.codeword(m):
                 v = np.kron(v, rows[int(u)])
             mass += v
         want = Distribution(space, mass / code.message_count)

@@ -256,6 +256,25 @@ def test_solve_a_is_the_embedding_of_solve_b(name):
         assert abs(sol_a.value - sol_b.value) <= 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_innocent_marginal_is_the_restricted_product(name):
+    # the bytes of the S @ mass product the solver and the oracle computed
+    # inline, kept once per tuple of links and read-only
+    from stealthpath import indexing
+    model = GOLDEN_MODELS[name]
+    sets = [*model.jam_family(), tuple(range(model.link_count))]
+    restrictions = [s_j for s_j, _ in model.restrictions] + [None]
+    for links, s_j in zip(sets, restrictions):
+        got = model.innocent_marginal(links)
+        want = indexing.restriction_matrix(model.link_alphabet_sizes, links) @ \
+            model.innocent.mass
+        assert got.tobytes() == want.tobytes()
+        if s_j is not None:
+            assert got.tobytes() == (s_j @ model.innocent.mass).tobytes()
+        assert model.innocent_marginal(list(links)) is got
+        assert not got.flags.writeable
+
+
 def test_solve_a_returns_solve_b_infeasibility():
     inn = JointDistribution.from_factors([Distribution.point_mass(2, 0)] * 3)
     model = NetworkModel(3, 1, (2, 2, 2), inn)
