@@ -96,7 +96,7 @@ def _codes_from_config(obj: dict, model, seed: int, ns):
 
     `seed` seeds the solver and, where the config names none, the code.
     """
-    code = obj.get("code", {})
+    code = config_field(obj, "code", dict, {})
     rate = config_field(code, "code.rate_bits", float, 1.0)
     code_seed = config_field(code, "code.seed", int, seed)
     params = [CodeParams(n=n, rate=rate, seed=code_seed) for n in ns]
@@ -116,7 +116,7 @@ def _cmd_oracle(args) -> int:
                "info": sol.info}, args.out)
         return EXIT_OK
     j = JamSet(config_field(obj, "jam_set", tuple, ())).validate(model)
-    n = config_field(obj.get("code", {}), "code.n", int, 4)
+    n = config_field(config_field(obj, "code", dict, {}), "code.n", int, 4)
     code, = _codes_from_config(obj, model, _seed(args), [n])
     if sub == "stealth-gap":
         gap = oracle.exact_stealth_gap(code, model, j)
@@ -140,7 +140,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_stealth_scan(args) -> int:
     obj, model = _load_config(args.config)
-    ns = config_blocklengths(obj.get("code", {}), [2, 4])
+    ns = config_blocklengths(config_field(obj, "code", dict, {}), [2, 4])
     rows = []
     for code in _codes_from_config(obj, model, _seed(args), ns):
         for j in model.jam_family():

@@ -4,9 +4,11 @@ The direct scheme draws i.i.d. codewords from a network distribution and
 decodes by exact sub-codeword matching over every candidate jam set. The
 layered scheme draws intermediate codewords from an auxiliary distribution,
 maps them through a stochastic kernel at transmit time, and decodes by joint
-typicality on the unjammed links. `decode` takes a batch of received words for
-either: one typicality pass over the code per erasure pattern in it, or one
-list decode per word. `DecodeResult.decodes` scores a verdict.
+typicality on the unjammed links. Both list the codewords that agree with a
+word on a set of unjammed links, reading the code in one agreement pass where
+they must, and a word decodes only if exactly one does. `decode` takes a batch
+of received words for either: one pass per erasure pattern in it, or one list
+decode per word. `DecodeResult.decodes` scores a verdict.
 
 Codebooks above the in-memory symbol budget fall back to streaming chunked
 regeneration: chunk c of CHUNK_MESSAGES codewords is reproducible from the
@@ -52,8 +54,8 @@ DRAW_ROWS = 1 << 12
 SYMBOL_BUDGET = 1 << 26
 MESSAGE_BUDGET = 1 << 31
 DECODE_SCAN_BUDGET = 1 << 28
-# Candidate (codeword, received word) pairs a batched erasure decode tests for
-# typicality at once, whatever the batch or chunk size.
+# Candidate (codeword, target) pairs an agreement pass draws, and a typicality
+# decode tests, at once, whatever the batch or chunk size.
 DECODE_CELLS = 1 << 16
 # Affine codes: message indices must stay below 2^63, where the harness's and
 # the strategies' 64-bit message draws are still uniform.
@@ -269,8 +271,8 @@ class AffineStore:
         self._g_t = self.g.T.astype(np.float32)
         self._dtype = np.min_scalar_type(int(np.prod(self.link_sizes)) - 1)
         self._solvers: dict = {}
-        self._scatter: dict = {}
-        # product code at position t = bits[gather[t]] · weights
+        # product code at position t = bits[gather[t]] · weights; the link
+        # sizes are powers of 2, so each weight is a distinct power of 2
         strides = indexing.strides(self.link_sizes)
         self._gather = np.stack([seg[l::w] for seg, w in zip(self._segments, widths)
                                  for l in range(w)], axis=1)
@@ -283,19 +285,11 @@ class AffineStore:
 
     def pack(self, links: Sequence[int], link_rows: np.ndarray) -> int:
         """Per-link symbol rows of `links` -> codeword bits, zero off those links."""
-        links = tuple(links)
-        if links not in self._scatter:
-            # bit dest[e] is bit shift[e] of link_rows[row[e], pos[e]]
-            parts = []
-            for r, i in enumerate(links):
-                dest = self._segments[i]
-                e = np.arange(dest.size)
-                w = dest.size // self.n
-                parts.append((dest, np.full(dest.size, r), e // w, e % w))
-            self._scatter[links] = tuple(np.concatenate(a) for a in zip(*parts))
-        dest, row, pos, shift = self._scatter[links]
+        rows = np.zeros((len(self.link_sizes), self.n), dtype=np.int64)
+        rows[list(links)] = link_rows
+        codes = indexing.pack_links(rows, self.link_sizes)
         bits = np.zeros(self.rows, dtype=np.uint8)
-        bits[dest] = (np.asarray(link_rows)[row, pos] >> shift) & 1
+        bits[self._gather] = (codes[:, None] & self._weights) > 0
         return gf2.to_int(bits)
 
     def _bits(self, b: np.ndarray) -> np.ndarray:
@@ -592,33 +586,68 @@ def induced_unjammed_joint(code: LayeredCode, unjammed_links: Sequence[int]) -> 
     return JointDistribution((code.p_u.alphabet_size, s.shape[0]), joint.reshape(-1))
 
 
-def _surviving_rows(table: np.ndarray, block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Rows of `block` whose AND of table[t, block[row, t]] over t is nonzero, and that AND.
+def _agreement_pass(code: Code, allowed: np.ndarray,
+                    confirm: Optional[Callable] = None) -> Iterator[Tuple[int, tuple]]:
+    """(start, (rows, targets)) per chunk: the codewords that agree with each target.
 
-    The AND is taken one position at a time over the rows still alive.
+    allowed[k, t, x] says whether letter x at position t agrees with target
+    k. One pass over the code serves every target, in groups of 64: bit b of
+    the uint64 mask of group g is target 64g + b, and a codeword stays a
+    candidate for a target while that bit survives an AND over its positions,
+    taken one position at a time over the rows still alive. The candidate
+    (row, target) pairs are drawn at most DECODE_CELLS at a time; with
+    `confirm`, confirm(codewords, targets) keeps those it marks True. Rows
+    are 0-based within their chunk.
     """
-    acc = np.take(table[0], block[:, 0])
-    alive = np.flatnonzero(acc)
-    acc = acc[alive]
-    for t in range(1, block.shape[1]):
-        acc &= np.take(table[t], block[alive, t])
-        keep = np.flatnonzero(acc)
-        alive, acc = alive[keep], acc[keep]
-    return alive, acc
+    count = code.message_count
+    if not code.materialized and count > DECODE_SCAN_BUDGET:
+        raise ResourceBudgetError(f"decoding scans all {count} codewords; over the scan budget")
+    targets = len(allowed)
+    bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    masks = [(allowed[g:g + 64] * bits[:min(64, targets - g), None, None]).sum(
+        axis=0, dtype=np.uint64) for g in range(0, targets, 64)]
+
+    def agree(block):
+        pairs = [(np.empty(0, dtype=np.int64),) * 2]
+        for g, mask in enumerate(masks):
+            width = min(64, targets - 64 * g)
+            step = DECODE_CELLS // width
+            acc = np.take(mask[0], block[:, 0])
+            alive = np.flatnonzero(acc)
+            acc = acc[alive]
+            for t in range(1, block.shape[1]):
+                acc &= np.take(mask[t], block[alive, t])
+                keep = np.flatnonzero(acc)
+                alive, acc = alive[keep], acc[keep]
+            for lo in range(0, alive.size, step):
+                cand, bit = np.nonzero(acc[lo:lo + step, None] & bits[:width])
+                row, target = alive[lo:lo + step][cand], bit + 64 * g
+                if confirm is not None:
+                    ok = confirm(block[row], target)
+                    row, target = row[ok], target[ok]
+                pairs.append((row, target))
+        return tuple(np.concatenate(p) for p in zip(*pairs))
+    return code.chunks(agree)
+
+
+def _verdict(listed: int, message: int) -> DecodeResult:
+    """None listed is innocent, one is `message`, more is an error."""
+    if listed == 0:
+        return DecodeResult("innocent")
+    if listed == 1:
+        return DecodeResult("message", message=message)
+    return DecodeResult("error")
 
 
 def _typical_matches(code: LayeredCode, unjammed: tuple, y: np.ndarray,
                      gamma: float) -> Tuple[np.ndarray, np.ndarray]:
     """(match count, a matching message) for each row of y, (W, n) unjammed codes.
 
-    One pass over the code serves all W words, in groups of 64. Bit b of
-    masks[g][t, u] says whether letter u pairs with a positive joint mass
-    with word b of group g at position t; a codeword stays a candidate for a
-    word while that bit survives an AND over its positions, taken one position
-    at a time over the rows still alive. The candidate (codeword, word) pairs,
-    at most DECODE_CELLS at a time, then go to `typical_rows`, which decides
-    each on its own row, so a word's matches do not depend on the others. The
-    pass stops once every word has two matches; a count is exact below two.
+    One agreement pass serves all W words: a codeword is a candidate for a
+    word where every letter pairs with the word's symbol at a positive joint
+    mass, and `typical_rows` then decides each candidate pair on its own row,
+    so a word's matches do not depend on the others. The pass stops once
+    every word has two matches; a count is exact below two.
     """
     joint = code_cached(code, ("unjammed-joint", unjammed),
                         lambda: induced_unjammed_joint(code, unjammed))
@@ -626,30 +655,17 @@ def _typical_matches(code: LayeredCode, unjammed: tuple, y: np.ndarray,
     pair_dtype = np.min_scalar_type(joint.alphabet_size)
     y = y.astype(pair_dtype)
     words = len(y)
-    allowed = (joint.mass.reshape(au, ax) > 0).T  # [x, u]
-    bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    masks = [(allowed[y[g:g + 64]] * bits[:min(64, words - g), None, None]).sum(
-        axis=0, dtype=np.uint64) for g in range(0, words, 64)]
+    support = (joint.mass.reshape(au, ax) > 0).T  # [x, u]
 
-    def typical(block):
-        hits = [(np.empty(0, dtype=np.int64),) * 2]
-        for g, mask in enumerate(masks):
-            width = min(64, words - 64 * g)
-            step = DECODE_CELLS // width
-            alive, acc = _surviving_rows(mask, block)
-            for lo in range(0, alive.size, step):
-                cand, bit = np.nonzero(acc[lo:lo + step, None] & bits[:width])
-                row, word = alive[lo:lo + step][cand], bit + 64 * g
-                pair = block[row].astype(pair_dtype)
-                pair *= pair_dtype.type(ax)
-                pair += y[word]
-                ok = typical_rows(pair, joint.mass, gamma)
-                hits.append((row[ok], word[ok]))
-        return tuple(np.concatenate(h) for h in zip(*hits))
+    def typical(rows, word):
+        pair = rows.astype(pair_dtype)
+        pair *= pair_dtype.type(ax)
+        pair += y[word]
+        return typical_rows(pair, joint.mass, gamma)
 
     count = np.zeros(words, dtype=np.int64)
     match = np.zeros(words, dtype=np.int64)
-    for start, (row, word) in code.chunks(typical):
+    for start, (row, word) in _agreement_pass(code, support[y], typical):
         count += np.bincount(word, minlength=words)
         match[word] = start + row + 1
         if (count > 1).all():
@@ -681,19 +697,12 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
             continue
         if model is not None and len(unjammed) < c - model.adversary_budget:
             continue
-        count = code.message_count
-        if not code.materialized and count > DECODE_SCAN_BUDGET:
-            raise ResourceBudgetError(
-                f"typicality decoding scans all {count} codewords; over the scan budget"
-            )
         members = np.flatnonzero(keys == key)
         y = indexing.pack_links(links[members][:, list(unjammed)],
                                 [code.link_sizes[i] for i in unjammed])
         found, match = _typical_matches(code, unjammed, y, tp.gamma)
         for w, k, m in zip(members.tolist(), found.tolist(), match.tolist()):
-            results[w] = (DecodeResult("innocent") if k == 0 else
-                          DecodeResult("message", message=m) if k == 1 else
-                          DecodeResult("error"))
+            results[w] = _verdict(k, m)
     return results
 
 
@@ -751,32 +760,40 @@ def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIn
     return code_cached(code, ("restriction-index", sets), build)
 
 
-def _streaming_list(code: DirectCode, links: np.ndarray, unjammed_sets: Sequence) -> set:
-    """Messages agreeing with the received `links` on any of `unjammed_sets`.
+def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> set:
+    """Messages agreeing with the received (C, n) `links` on one of the link `sets`.
 
-    One pass over the chunks matches each chunk against every set at once:
-    bit b of table[t, x] says whether product symbol x agrees with the word at
-    position t on set b of its group of eight, so a codeword matches a set
-    where that bit survives an AND over its positions, taken one position at a
-    time over the rows still alive. The pass stops once two messages are
-    listed, which already makes the list decoder's verdict an error.
+    The list is complete while it holds at most one message; past that, two
+    of its messages, which already make the verdict an error. A materialised
+    i.i.d. code answers every set by one search of its restriction index; an
+    affine code lists at most two messages per set, by one solve each; a
+    streaming i.i.d. code, or one too wide for the index, is read once for
+    all sets in an agreement pass. Every message agrees with the word on an
+    empty set, so that set lists the first min(N, 2) messages.
     """
-    n = code.params.n
-    tables = []
-    for g in range(0, len(unjammed_sets), 8):
-        table = np.zeros((n, code.p_x.mass.size), dtype=np.uint8)
-        for b, jc in enumerate(unjammed_sets[g:g + 8]):
-            target = indexing.pack_links(links[list(jc)], [code.link_sizes[i] for i in jc])
-            agree = indexing.restrict_codes(code.link_sizes, jc)[None, :] == target[:, None]
-            table |= agree.astype(np.uint8) << b
-        tables.append(table)
-
-    def matching(block):
-        return np.concatenate([_surviving_rows(table, block)[0] for table in tables])
-
-    listed: set = set()
-    for start, rows in code.chunks(matching):
-        listed.update((rows + start + 1).tolist())
+    index = _restriction_index(code, sets)
+    if index is not None:
+        x = indexing.pack_links(links, code.link_sizes)
+        lo, hi = index.search((index.tables[:, x] * index.weights).sum(axis=1) + index.offsets)
+        # the first and last match of each set: two messages where a set lists several
+        hit = hi > lo
+        return set(index.messages[lo[hit]].tolist()) | set(index.messages[hi[hit] - 1].tolist())
+    affine = code.affine
+    if affine is not None:
+        x = affine.pack(range(len(links)), links)
+        found = (affine.matches(jc, x, limit=2) if jc else
+                 range(1, min(code.message_count, 2) + 1) for jc in sets)
+    else:
+        allowed = np.stack([
+            indexing.restrict_codes(code.link_sizes, jc)[None, :] ==
+            indexing.pack_links(links[list(jc)], [code.link_sizes[i] for i in jc])[:, None]
+            for jc in sets])
+        found = ((rows + start + 1).tolist()
+                 for start, (rows, _) in _agreement_pass(code, allowed))
+    # lazy: sets are solved, or chunks read, only until two messages are listed
+    listed = set()
+    for messages in found:
+        listed.update(messages)
         if len(listed) > 1:
             break
     return listed
@@ -786,44 +803,14 @@ def decode_overwrite(code: DirectCode, rx: ReceivedWord,
                      model: NetworkModel) -> DecodeResult:
     """Erasure-like exhaustive list decoding over every candidate jam set.
 
-    The verdict depends only on the union of the lists over the jam family:
-    none is innocent, one is that message, more is an error. A materialised
-    i.i.d. code answers every jam set by one search of its restriction index;
-    an affine code lists at most two messages per jam set, by one solve each;
-    a streaming i.i.d. code, or one too wide for the index, is read once for
-    all jam sets. Every message agrees with the word on an empty unjammed set,
-    so that set lists the first min(N, 2) messages.
+    A message is listed where its codeword equals the word on the unjammed
+    links of some candidate jam set (`_listed`): none listed is innocent, one
+    is that message, more is an error.
     """
     if rx.erased.any():
         raise ValueError("overwrite decoding expects a fully symbol-valued word")
-    count = code.message_count
-    affine = code.affine
-    if affine is None and not code.materialized and count > DECODE_SCAN_BUDGET:
-        raise ResourceBudgetError(
-            f"list decoding scans all {count} codewords; over the scan budget"
-        )
-    unjammed_sets = model.unjammed_sets
-    index = _restriction_index(code, unjammed_sets)
-    if affine is not None:
-        x = affine.pack(range(model.link_count), rx.links)
-        listed = set()
-        for jc in unjammed_sets:
-            listed.update(affine.matches(jc, x, limit=2) if jc else range(1, min(count, 2) + 1))
-            if len(listed) > 1:
-                break
-    elif index is not None:
-        x = indexing.pack_links(rx.links, code.link_sizes)
-        lo, hi = index.search((index.tables[:, x] * index.weights).sum(axis=1) + index.offsets)
-        # the first and last match of each set: two messages where a set lists several
-        hit = hi > lo
-        listed = set(index.messages[lo[hit]].tolist()) | set(index.messages[hi[hit] - 1].tolist())
-    else:
-        listed = _streaming_list(code, rx.links, unjammed_sets)
-    if not listed:
-        return DecodeResult("innocent")
-    if len(listed) == 1:
-        return DecodeResult("message", message=next(iter(listed)))
-    return DecodeResult("error")
+    listed = _listed(code, rx.links, model.unjammed_sets)
+    return _verdict(len(listed), min(listed, default=0))
 
 
 def decode(code: Code, rx: ReceivedWord, model: NetworkModel,

@@ -102,15 +102,16 @@ class ExperimentConfig:
         obj = parse_config(text)
         model = model_from_config(obj["model"])
         scheme = obj.get("scheme", "overwrite-direct")
-        code = obj.get("code", {})
-        adversary = obj.get("adversary", {})
-        strategies = tuple(adversary.get("strategies", [])) or \
+        code = config_field(obj, "code", dict, {})
+        adversary = config_field(obj, "adversary", dict, {})
+        strategies = tuple(config_field(adversary, "adversary.strategies", list, [])) or \
             (("",) if scheme == "erasure-layered" else ("passthrough",))
         return cls(
             model=model,
             scheme=scheme,
             blocklengths=config_blocklengths(code, [8]),
-            rate_rule=dict(code.get("rate", {"rule": "absolute", "bits": 1.0})),
+            rate_rule=dict(config_field(code, "code.rate", dict,
+                                        {"rule": "absolute", "bits": 1.0})),
             gamma=config_field(obj, "gamma", float, 0.1),
             jam_rule=adversary.get("jam_rule", "worst-over-family"),
             jam_set=config_field(adversary, "adversary.jam_set", tuple, ()),
@@ -122,14 +123,16 @@ class ExperimentConfig:
         )
 
 
-_KINDS = {int: "one integer", float: "one number", tuple: "a list of integers"}
+_KINDS = {int: "one integer", float: "one number", tuple: "a list of integers",
+          list: "a list", dict: "an object"}
 
 
 def config_field(obj: dict, name: str, kind=int, default=None):
     """Field `name` (dotted from the config's root) of `obj`, read as `kind`.
 
-    `kind` is int, float, tuple (of ints) or None (as it is). A missing field
-    takes `default`; with no default, or a value `kind` cannot take, it is a
+    `kind` is int, float, tuple (of ints), list, dict or None (as it is); a
+    list or tuple is never read from a string. A missing field takes
+    `default`; with no default, or a value `kind` cannot take, it is a
     ConfigError naming the field.
     """
     where, _, key = name.rpartition(".")
@@ -140,9 +143,12 @@ def config_field(obj: dict, name: str, kind=int, default=None):
     else:
         value = obj[key]
     try:
+        if kind in (list, tuple, dict) and \
+                not isinstance(value, dict if kind is dict else (list, tuple)):
+            raise TypeError
         if kind is tuple:
             return tuple(int(v) for v in value)
-        return value if kind is None else kind(value)
+        return value if kind in (None, list, dict) else kind(value)
     except TypeError:
         raise ConfigError(f'"{name}" must be {_KINDS[kind]}, got {value!r}') from None
 
@@ -159,7 +165,7 @@ def parse_config(text: str) -> dict:
     obj = json.loads(text)
     if not isinstance(obj, dict) or obj.get("schema") != 1:
         raise ConfigError('config must declare "schema": 1')
-    config_field(obj, "model", None)
+    config_field(obj, "model", dict)
     return obj
 
 
@@ -167,9 +173,10 @@ def model_from_config(obj: dict) -> NetworkModel:
     link_count = config_field(obj, "model.link_count")
     budget = config_field(obj, "model.adversary_budget")
     sizes = config_field(obj, "model.link_alphabet_sizes", tuple)
-    inn = config_field(obj, "model.innocent", None)
+    inn = config_field(obj, "model.innocent", dict)
     if "factors" in inn:
-        factors = [Distribution(len(f), np.array(f, dtype=float)) for f in inn["factors"]]
+        factors = [Distribution(len(f), np.array(f, dtype=float))
+                   for f in config_field(inn, "model.innocent.factors", list)]
         innocent = JointDistribution.from_factors(factors)
     else:
         mass = config_field(inn, "model.innocent.mass", None)

@@ -110,6 +110,23 @@ def test_validation_exit_code(tmp_path, capsys):
         ("solve", {"model": {**model_obj(), "link_alphabet_sizes": 2}},
          'error: "model.link_alphabet_sizes" must be a list of integers, got 2\n'),
         ("simulate", {"gamma": [0.1]}, 'error: "gamma" must be one number, got [0.1]\n'),
+        # a section that is not an object, and a list that is not a list
+        ("simulate", {"adversary": 5}, 'error: "adversary" must be an object, got 5\n'),
+        ("simulate", {"code": 5}, 'error: "code" must be an object, got 5\n'),
+        ("stealth-scan", {"code": 5}, 'error: "code" must be an object, got 5\n'),
+        ("oracle", {"code": 5, "jam_set": [0]}, 'error: "code" must be an object, got 5\n'),
+        ("simulate", {"code": {"rate": 5}}, 'error: "code.rate" must be an object, got 5\n'),
+        ("simulate", {"adversary": {"strategies": 5}},
+         'error: "adversary.strategies" must be a list, got 5\n'),
+        ("simulate", {"adversary": {"strategies": "passthrough"}},
+         'error: "adversary.strategies" must be a list, got \'passthrough\'\n'),
+        ("simulate", {"model": {**model_obj(), "innocent": {"factors": 3}}},
+         'error: "model.innocent.factors" must be a list, got 3\n'),
+        ("simulate", {"model": {**model_obj(), "innocent": 5}},
+         'error: "model.innocent" must be an object, got 5\n'),
+        ("solve", {"model": {**model_obj(), "innocent": 5}},
+         'error: "model.innocent" must be an object, got 5\n'),
+        ("solve", {"model": 5}, 'error: "model" must be an object, got 5\n'),
     ]
     for command, fields, err in malformed:
         cfg = write_config(tmp_path, {"schema": 1, "model": model_obj(), **fields})

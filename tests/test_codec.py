@@ -560,6 +560,31 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
                 assert decode_erasure(code, ReceivedWord(links, erased), tp, model) == want
                 monkeypatch.setattr(codec, "DECODE_CELLS", cells)
 
+    # the direct list's agreement pass, on one streaming chunk of 256 codewords:
+    # at n=2 a word agrees with more codewords than 128 cells hold for four
+    # sets; at n=5 the verdicts differ
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 256)
+    sets = MODEL.unjammed_sets
+    for n, rate in ((2, 4.0), (5, 1.6)):
+        _, code = _code_pair(monkeypatch, lambda: build_direct_code(
+            UNIFORM8, CodeParams(n=n, rate=rate, seed=8)))
+        rng = np.random.default_rng(n)
+        words = [code.codeword_links(m) for m in (1, 100, 256)] + \
+            [rng.integers(0, 2, size=(3, n)) for _ in range(20)]
+        rxs = [ReceivedWord(w, np.zeros(3, dtype=bool)) for w in words]
+
+        def lists():
+            return [(decode_overwrite(code, rx, MODEL), codec._listed(code, rx.links, sets))
+                    for rx in rxs]
+        want = lists()
+        monkeypatch.setattr(codec, "DECODE_CELLS", 128)
+        assert lists() == want
+        monkeypatch.setattr(codec, "DECODE_CELLS", cells)
+        if n == 2:
+            assert max(len(listed) for _, listed in want) > 128 // len(sets)
+        else:
+            assert {r.verdict for r, _ in want} == {"innocent", "message", "error"}
+
 
 def test_decode_overwrite_honest_word():
     code = build_direct_code(UNIFORM8, CodeParams(n=24, rate=0.5, seed=11))
@@ -620,6 +645,29 @@ def test_decode_overwrite_indexed_and_scanned_honest_words():
         assert decode_overwrite(code, rx, MODEL) == DecodeResult("message", message=m)
         index = code.cache[("restriction-index", MODEL.unjammed_sets)]
         assert (index is not None) == indexed
+
+
+def test_scan_budget_refuses_only_a_streaming_scan(monkeypatch):
+    from stealthpath import codec
+    from stealthpath.codec import build_affine_code
+    direct = _code_pair(monkeypatch, lambda: build_direct_code(
+        UNIFORM8, CodeParams(n=8, rate=1.0, seed=2)))
+    layered = _code_pair(monkeypatch, lambda: identity_layered(8, 1.0, 2))
+    affine = build_affine_code((2, 2, 2), CodeParams(n=8, rate=1.0, seed=2))
+    monkeypatch.setattr(codec, "SYMBOL_BUDGET", 0)
+    monkeypatch.setattr(codec, "DECODE_SCAN_BUDGET", 255)
+    assert {c.message_count for c in (*direct, *layered, affine)} == {256}
+    for code in (direct[0], affine):
+        rx = ReceivedWord(code.codeword_links(5), np.zeros(3, dtype=bool))
+        assert decode_overwrite(code, rx, MODEL) == DecodeResult("message", message=5)
+    rx = erase(encode(layered[0], MODEL, 1, 5, 0).links, (0,))
+    assert decode_erasure(layered[0], rx, TypicalityParams(4.0), MODEL) == \
+        [DecodeResult("message", message=5)]
+    with pytest.raises(ResourceBudgetError, match="scan budget"):
+        decode_overwrite(direct[1], ReceivedWord(direct[0].codeword_links(5),
+                                                 np.zeros(3, dtype=bool)), MODEL)
+    with pytest.raises(ResourceBudgetError, match="scan budget"):
+        decode_erasure(layered[1], rx, TypicalityParams(4.0), MODEL)
 
 
 def test_survey_restrictions_census_and_membership():
