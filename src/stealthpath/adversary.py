@@ -7,16 +7,17 @@ spoofing, symmetrization), and the likelihood-ratio detector against exact
 n-letter marginals.
 
 Every strategy exposes both `apply` (sampled, for Monte Carlo) and `outcomes`
-(the full conditional output law, for the exact oracle). `apply`, the jamming
-modes and the detector take one block or a batch of blocks with leading trial
-axes; a batch draws, block for block, what one call per block would draw.
+(the full conditional output law, for the exact oracle; `iid_blocks` serves
+both it and the oracle's innocent hypothesis). `apply`, the jamming modes and
+the detector take one block or a batch of blocks with leading trial axes; a
+batch draws, block for block, what one call per block would draw.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +78,9 @@ class JammingStrategy:
     `outcomes` enumerates the full conditional distribution of one block as
     (probability, replacement rows) pairs for the exact oracle, and raises
     ResourceBudgetError above OUTCOME_BUDGET outcomes.
+
+    Both are asked only about a jam set that has links: `overwrite_jam` and
+    the oracle pass the empty set's blocks through without a strategy.
     """
 
     id: str = ""
@@ -149,26 +153,24 @@ class ResampleInnocent(JammingStrategy):
     id = "resample-innocent"
 
     def apply(self, x_j, j, model, code, seed):
-        if not j.links:
-            return x_j.copy()
         draws = streams(seed, "innocent-jam").random(x_j.shape[-1])
         codes = inverse_cdf(_jam_marginal(model, j).cdf, draws)
         return indexing.unpack_links(codes, _sub_sizes(model, j))
 
     def outcomes(self, x_j, j, model, code):
-        if not j.links:
-            return [(1.0, x_j.copy())]
-        marg = _jam_marginal(model, j)
+        mass = _jam_marginal(model, j).mass
         n = x_j.shape[1]
-        if marg.alphabet_size ** n > OUTCOME_BUDGET:
+        if mass.size ** n > OUTCOME_BUDGET:
             raise ResourceBudgetError("innocent-jam outcome space exceeds the budget")
-        sizes = _sub_sizes(model, j)
-        out = []
-        for combo in itertools.product(range(marg.alphabet_size), repeat=n):
-            p = float(np.prod(marg.mass[list(combo)]))
-            if p > 0:
-                out.append((p, indexing.unpack_links(np.array(combo), sizes)))
-        return out
+        return list(iid_blocks(mass, _sub_sizes(model, j), n))
+
+
+def iid_blocks(mass: np.ndarray, sizes: Sequence[int],
+               n: int) -> Iterator[Tuple[float, np.ndarray]]:
+    """(probability, link rows) of every n-block of i.i.d. letters from `mass`'s
+    support, in lexicographic order; the caller bounds the enumeration."""
+    for combo in itertools.product(np.flatnonzero(mass), repeat=n):
+        yield float(np.prod(mass[list(combo)])), indexing.unpack_links(np.array(combo), sizes)
 
 
 SPOOF_DRAWS = 4096
@@ -202,12 +204,12 @@ class SpoofCodeword(JammingStrategy):
         return code_cached(code, ("codeword-jam-mass", j.links), lambda: (
             indexing.restriction_matrix(code.link_sizes, j.links) @ code.p_x.mass))
 
-    def _candidates(self, code: DirectCode, j: JamSet) -> np.ndarray:
-        """Candidate messages, kept in the code's cache."""
+    def _candidates(self, code: DirectCode, j: JamSet) -> Tuple[np.ndarray, bool]:
+        """Candidate messages, and whether they are typical; kept in the code's cache."""
         def compute():
             sub = _codeword_restrictions(code, j)
             cand = np.nonzero(typical_rows(sub, self._jam_mass(code, j), self.gamma))[0] + 1
-            return cand if cand.size else np.arange(1, sub.shape[0] + 1)
+            return (cand, True) if cand.size else (np.arange(1, sub.shape[0] + 1), False)
         return code_cached(code, ("spoof-candidates", self.gamma, j.links), compute)
 
     def _affine_messages(self, code: DirectCode, j: JamSet, seed) -> np.ndarray:
@@ -217,7 +219,9 @@ class SpoofCodeword(JammingStrategy):
         after SPOOF_DRAWS misses the enumerated list decides. Draws come in
         chunks of SPOOF_CHUNK, SPOOF_CHUNK, then doubling: a block keeps its
         first typical draw, and one that misses them all has used exactly
-        SPOOF_DRAWS draws, as one draw at a time would.
+        SPOOF_DRAWS draws, as one draw at a time would. On a code of at most
+        SPOOF_DRAWS messages with no typical restriction, the draws only keep
+        the stream.
         """
         restrict = indexing.restrict_codes(code.link_sizes, j.links)
         mass = self._jam_mass(code, j)
@@ -226,36 +230,35 @@ class SpoofCodeword(JammingStrategy):
         m = np.zeros(seeds.size, dtype=np.int64)
         left = np.arange(seeds.size)          # blocks without a typical draw yet
         drawn = 0
+        misses = code.message_count <= SPOOF_DRAWS and not self._candidates(code, j)[1]
         while drawn < SPOOF_DRAWS and left.size:
             k = min(max(drawn, SPOOF_CHUNK), SPOOF_DRAWS - drawn)
             drawn += k
             ms = draws.integers(code.message_count, k)[left] + 1
+            if misses:
+                continue
             hit = typical_rows(restrict[code.codeword(ms)].reshape(ms.size, -1), mass,
                                self.gamma).reshape(ms.shape)
             found = hit.any(axis=1)
             m[left[found]] = ms[found, hit[found].argmax(axis=1)]
             left = left[~found]
         if left.size:
-            cand = self._candidates(code, j)
+            cand, _ = self._candidates(code, j)
             m[left] = cand[draws.integers(cand.size, 1)[left, 0]]
         return m.reshape(np.shape(seed))
 
     def apply(self, x_j, j, model, code, seed):
-        if not j.links:
-            return x_j.copy()
         code = self._direct(code)
         if code.affine is not None:
             m = self._affine_messages(code, j, seed)
         else:
-            cand = self._candidates(code, j)
+            cand, _ = self._candidates(code, j)
             m = cand[streams(seed, "spoof").integers(cand.size, 1)[..., 0]]
         return code.codeword_links(m)[..., list(j.links), :]
 
     def outcomes(self, x_j, j, model, code):
-        if not j.links:
-            return [(1.0, x_j.copy())]
         code = self._direct(code)
-        cand = self._candidates(code, j)
+        cand, _ = self._candidates(code, j)
         sizes = _sub_sizes(model, j)
         weights: Dict[tuple, float] = {}
         for m in cand:
@@ -285,15 +288,11 @@ class SpoofConsistent(JammingStrategy):
         return int(np.argmax(agreement)) + 1  # ties -> smallest message
 
     def apply(self, x_j, j, model, code, seed):
-        if not j.links:
-            return x_j.copy()
         blocks = x_j.reshape((-1,) + x_j.shape[-2:])
         m = np.reshape([self._best(x, j, code) for x in blocks], x_j.shape[:-2])
         return code.codeword_links(m)[..., list(j.links), :]
 
     def outcomes(self, x_j, j, model, code):
-        if not j.links:
-            return [(1.0, x_j.copy())]
         m = self._best(x_j, j, code)
         return [(1.0, code.codeword_links(m)[list(j.links)])]
 

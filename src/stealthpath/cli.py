@@ -49,7 +49,7 @@ def _emit(payload, out: str):
 def _cmd_solve(args) -> int:
     obj, model = _load_config(args.config)
     cfg = SolverConfig(seed=_seed(args))
-    scheme = obj.get("scheme", "overwrite-direct")
+    scheme = obj["scheme"]
     if scheme == "overwrite-direct":
         sol = solve_b(model, cfg)
         payload = {"bound": "overwrite", "feasible": sol.feasible, "value": sol.value,
@@ -100,7 +100,7 @@ def _codes_from_config(obj: dict, model, seed: int, ns):
     rate = config_field(code, "code.rate_bits", float, 1.0)
     code_seed = config_field(code, "code.seed", int, seed)
     params = [CodeParams(n=n, rate=rate, seed=code_seed) for n in ns]
-    scheme = obj.get("scheme", "overwrite-direct")
+    scheme = obj["scheme"]
     sol = harness.solve_bound(model, scheme, SolverConfig(seed=seed))
     for p in params:
         yield harness.build_code(model, scheme, sol, p)

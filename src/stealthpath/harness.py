@@ -38,7 +38,7 @@ from .codec import (
     encode,
 )
 from .probkit import Distribution, JointDistribution, TypicalityParams
-from .ratesolver import NetworkModel, SolverConfig, solve_a, solve_b
+from .ratesolver import NetworkModel, SolverConfig, achievable_rate, solve_a, solve_b
 from .rng import derive_seed
 
 SCHEMES = ("erasure-layered", "overwrite-direct")
@@ -101,7 +101,7 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         obj = parse_config(text)
         model = model_from_config(obj["model"])
-        scheme = obj.get("scheme", "overwrite-direct")
+        scheme = obj["scheme"]
         code = config_field(obj, "code", dict, {})
         adversary = config_field(obj, "adversary", dict, {})
         strategies = tuple(config_field(adversary, "adversary.strategies", list, [])) or \
@@ -132,8 +132,8 @@ def config_field(obj: dict, name: str, kind=int, default=None):
 
     `kind` is int, float, tuple (of ints), list, dict or None (as it is); a
     list or tuple is never read from a string. A missing field takes
-    `default`; with no default, or a value `kind` cannot take, it is a
-    ConfigError naming the field.
+    `default`; with no default, or a value `kind` cannot take (a non-numeric
+    string for a number included), it is a ConfigError naming the field.
     """
     where, _, key = name.rpartition(".")
     if not isinstance(obj, dict) or key not in obj:
@@ -149,7 +149,7 @@ def config_field(obj: dict, name: str, kind=int, default=None):
         if kind is tuple:
             return tuple(int(v) for v in value)
         return value if kind in (None, list, dict) else kind(value)
-    except TypeError:
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f'"{name}" must be {_KINDS[kind]}, got {value!r}') from None
 
 
@@ -161,11 +161,17 @@ def config_blocklengths(code: dict, default: list) -> tuple:
 
 
 def parse_config(text: str) -> dict:
-    """The JSON object of a schema-1 config, which must name its model."""
+    """The JSON object of a schema-1 config, which must name its model.
+
+    Its "scheme", "overwrite-direct" where it names none, must be in SCHEMES.
+    """
     obj = json.loads(text)
     if not isinstance(obj, dict) or obj.get("schema") != 1:
         raise ConfigError('config must declare "schema": 1')
     config_field(obj, "model", dict)
+    scheme = obj.setdefault("scheme", "overwrite-direct")
+    if scheme not in SCHEMES:
+        raise ConfigError(f'"scheme" must be one of {", ".join(SCHEMES)}, got {scheme!r}')
     return obj
 
 
@@ -175,9 +181,15 @@ def model_from_config(obj: dict) -> NetworkModel:
     sizes = config_field(obj, "model.link_alphabet_sizes", tuple)
     inn = config_field(obj, "model.innocent", dict)
     if "factors" in inn:
-        factors = [Distribution(len(f), np.array(f, dtype=float))
-                   for f in config_field(inn, "model.innocent.factors", list)]
-        innocent = JointDistribution.from_factors(factors)
+        factors = config_field(inn, "model.innocent.factors", list)
+        try:
+            if not all(isinstance(f, list) for f in factors):
+                raise TypeError
+            masses = [np.array([float(p) for p in f]) for f in factors]
+        except (TypeError, ValueError):
+            raise ConfigError('"model.innocent.factors" must be a list of lists of numbers, '
+                              f'got {factors!r}') from None
+        innocent = JointDistribution.from_factors([Distribution(m.size, m) for m in masses])
     else:
         mass = config_field(inn, "model.innocent.mass", None)
         innocent = JointDistribution(sizes, np.array(mass, dtype=float))
@@ -237,11 +249,10 @@ def _rate(rule: dict, solved: Callable) -> float:
     """Bits per use of a rate rule; `solved()` gives the bound, if the rule needs it."""
     if rule["rule"] == "absolute":
         return float(rule["bits"])
-    eps = float(rule["epsilon"])
-    rate = solved().value - eps
-    if rate <= 0:
-        raise ConfigError("bound minus epsilon is non-positive")
-    return rate
+    rate = achievable_rate(solved(), float(rule["epsilon"]))
+    if rate.clamped:
+        raise ConfigError(rate.reason)
+    return rate.bits
 
 
 def rate_rule_resolve(rule: dict, model: NetworkModel, scheme: str,

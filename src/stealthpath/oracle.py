@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import gf2, indexing
-from .adversary import JammingStrategy, JamSet
+from .adversary import JammingStrategy, JamSet, iid_blocks
 from .codec import (
     Code,
     DirectCode,
@@ -234,14 +234,9 @@ def brute_force_min_ab(innocent: Distribution, active: Distribution) -> float:
 
 def _innocent_blocks(model: NetworkModel, n: int) -> Iterator[Tuple[float, np.ndarray]]:
     """Every innocent n-block with its probability (zero-mass blocks skipped)."""
-    a = model.product_alphabet_size
-    if a ** n > ENUMERATION_BUDGET:
+    if model.product_alphabet_size ** n > ENUMERATION_BUDGET:
         raise ResourceBudgetError("innocent block enumeration exceeds the budget")
-    mass = model.innocent.mass
-    support = np.nonzero(mass)[0]
-    for combo in itertools.product(support, repeat=n):
-        p = float(np.prod(mass[list(combo)]))
-        yield p, indexing.unpack_links(np.array(combo), model.link_alphabet_sizes)
+    yield from iid_blocks(model.innocent.mass, model.link_alphabet_sizes, n)
 
 
 def _active_blocks(code: Code, m: int) -> Iterator[Tuple[float, np.ndarray]]:

@@ -18,8 +18,6 @@ import numpy as np
 # Construction tolerances: reject real bugs, forgive float dust.
 SUM_TOL = 1e-9
 MASS_TOL = 1e-12
-# inverse_cdf: below this many draws one vectorised search beats a pass per letter.
-SEARCH_DRAWS = 1024
 # typical_rows: count-table cells per block of rows.
 TYPICAL_BLOCK_CELLS = 1 << 18
 
@@ -204,9 +202,7 @@ class SymbolSequence:
 
 def entropy(d: Distribution) -> float:
     """Shannon entropy in bits, with 0 log 0 := 0."""
-    p = d.mass
-    nz = p > 0
-    return float(-np.sum(p[nz] * np.log2(p[nz])))
+    return entropy_of_mass(d.mass)
 
 
 def entropy_of_mass(mass: np.ndarray) -> float:
@@ -304,18 +300,10 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     `cdf` is one cumulative mass vector, or per-position rows (say
     cdf_rows[symbols]) broadcast against `u`. The result counts the entries of
     cdf[..., :A-1] that are <= u, in the smallest unsigned dtype that holds
-    A - 1. Up to SEARCH_DRAWS draws take one vectorised search (or, for
-    per-position rows, one broadcast comparison); larger draws take one
-    comparison per letter, which is faster than a binary search at the
-    alphabet sizes used here.
+    A - 1, by one comparison per letter.
     """
     last = cdf.shape[-1] - 1
     dtype = np.min_scalar_type(last)
-    if np.size(u) <= SEARCH_DRAWS:
-        if cdf.ndim == 1:
-            return np.searchsorted(cdf[:-1], u, side="right").astype(dtype)
-        return np.count_nonzero(np.asarray(u)[..., None] >= cdf[..., :-1], axis=-1
-                                ).astype(dtype)
     out = np.zeros(np.broadcast_shapes(cdf.shape[:-1], np.shape(u)), dtype=dtype)
     for k in range(last):
         out += u >= cdf[..., k]

@@ -3,6 +3,7 @@ import pytest
 
 from stealthpath import indexing, oracle
 from stealthpath.adversary import (
+    JammingStrategy,
     JamSet,
     STRATEGY_IDS,
     erasure_jam,
@@ -49,6 +50,26 @@ def test_erasure_jam_marks_exactly_j():
     rx_empty = erasure_jam(tx, JamSet(()))
     assert not rx_empty.erased.any()
     np.testing.assert_array_equal(rx_empty.links, tx.links)
+
+
+class _Refuses(JammingStrategy):
+    id = "refuses"
+
+    def apply(self, x_j, j, model, code, seed):
+        raise AssertionError("apply called")
+
+    def outcomes(self, x_j, j, model, code):
+        raise AssertionError("outcomes called")
+
+
+def test_strategies_never_see_the_empty_jam_set():
+    tx = encode(CODE, MODEL, 1, np.array([4, 5]), [0, 1])
+    rx = overwrite_jam(tx, JamSet(()), _Refuses(), None, MODEL, CODE)
+    np.testing.assert_array_equal(rx.links, tx.links)
+    assert not rx.erased.any()
+    small = build_direct_code(MODEL.innocent, CodeParams(n=3, rate=1.0, seed=3))
+    assert oracle.exact_error_components(small, MODEL, JamSet(()), _Refuses()) == \
+        oracle.exact_error_components(small, MODEL, JamSet(()), get_strategy("passthrough"))
 
 
 def test_strategy_registry():

@@ -127,6 +127,21 @@ def test_validation_exit_code(tmp_path, capsys):
         ("solve", {"model": {**model_obj(), "innocent": 5}},
          'error: "model.innocent" must be an object, got 5\n'),
         ("solve", {"model": 5}, 'error: "model" must be an object, got 5\n'),
+        # an unknown scheme, a factor that is not a list of numbers, and a
+        # string that no number field can read
+        *[(command, {"scheme": "overwrite"}, 'error: "scheme" must be one of '
+           "erasure-layered, overwrite-direct, got 'overwrite'\n")
+          for command in ("solve", "oracle", "stealth-scan", "simulate")],
+        ("simulate", {"model": {**model_obj(), "innocent": {"factors": [3, 3, 3]}}},
+         'error: "model.innocent.factors" must be a list of lists of numbers, '
+         'got [3, 3, 3]\n'),
+        ("solve", {"model": {**model_obj(), "innocent": {"factors": [["x", 1]]}}},
+         'error: "model.innocent.factors" must be a list of lists of numbers, '
+         "got [['x', 1]]\n"),
+        ("simulate", {"trials": "x"}, 'error: "trials" must be one integer, got \'x\'\n'),
+        ("simulate", {"trials": float("inf")}, 'error: "trials" must be one integer, got inf\n'),
+        ("simulate", {"code": {"rate": {"rule": "absolute", "bits": "x"}}},
+         'error: "code.rate.bits" must be one number, got \'x\'\n'),
     ]
     for command, fields, err in malformed:
         cfg = write_config(tmp_path, {"schema": 1, "model": model_obj(), **fields})

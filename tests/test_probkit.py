@@ -210,7 +210,6 @@ def test_typical_rows_in_blocks_matches_one_block(monkeypatch):
 
 
 def test_inverse_cdf_matches_searchsorted():
-    from stealthpath.probkit import SEARCH_DRAWS
     rng = np.random.default_rng(8)
     mass = np.array([0.2, 0.0, 0.5, 0.0, 0.3, 0.0])
     cdf = np.cumsum(mass)
@@ -234,10 +233,9 @@ def test_inverse_cdf_matches_searchsorted():
     expected = [min(np.searchsorted(cdf_rows[s], x, side="right"), 3)
                 for s, x in zip(symbols, u)]
     assert np.array_equal(inverse_cdf(cdf_rows[symbols], u), expected)
-    # above the size at which the sampler stops searching: one pass per letter
+    # a large draw, against one cdf and against per-position rows
     big = np.random.default_rng(9)
-    u = np.concatenate([big.random(4 * SEARCH_DRAWS), cdf, [0.0]])
-    assert u.size > SEARCH_DRAWS
+    u = np.concatenate([big.random(4 * 1024), cdf, [0.0]])
     assert np.array_equal(inverse_cdf(cdf, u),
                           np.searchsorted(cdf, u, side="right").clip(max=a - 1))
     symbols = big.integers(0, 4, size=u.size)
