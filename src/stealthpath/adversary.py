@@ -131,13 +131,12 @@ class UniformRandom(JammingStrategy):
     def apply(self, x_j, j, model, code, seed):
         draws = streams(seed, "uniform-jam")
         sizes = _sub_sizes(model, j)
-        return np.stack([draws.integers(s, x_j.shape[-1]) for s in sizes], axis=-2) \
-            if sizes else x_j.copy()
+        return np.stack([draws.integers(s, x_j.shape[-1]) for s in sizes], axis=-2)
 
     def outcomes(self, x_j, j, model, code):
         sizes = _sub_sizes(model, j)
         n = x_j.shape[1]
-        aj = int(np.prod(sizes)) if sizes else 1
+        aj = int(np.prod(sizes))
         if aj ** n > OUTCOME_BUDGET:
             raise ResourceBudgetError("uniform-jam outcome space exceeds the budget")
         prob = 1.0 / aj ** n
@@ -204,12 +203,12 @@ class SpoofCodeword(JammingStrategy):
         return code_cached(code, ("codeword-jam-mass", j.links), lambda: (
             indexing.restriction_matrix(code.link_sizes, j.links) @ code.p_x.mass))
 
-    def _candidates(self, code: DirectCode, j: JamSet) -> Tuple[np.ndarray, bool]:
-        """Candidate messages, and whether they are typical; kept in the code's cache."""
+    def _candidates(self, code: DirectCode, j: JamSet) -> np.ndarray:
+        """Candidate messages, kept in the code's cache."""
         def compute():
             sub = _codeword_restrictions(code, j)
             cand = np.nonzero(typical_rows(sub, self._jam_mass(code, j), self.gamma))[0] + 1
-            return (cand, True) if cand.size else (np.arange(1, sub.shape[0] + 1), False)
+            return cand if cand.size else np.arange(1, sub.shape[0] + 1)
         return code_cached(code, ("spoof-candidates", self.gamma, j.links), compute)
 
     def _affine_messages(self, code: DirectCode, j: JamSet, seed) -> np.ndarray:
@@ -219,9 +218,7 @@ class SpoofCodeword(JammingStrategy):
         after SPOOF_DRAWS misses the enumerated list decides. Draws come in
         chunks of SPOOF_CHUNK, SPOOF_CHUNK, then doubling: a block keeps its
         first typical draw, and one that misses them all has used exactly
-        SPOOF_DRAWS draws, as one draw at a time would. On a code of at most
-        SPOOF_DRAWS messages with no typical restriction, the draws only keep
-        the stream.
+        SPOOF_DRAWS draws, as one draw at a time would.
         """
         restrict = indexing.restrict_codes(code.link_sizes, j.links)
         mass = self._jam_mass(code, j)
@@ -230,20 +227,17 @@ class SpoofCodeword(JammingStrategy):
         m = np.zeros(seeds.size, dtype=np.int64)
         left = np.arange(seeds.size)          # blocks without a typical draw yet
         drawn = 0
-        misses = code.message_count <= SPOOF_DRAWS and not self._candidates(code, j)[1]
         while drawn < SPOOF_DRAWS and left.size:
             k = min(max(drawn, SPOOF_CHUNK), SPOOF_DRAWS - drawn)
             drawn += k
             ms = draws.integers(code.message_count, k)[left] + 1
-            if misses:
-                continue
             hit = typical_rows(restrict[code.codeword(ms)].reshape(ms.size, -1), mass,
                                self.gamma).reshape(ms.shape)
             found = hit.any(axis=1)
             m[left[found]] = ms[found, hit[found].argmax(axis=1)]
             left = left[~found]
         if left.size:
-            cand, _ = self._candidates(code, j)
+            cand = self._candidates(code, j)
             m[left] = cand[draws.integers(cand.size, 1)[left, 0]]
         return m.reshape(np.shape(seed))
 
@@ -252,13 +246,13 @@ class SpoofCodeword(JammingStrategy):
         if code.affine is not None:
             m = self._affine_messages(code, j, seed)
         else:
-            cand, _ = self._candidates(code, j)
+            cand = self._candidates(code, j)
             m = cand[streams(seed, "spoof").integers(cand.size, 1)[..., 0]]
         return code.codeword_links(m)[..., list(j.links), :]
 
     def outcomes(self, x_j, j, model, code):
         code = self._direct(code)
-        cand, _ = self._candidates(code, j)
+        cand = self._candidates(code, j)
         sizes = _sub_sizes(model, j)
         weights: Dict[tuple, float] = {}
         for m in cand:

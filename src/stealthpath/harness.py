@@ -70,8 +70,7 @@ class ExperimentConfig:
     code_seed: int
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
+        _check_scheme(self.scheme)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not self.blocklengths:
@@ -169,10 +168,13 @@ def parse_config(text: str) -> dict:
     if not isinstance(obj, dict) or obj.get("schema") != 1:
         raise ConfigError('config must declare "schema": 1')
     config_field(obj, "model", dict)
-    scheme = obj.setdefault("scheme", "overwrite-direct")
+    _check_scheme(obj.setdefault("scheme", "overwrite-direct"))
+    return obj
+
+
+def _check_scheme(scheme) -> None:
     if scheme not in SCHEMES:
         raise ConfigError(f'"scheme" must be one of {", ".join(SCHEMES)}, got {scheme!r}')
-    return obj
 
 
 def model_from_config(obj: dict) -> NetworkModel:

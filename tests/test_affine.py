@@ -166,19 +166,6 @@ def test_spoof_codeword_batch_matches_one_draw_at_a_time(n, rate, gamma, links, 
     np.testing.assert_array_equal(got, want)
 
 
-def test_spoof_codeword_never_typical_reads_no_codeword_per_draw(monkeypatch):
-    """The never-typical case above makes all its draws but looks none of them up."""
-    code = build_affine_code((2, 2, 2), CodeParams(n=5, rate=1.2, seed=3))
-    assert code.message_count <= SPOOF_DRAWS
-    calls = []
-    codeword = code.codeword
-    monkeypatch.setattr(code, "codeword", lambda m: calls.append(np.size(m)) or codeword(m))
-    x_j = np.zeros((3, 1, 5), dtype=np.int64)
-    get_strategy("spoof-codeword", gamma=0.0).apply(x_j, JamSet((0,)), uniform_model(),
-                                                    code, np.arange(3))
-    assert calls == [3]  # the chosen messages' codewords, once
-
-
 @pytest.mark.parametrize("n,rate", [(6, 1.5), (8, 0.5)])
 def test_spoof_consistent_matches_enumerated_best(n, rate):
     """At n=8, rate 0.5 most observations match no codeword exactly."""
