@@ -8,7 +8,7 @@ typicality on the unjammed links. Both list the codewords that agree with a
 word on a set of unjammed links, reading the code in one agreement pass where
 they must, and a word decodes only if exactly one does. `decode` takes a batch
 of received words for either: one pass per erasure pattern in it, or one list
-decode per word. `DecodeResult.decodes` scores a verdict.
+decode for the whole batch. `DecodeResult.decodes` scores a verdict.
 
 Codebooks above the in-memory symbol budget fall back to streaming chunked
 regeneration: chunk c of CHUNK_MESSAGES codewords is reproducible from the
@@ -630,13 +630,18 @@ def _agreement_pass(code: Code, allowed: np.ndarray,
     return code.chunks(agree)
 
 
+# results are immutable, so every word shares these two
+_INNOCENT = DecodeResult("innocent")
+_ERROR = DecodeResult("error")
+
+
 def _verdict(listed: int, message: int) -> DecodeResult:
     """None listed is innocent, one is `message`, more is an error."""
     if listed == 0:
-        return DecodeResult("innocent")
+        return _INNOCENT
     if listed == 1:
         return DecodeResult("message", message=message)
-    return DecodeResult("error")
+    return _ERROR
 
 
 def _typical_matches(code: LayeredCode, unjammed: tuple, y: np.ndarray,
@@ -690,7 +695,7 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
     words, c, _ = links.shape  # a one-word (C, n) call raises here
     # each word's erasure pattern as an integer, bit i for link i
     keys = np.asarray(rx.erased, dtype=bool) @ (1 << np.arange(c))
-    results = [DecodeResult("error")] * words
+    results = [_ERROR] * words
     for key in np.unique(keys).tolist():
         unjammed = tuple(i for i in range(c) if not key >> i & 1)
         if not unjammed:
@@ -714,7 +719,10 @@ class _RestrictionIndex:
     word's n restrictions with weights[s]. keys holds every message's packed
     restriction plus offsets[s] = s << bits, sorted within each set and the
     sets concatenated, so the whole array is sorted; messages holds the
-    1-based message of each key, ascending among equal keys.
+    1-based message of each key. Equal keys keep no particular message order:
+    the messages of one set are distinct, so the first two places of a run
+    longer than one hold two messages whatever that order is, and no verdict
+    depends on it.
     """
 
     tables: np.ndarray    # (S, product alphabet) int64
@@ -723,10 +731,16 @@ class _RestrictionIndex:
     keys: np.ndarray      # (S * N,) int64
     messages: np.ndarray  # (S * N,) int32
 
-    def search(self, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """[lo, hi) of the keys equal to each target."""
-        return (np.searchsorted(self.keys, targets, side="left"),
-                np.searchsorted(self.keys, targets, side="right"))
+    def first_two(self, targets: np.ndarray) -> np.ndarray:
+        """(2, ...) the first two messages of the run of keys equal to each target.
+
+        0 where the run is shorter. Past the last key the read clips back onto
+        it, which lists the run's one message twice, never a second message.
+        """
+        lo = np.searchsorted(self.keys, targets)
+        ends = np.stack([lo, lo + 1])
+        return np.where(self.keys.take(ends, mode="clip") == targets,
+                        self.messages.take(ends, mode="clip"), 0)
 
 
 def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIndex]:
@@ -750,7 +764,7 @@ def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIn
         messages = np.empty(len(sets) * count, dtype=np.int32)
         for s in range(len(sets)):
             values = indexing.fold_sequences(block, tables[s], alphas[s])
-            order = np.argsort(values, kind="stable")
+            order = np.argsort(values)
             keys[s * count:(s + 1) * count] = values[order] + offsets[s]
             messages[s * count:(s + 1) * count] = order + 1
         return _RestrictionIndex(tables, weights, offsets, keys, messages)
@@ -760,57 +774,78 @@ def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIn
     return code_cached(code, ("restriction-index", sets), build)
 
 
-def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> set:
-    """Messages agreeing with the received (C, n) `links` on one of the link `sets`.
+def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """(listed count, smallest listed message) per word of (T, C, n) `links`.
 
-    The list is complete while it holds at most one message; past that, two
-    of its messages, which already make the verdict an error. A materialised
-    i.i.d. code answers every set by one search of its restriction index; an
-    affine code lists at most two messages per set, by one solve each; a
-    streaming i.i.d. code, or one too wide for the index, is read once for
-    all sets in an agreement pass. Every message agrees with the word on an
-    empty set, so that set lists the first min(N, 2) messages.
+    A word lists the messages that agree with it on one of the link `sets`.
+    Its count is exact below two and 2 from there on, which already makes the
+    verdict an error; its message is 0 where none is listed. A materialised
+    i.i.d. code answers every (word, set) target by one search of its
+    restriction index, and lists the first two messages of each run of equal
+    keys; a streaming i.i.d. code, or one too wide for the index, is read once
+    for all T·S targets in an agreement pass, which stops once every word has
+    listed two messages; an affine code lists at most two messages per set, by
+    one solve each, set by set until the word lists two. Every message agrees
+    with a word on an empty set, so that set lists min(N, 2) messages or more.
     """
+    words = len(links)
     index = _restriction_index(code, sets)
+    affine = code.affine
     if index is not None:
         x = indexing.pack_links(links, code.link_sizes)
-        lo, hi = index.search((index.tables[:, x] * index.weights).sum(axis=1) + index.offsets)
-        # the first and last match of each set: two messages where a set lists several
-        hit = hi > lo
-        return set(index.messages[lo[hit]].tolist()) | set(index.messages[hi[hit] - 1].tolist())
-    affine = code.affine
-    if affine is not None:
-        x = affine.pack(range(len(links)), links)
-        found = (affine.matches(jc, x, limit=2) if jc else
-                 range(1, min(code.message_count, 2) + 1) for jc in sets)
+        keys = (index.tables[:, x] * index.weights[:, None]).sum(axis=2) + index.offsets[:, None]
+        listed = index.first_two(keys).reshape(2 * len(sets), words)
+    elif affine is not None:
+        listed = np.zeros((2, words), dtype=np.int64)
+        for w in range(words):
+            x = affine.pack(range(links.shape[1]), links[w])
+            found = set()
+            for jc in sets:  # lazy: sets are solved only until two messages are listed
+                found.update(affine.matches(jc, x, limit=2) if jc else
+                             range(1, min(code.message_count, 2) + 1))
+                if len(found) > 1:
+                    break
+            if found:
+                listed[:, w] = min(found), max(found)
     else:
         allowed = np.stack([
-            indexing.restrict_codes(code.link_sizes, jc)[None, :] ==
-            indexing.pack_links(links[list(jc)], [code.link_sizes[i] for i in jc])[:, None]
-            for jc in sets])
-        found = ((rows + start + 1).tolist()
-                 for start, (rows, _) in _agreement_pass(code, allowed))
-    # lazy: sets are solved, or chunks read, only until two messages are listed
-    listed = set()
-    for messages in found:
-        listed.update(messages)
-        if len(listed) > 1:
-            break
-    return listed
+            indexing.restrict_codes(code.link_sizes, jc) ==
+            indexing.pack_links(links[:, list(jc)], [code.link_sizes[i] for i in jc])[..., None]
+            for jc in sets], axis=1)  # (T, S, n, letters): target k is word k // S
+        low = np.full(words, np.iinfo(np.int64).max)
+        high = np.zeros(words, dtype=np.int64)
+        table = allowed.reshape(-1, *allowed.shape[2:])
+        for start, (rows, targets) in _agreement_pass(code, table):
+            word, message = targets // len(sets), start + rows + 1
+            np.minimum.at(low, word, message)
+            np.maximum.at(high, word, message)
+            if (low < high).all():
+                break
+        listed = np.stack([np.where(high > 0, low, 0), high])
+    # listed messages per word, 0 for none: a word lists more than one message
+    # iff its smallest and largest differ
+    high = listed.max(axis=0)
+    low = np.where(listed > 0, listed, high).min(axis=0)
+    return (high > 0).astype(np.int64) + (low < high), low
 
 
 def decode_overwrite(code: DirectCode, rx: ReceivedWord,
-                     model: NetworkModel) -> DecodeResult:
+                     model: NetworkModel) -> Union[DecodeResult, List[DecodeResult]]:
     """Erasure-like exhaustive list decoding over every candidate jam set.
 
     A message is listed where its codeword equals the word on the unjammed
     links of some candidate jam set (`_listed`): none listed is innocent, one
-    is that message, more is an error.
+    is that message, more is an error. A (C, n) word gives one DecodeResult;
+    a (T, C, n) batch one per word, in order, from one `_listed` call. A word
+    with an erased link raises ValueError.
     """
-    if rx.erased.any():
+    links = np.asarray(rx.links)
+    if np.asarray(rx.erased).any():
         raise ValueError("overwrite decoding expects a fully symbol-valued word")
-    listed = _listed(code, rx.links, model.unjammed_sets)
-    return _verdict(len(listed), min(listed, default=0))
+    one = links.ndim == 2
+    count, message = _listed(code, links[None] if one else links, model.unjammed_sets)
+    results = [_verdict(k, m) for k, m in zip(count.tolist(), message.tolist())]
+    return results[0] if one else results
 
 
 def decode(code: Code, rx: ReceivedWord, model: NetworkModel,
@@ -818,12 +853,11 @@ def decode(code: Code, rx: ReceivedWord, model: NetworkModel,
     """One DecodeResult per word of a (T, C, n) batch, in order.
 
     A layered code takes one `decode_erasure` call, a direct code one
-    `decode_overwrite` call per word (and ignores `tp`).
+    `decode_overwrite` call (which ignores `tp`).
     """
     if isinstance(code, LayeredCode):
         return decode_erasure(code, rx, tp, model)
-    return [decode_overwrite(code, ReceivedWord(rx.links[i], rx.erased[i]), model)
-            for i in range(len(rx.links))]
+    return decode_overwrite(code, rx, model)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ A run is fully determined by the config plus the master seed: every trial
 derives its randomness as hash(master_seed, label, sweep, hypothesis, trial),
 so re-running, reordering, or parallelizing cannot change any number. Trials
 run in blocks of at most TRIAL_BLOCK: one encode call per block and
-hypothesis, whose transmissions every jam set then detects, jams and decodes,
-with one `codec.decode` call per (block, jam set) that `DecodeResult.decodes`
-scores; each call's per-trial streams are those of one call per trial.
+hypothesis, whose transmissions every jam set then detects and jams, with one
+`codec.decode` call per (block, jam set) on both hypotheses' words that
+`DecodeResult.decodes` scores; each call's per-trial streams are those of one
+call per trial.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .adversary import (
 from .codec import (
     Code,
     CodeParams,
+    ReceivedWord,
     ResourceBudgetError,
     build_code_for_bound,
     build_layered_code,
@@ -380,23 +382,30 @@ def _run_sweep_point(cfg: ExperimentConfig, sweep: int, built: _Blocklength,
     seed = cfg.master_seed
     for lo in range(0, cfg.trials, TRIAL_BLOCK):
         block = range(lo, min(lo + TRIAL_BLOCK, cfg.trials))
-        for hyp in (0, 1):
-            m = np.array([derive_seed(seed, "message", sweep, t) % n_msg + 1 if hyp else 0
-                          for t in block], dtype=np.int64)
-            tx_seeds = [derive_seed(seed, "trial", sweep, hyp, t) for t in block]
-            tx = encode(code, model, hyp, m, tx_seeds)
-            for k, j in enumerate(jam_sets):
+        m = np.array([derive_seed(seed, "message", sweep, t) % n_msg + 1 for t in block],
+                     dtype=np.int64)
+        txs = [encode(code, model, hyp, m * hyp,
+                      [derive_seed(seed, "trial", sweep, hyp, t) for t in block])
+               for hyp in (0, 1)]
+        sent = np.concatenate([0 * m, m]).tolist()
+        for k, j in enumerate(jam_sets):
+            received = []
+            for hyp, tx in enumerate(txs):
                 if detectors[k] is not None:
                     verdicts = detectors[k](tx.links[:, list(j.links)])
                     wrong_verdicts[k][hyp] += int(np.count_nonzero(verdicts != hyp))
                 if cfg.scheme == "erasure-layered":
-                    rx = erasure_jam(tx, j)
+                    received.append(erasure_jam(tx, j))
                 else:  # the empty set calls no strategy, so it needs no jam seeds
                     jam_seeds = [derive_seed(seed, "jam", sweep, hyp, t, *j.links)
                                  for t in block] if j.links else None
-                    rx = overwrite_jam(tx, j, strategy, jam_seeds, model, code)
-                results = decode(code, rx, model, tp)
-                err[k][hyp] += sum(not r.decodes(mi) for r, mi in zip(results, m.tolist()))
+                    received.append(overwrite_jam(tx, j, strategy, jam_seeds, model, code))
+            # both hypotheses' words in one decode call: innocent first, then active
+            rx = ReceivedWord(np.concatenate([r.links for r in received]),
+                              np.concatenate([r.erased for r in received]))
+            wrong = [not r.decodes(mi) for r, mi in zip(decode(code, rx, model, tp), sent)]
+            err[k][0] += sum(wrong[:len(block)])
+            err[k][1] += sum(wrong[len(block):])
 
     trials = cfg.trials
     p_err = [e0 / trials + e1 / trials for e0, e1 in err]

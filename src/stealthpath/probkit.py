@@ -26,6 +26,8 @@ def _validated_mass(mass, expected_len: int) -> np.ndarray:
     arr = np.array(mass, dtype=float)
     if arr.ndim != 1 or arr.size != expected_len:
         raise ValueError(f"mass must be a length-{expected_len} vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"probability mass must be finite, got {arr.tolist()}")
     if np.any(arr < -MASS_TOL):
         raise ValueError("negative probability mass")
     arr = np.maximum(arr, 0.0)

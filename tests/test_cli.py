@@ -142,6 +142,10 @@ def test_validation_exit_code(tmp_path, capsys):
         ("simulate", {"trials": float("inf")}, 'error: "trials" must be one integer, got inf\n'),
         ("simulate", {"code": {"rate": {"rule": "absolute", "bits": "x"}}},
          'error: "code.rate.bits" must be one number, got \'x\'\n'),
+        # JSON's NaN reads as a float: a law of NaN masses is refused
+        ("solve", {"model": {**model_obj(), "innocent": {
+            "factors": [[float("nan")] * 2] + [[0.5, 0.5]] * 2}}},
+         "error: probability mass must be finite, got [nan, nan]\n"),
     ]
     for command, fields, err in malformed:
         cfg = write_config(tmp_path, {"schema": 1, "model": model_obj(), **fields})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -569,21 +571,29 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
         _, code = _code_pair(monkeypatch, lambda: build_direct_code(
             UNIFORM8, CodeParams(n=n, rate=rate, seed=8)))
         rng = np.random.default_rng(n)
-        words = [code.codeword_links(m) for m in (1, 100, 256)] + \
-            [rng.integers(0, 2, size=(3, n)) for _ in range(20)]
-        rxs = [ReceivedWord(w, np.zeros(3, dtype=bool)) for w in words]
+        words = np.stack([code.codeword_links(m) for m in (1, 100, 256)] +
+                         [rng.integers(0, 2, size=(3, n)) for _ in range(20)])
+        rx = ReceivedWord(words, np.zeros((len(words), 3), dtype=bool))
 
         def lists():
-            return [(decode_overwrite(code, rx, MODEL), codec._listed(code, rx.links, sets))
-                    for rx in rxs]
+            count, message = codec._listed(code, words, sets)
+            return decode_overwrite(code, rx, MODEL), count.tolist(), message.tolist()
         want = lists()
+        assert want[0] == [decode_overwrite(code, ReceivedWord(w, np.zeros(3, dtype=bool)),
+                                            MODEL) for w in words]
         monkeypatch.setattr(codec, "DECODE_CELLS", 128)
         assert lists() == want
         monkeypatch.setattr(codec, "DECODE_CELLS", cells)
         if n == 2:
-            assert max(len(listed) for _, listed in want) > 128 // len(sets)
+            # the codewords each word agrees with on some set, counted directly
+            codewords = code.codeword_links(np.arange(1, code.message_count + 1))
+            agree = np.zeros((len(words), len(codewords)), dtype=bool)
+            for jc in sets:
+                agree |= (codewords[None][:, :, list(jc)] ==
+                          words[:, None][:, :, list(jc)]).all(axis=(2, 3))
+            assert agree.sum(axis=1).max() > 128 // len(sets)
         else:
-            assert {r.verdict for r, _ in want} == {"innocent", "message", "error"}
+            assert {r.verdict for r in want[0]} == {"innocent", "message", "error"}
 
 
 def test_decode_overwrite_honest_word():
@@ -633,6 +643,76 @@ def test_decode_overwrite_constructed_ambiguity():
     y[0] = code.codeword_links(mp)[0]
     rx = ReceivedWord(links=y, erased=np.zeros(3, dtype=bool))
     assert decode_overwrite(code, rx, MODEL).verdict == "error"
+    # whatever order the index leaves equal keys in: messages ascending, then
+    # descending, within each run of equal keys
+    key = ("restriction-index", MODEL.unjammed_sets)
+    index = code.cache[key]
+    orders = [index.messages[np.lexsort((sign * index.messages, index.keys))]
+              for sign in (1, -1)]
+    assert not np.array_equal(*orders)
+    for messages in orders:
+        code.cache[key] = dataclasses.replace(index, messages=messages)
+        assert decode_overwrite(code, rx, MODEL).verdict == "error"
+
+
+def _overwrite_batch(code, words):
+    """Innocent words, honest codewords and codewords with one link overwritten."""
+    rng = np.random.default_rng(5)
+    n = code.params.n
+    links = np.empty((words, 3, n), dtype=np.int64)
+    for t in range(words):
+        if t % 3 == 0:
+            links[t] = encode(code, MODEL, 0, 0, t).links
+        else:
+            links[t] = code.codeword_links(1 + 37 * t % code.message_count)
+            if t % 3 == 2:
+                links[t, t // 3 % 3] = rng.integers(0, 2, size=n)
+    return ReceivedWord(links, np.zeros((words, 3), dtype=bool))
+
+
+def test_batched_decode_overwrite_matches_one_word_at_a_time(monkeypatch):
+    from stealthpath import codec
+    from stealthpath.codec import build_affine_code
+    # 256 messages at n=5: a link set of two links takes 1,024 values, so
+    # spurious matches are common and every verdict occurs
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 64)
+    params = CodeParams(n=5, rate=1.6, seed=4)
+    materialised, streaming = _code_pair(monkeypatch, lambda: build_direct_code(SKEW8, params))
+    affine = build_affine_code((2, 2, 2), params)
+    cells = codec.DECODE_CELLS
+    for code in (materialised, streaming, affine):
+        rx = _overwrite_batch(code, 90)
+        want = [decode_overwrite(code, ReceivedWord(rx.links[t], rx.erased[t]), MODEL)
+                for t in range(len(rx.links))]
+        assert {r.verdict for r in want} == {"innocent", "message", "error"}
+        assert decode_overwrite(code, rx, MODEL) == want
+        # candidate pairs two rows at a time for each group of 64 targets
+        monkeypatch.setattr(codec, "DECODE_CELLS", 128)
+        assert decode_overwrite(code, rx, MODEL) == want
+        monkeypatch.setattr(codec, "DECODE_CELLS", cells)
+        if code is streaming:  # the same codewords give the same verdicts
+            assert want == decode_overwrite(materialised, rx, MODEL)
+
+
+def test_decode_overwrite_takes_a_word_or_a_batch():
+    code = build_direct_code(UNIFORM8, CodeParams(n=6, rate=1.0, seed=3))
+    word = ReceivedWord(code.codeword_links(5), np.zeros(3, dtype=bool))
+    assert decode_overwrite(code, word, MODEL) == DecodeResult("message", message=5)
+    batch = ReceivedWord(word.links[None], word.erased[None])
+    assert decode_overwrite(code, batch, MODEL) == [DecodeResult("message", message=5)]
+    assert decode_overwrite(code, ReceivedWord(batch.links[:0], batch.erased[:0]), MODEL) == []
+    # the index's last key, a run of one: the read past it clips back onto it
+    index = code.cache[("restriction-index", MODEL.unjammed_sets)]
+    last = int(index.messages[-1])
+    assert index.keys[-2] < index.keys[-1]
+    word = ReceivedWord(code.codeword_links(last), np.zeros(3, dtype=bool))
+    assert decode_overwrite(code, word, MODEL) == DecodeResult("message", message=last)
+    # one erased link anywhere in the batch refuses the whole batch
+    links = np.stack([code.codeword_links(m) for m in (1, 2, 3)])
+    erased = np.zeros((3, 3), dtype=bool)
+    erased[2, 1] = True
+    with pytest.raises(ValueError, match="fully symbol-valued"):
+        decode_overwrite(code, ReceivedWord(links, erased), MODEL)
 
 
 def test_decode_overwrite_indexed_and_scanned_honest_words():

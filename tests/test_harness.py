@@ -311,6 +311,20 @@ def test_value_error_in_a_decoder_propagates(monkeypatch):
         run_experiment(ExperimentConfig.from_json(base_config()), FAST)
 
 
+def test_one_decode_call_per_block_and_jam_set(monkeypatch):
+    # 257 trials are two blocks; C=3, Z=1 gives four jam sets; each call
+    # decodes both hypotheses' words of its block
+    from stealthpath import codec, harness
+    sizes = []
+
+    def counted(code, rx, model, tp):
+        sizes.append(len(rx.links))
+        return codec.decode(code, rx, model, tp)
+    monkeypatch.setattr(harness, "decode", counted)
+    run_experiment(ExperimentConfig.from_json(base_config(trials=257)), FAST)
+    assert sizes == [512] * 4 + [2] * 4
+
+
 # Monte Carlo rows pinned at the per-trial loop, before trials ran in blocks:
 # batching must not move one byte. SHA-256 of the CSV of each config.
 BIASED_C3 = {"link_count": 3, "adversary_budget": 1, "link_alphabet_sizes": [2, 2, 2],

@@ -30,6 +30,14 @@ def test_distribution_rejects_bad_mass():
         Distribution(2, np.array([1.1, -0.1]))
     with pytest.raises(ValueError):
         Distribution(3, np.array([0.5, 0.5]))
+    # a NaN sums to NaN, which no tolerance comparison refuses
+    for mass in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(2, np.array(mass))
+    with pytest.raises(ValueError, match="finite"):
+        JointDistribution((2, 2), np.array([0.5, 0.5, np.nan, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        ConditionalKernel(2, 2, np.array([[0.5, 0.5], [np.nan, np.nan]]))
 
 
 def test_distribution_renormalizes_dust():
