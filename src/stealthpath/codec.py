@@ -630,18 +630,13 @@ def _agreement_pass(code: Code, allowed: np.ndarray,
     return code.chunks(agree)
 
 
-# results are immutable, so every word shares these two
-_INNOCENT = DecodeResult("innocent")
-_ERROR = DecodeResult("error")
-
-
 def _verdict(listed: int, message: int) -> DecodeResult:
     """None listed is innocent, one is `message`, more is an error."""
     if listed == 0:
-        return _INNOCENT
+        return DecodeResult("innocent")
     if listed == 1:
         return DecodeResult("message", message=message)
-    return _ERROR
+    return DecodeResult("error")
 
 
 def _typical_matches(code: LayeredCode, unjammed: tuple, y: np.ndarray,
@@ -695,7 +690,7 @@ def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
     words, c, _ = links.shape  # a one-word (C, n) call raises here
     # each word's erasure pattern as an integer, bit i for link i
     keys = np.asarray(rx.erased, dtype=bool) @ (1 << np.arange(c))
-    results = [_ERROR] * words
+    results = [DecodeResult("error")] * words
     for key in np.unique(keys).tolist():
         unjammed = tuple(i for i in range(c) if not key >> i & 1)
         if not unjammed:
@@ -720,9 +715,9 @@ class _RestrictionIndex:
     restriction plus offsets[s] = s << bits, sorted within each set and the
     sets concatenated, so the whole array is sorted; messages holds the
     1-based message of each key. Equal keys keep no particular message order:
-    the messages of one set are distinct, so the first two places of a run
-    longer than one hold two messages whatever that order is, and no verdict
-    depends on it.
+    the messages of one set are distinct, so the first and last places of a
+    run longer than one hold two messages whatever that order is, and no
+    verdict depends on it.
     """
 
     tables: np.ndarray    # (S, product alphabet) int64
@@ -731,16 +726,10 @@ class _RestrictionIndex:
     keys: np.ndarray      # (S * N,) int64
     messages: np.ndarray  # (S * N,) int32
 
-    def first_two(self, targets: np.ndarray) -> np.ndarray:
-        """(2, ...) the first two messages of the run of keys equal to each target.
-
-        0 where the run is shorter. Past the last key the read clips back onto
-        it, which lists the run's one message twice, never a second message.
-        """
-        lo = np.searchsorted(self.keys, targets)
-        ends = np.stack([lo, lo + 1])
-        return np.where(self.keys.take(ends, mode="clip") == targets,
-                        self.messages.take(ends, mode="clip"), 0)
+    def search(self, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """[lo, hi) of the keys equal to each target."""
+        return (np.searchsorted(self.keys, targets, side="left"),
+                np.searchsorted(self.keys, targets, side="right"))
 
 
 def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIndex]:
@@ -774,6 +763,21 @@ def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIn
     return code_cached(code, ("restriction-index", sets), build)
 
 
+def _agreements(code: DirectCode, links: np.ndarray,
+                sets: tuple) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(words, messages) per chunk of one agreement pass over T·S targets.
+
+    Each word of (T, C, n) `links` is paired with every message that agrees
+    with it on one of the link `sets`; on two sets, twice.
+    """
+    allowed = np.stack([
+        indexing.restrict_codes(code.link_sizes, jc) ==
+        indexing.pack_links(links[:, list(jc)], [code.link_sizes[i] for i in jc])[..., None]
+        for jc in sets], axis=1)  # (T, S, n, letters): target k is word k // S
+    for start, (rows, targets) in _agreement_pass(code, allowed.reshape(-1, *allowed.shape[2:])):
+        yield targets // len(sets), start + rows + 1
+
+
 def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> Tuple[np.ndarray, np.ndarray]:
     """(listed count, smallest listed message) per word of (T, C, n) `links`.
 
@@ -781,24 +785,29 @@ def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> Tuple[np.ndarra
     Its count is exact below two and 2 from there on, which already makes the
     verdict an error; its message is 0 where none is listed. A materialised
     i.i.d. code answers every (word, set) target by one search of its
-    restriction index, and lists the first two messages of each run of equal
-    keys; a streaming i.i.d. code, or one too wide for the index, is read once
-    for all T·S targets in an agreement pass, which stops once every word has
-    listed two messages; an affine code lists at most two messages per set, by
-    one solve each, set by set until the word lists two. Every message agrees
-    with a word on an empty set, so that set lists min(N, 2) messages or more.
+    restriction index, and lists the first and last message of each run of
+    equal keys; a streaming i.i.d. code, or one too wide for the index, is
+    read in one agreement pass (`_agreements`), which stops once every word
+    has listed two messages; an affine code lists at most two messages per
+    set, by one solve each, set by set until the word lists two. Every message
+    agrees with a word on an empty set, so that set lists min(N, 2) messages
+    or more.
     """
-    words = len(links)
+    words, c, _ = links.shape  # a one-word (C, n) call raises here
     index = _restriction_index(code, sets)
     affine = code.affine
     if index is not None:
         x = indexing.pack_links(links, code.link_sizes)
-        keys = (index.tables[:, x] * index.weights[:, None]).sum(axis=2) + index.offsets[:, None]
-        listed = index.first_two(keys).reshape(2 * len(sets), words)
+        lo, hi = index.search(
+            (index.tables[:, x] * index.weights[:, None]).sum(axis=2) + index.offsets[:, None])
+        hit = hi > lo
+        listed = np.zeros((2, *lo.shape), dtype=np.int64)
+        listed[:, hit] = index.messages[lo[hit]], index.messages[hi[hit] - 1]
+        listed = listed.reshape(2 * len(sets), words)
     elif affine is not None:
         listed = np.zeros((2, words), dtype=np.int64)
         for w in range(words):
-            x = affine.pack(range(links.shape[1]), links[w])
+            x = affine.pack(range(c), links[w])
             found = set()
             for jc in sets:  # lazy: sets are solved only until two messages are listed
                 found.update(affine.matches(jc, x, limit=2) if jc else
@@ -808,15 +817,9 @@ def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> Tuple[np.ndarra
             if found:
                 listed[:, w] = min(found), max(found)
     else:
-        allowed = np.stack([
-            indexing.restrict_codes(code.link_sizes, jc) ==
-            indexing.pack_links(links[:, list(jc)], [code.link_sizes[i] for i in jc])[..., None]
-            for jc in sets], axis=1)  # (T, S, n, letters): target k is word k // S
         low = np.full(words, np.iinfo(np.int64).max)
         high = np.zeros(words, dtype=np.int64)
-        table = allowed.reshape(-1, *allowed.shape[2:])
-        for start, (rows, targets) in _agreement_pass(code, table):
-            word, message = targets // len(sets), start + rows + 1
+        for word, message in _agreements(code, links, sets):
             np.minimum.at(low, word, message)
             np.maximum.at(high, word, message)
             if (low < high).all():
@@ -830,22 +833,21 @@ def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> Tuple[np.ndarra
 
 
 def decode_overwrite(code: DirectCode, rx: ReceivedWord,
-                     model: NetworkModel) -> Union[DecodeResult, List[DecodeResult]]:
+                     model: NetworkModel) -> List[DecodeResult]:
     """Erasure-like exhaustive list decoding over every candidate jam set.
 
     A message is listed where its codeword equals the word on the unjammed
     links of some candidate jam set (`_listed`): none listed is innocent, one
-    is that message, more is an error. A (C, n) word gives one DecodeResult;
-    a (T, C, n) batch one per word, in order, from one `_listed` call. A word
-    with an erased link raises ValueError.
+    is that message, more is an error.
+
+    Takes a batch of T words, (T, C, n) links and (T, C) erasures, and
+    returns one DecodeResult per word, in order, from one `_listed` call. A
+    word with an erased link raises ValueError.
     """
-    links = np.asarray(rx.links)
     if np.asarray(rx.erased).any():
         raise ValueError("overwrite decoding expects a fully symbol-valued word")
-    one = links.ndim == 2
-    count, message = _listed(code, links[None] if one else links, model.unjammed_sets)
-    results = [_verdict(k, m) for k, m in zip(count.tolist(), message.tolist())]
-    return results[0] if one else results
+    count, message = _listed(code, np.asarray(rx.links), model.unjammed_sets)
+    return [_verdict(k, m) for k, m in zip(count.tolist(), message.tolist())]
 
 
 def decode(code: Code, rx: ReceivedWord, model: NetworkModel,

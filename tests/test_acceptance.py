@@ -31,6 +31,7 @@ from stealthpath.adversary import JamSet, get_strategy
 from stealthpath.adversary import overwrite_jam
 from stealthpath.codec import (
     CodeParams,
+    ReceivedWord,
     build_direct_code,
     build_layered_code,
     decode_overwrite,
@@ -220,7 +221,8 @@ def test_criterion_08_symmetrization_defeats_decoding():
             tx = encode(code, model, hyp, m, derive_seed(2024, "c8-tx", hyp, t))
             rx = overwrite_jam(tx, j, strategy, derive_seed(2024, "c8-jam", hyp, t),
                                model, code)
-            result = decode_overwrite(code, rx, model)
+            result, = decode_overwrite(code, ReceivedWord(rx.links[None], rx.erased[None]),
+                                       model)
             wrong = result.verdict != "innocent" if hyp == 0 else \
                 not (result.verdict == "message" and result.message == m)
             err[hyp] += wrong

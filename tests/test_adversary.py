@@ -181,7 +181,8 @@ def test_strategy_tables_follow_their_code():
 
 
 def test_per_transmission_tables_are_built_once_per_code(monkeypatch):
-    from stealthpath.codec import build_layered_code, decode_erasure, decode_overwrite
+    from stealthpath.codec import (ReceivedWord, build_layered_code, decode_erasure,
+                                   decode_overwrite)
     from stealthpath.probkit import ConditionalKernel, TypicalityParams
     calls = []
     original = indexing.restriction_matrix
@@ -196,7 +197,8 @@ def test_per_transmission_tables_are_built_once_per_code(monkeypatch):
         for t in ts:
             j = JamSet((t % 3,))
             tx = encode(CODE, MODEL, t % 2, t % 2 * (1 + t % CODE.message_count), t)
-            decode_overwrite(CODE, overwrite_jam(tx, j, strategy, t, MODEL, CODE), MODEL)
+            rx = overwrite_jam(tx, j, strategy, t, MODEL, CODE)
+            decode_overwrite(CODE, ReceivedWord(rx.links[None], rx.erased[None]), MODEL)
             tx = encode(layered, MODEL, 1, np.array([1 + t % layered.message_count]), [t])
             decode_erasure(layered, erasure_jam(tx, j), tp, MODEL)
 

@@ -81,8 +81,8 @@ def test_rank_deficient_restriction_decodes_as_error():
     shared = [m for m in range(1, code.message_count + 1) if len(listed(m)) > 1]
     assert shared
     tx = encode(code, model, 1, shared[0], tx_seed=0)
-    rx = ReceivedWord(links=tx.links, erased=np.zeros(3, dtype=bool))
-    assert decode_overwrite(code, rx, model).verdict == "error"
+    rx = ReceivedWord(links=tx.links[None], erased=np.zeros((1, 3), dtype=bool))
+    assert decode_overwrite(code, rx, model) == [DecodeResult("error")]
 
 
 def test_empty_unjammed_set_lists_without_enumerating_messages():
@@ -95,11 +95,12 @@ def test_empty_unjammed_set_lists_without_enumerating_messages():
     code = build_affine_code(sizes, CodeParams(n=40, rate=0.8, seed=0))
     assert code.message_count == 1 << 32
     rng = generator(0, "affine-empty-set")
-    rx = ReceivedWord(links=rng.integers(0, 2, size=(2, 40)), erased=np.zeros(2, dtype=bool))
-    assert decode_overwrite(code, rx, model).verdict == "error"
+    rx = ReceivedWord(links=rng.integers(0, 2, size=(1, 2, 40)),
+                      erased=np.zeros((1, 2), dtype=bool))
+    assert decode_overwrite(code, rx, model) == [DecodeResult("error")]
     one = build_affine_code(sizes, CodeParams(n=40, rate=0.01, seed=0))
     assert one.message_count == 1
-    assert decode_overwrite(one, rx, model) == DecodeResult("message", message=1)
+    assert decode_overwrite(one, rx, model) == [DecodeResult("message", message=1)]
 
 
 def test_spoof_codeword_samples_its_enumerated_law():
@@ -213,7 +214,8 @@ def test_monte_carlo_error_matches_exact_components(strategy_id):
             m = 0 if hyp == 0 else derive_seed(11, "msg", t) % code.message_count + 1
             tx = encode(code, model, hyp, m, derive_seed(11, "tx", hyp, t))
             rx = overwrite_jam(tx, j, strategy, derive_seed(11, "jam", hyp, t), model, code)
-            result = decode_overwrite(code, rx, model)
+            result, = decode_overwrite(code, ReceivedWord(rx.links[None], rx.erased[None]),
+                                       model)
             err[hyp] += result.verdict != "innocent" if hyp == 0 else \
                 not (result.verdict == "message" and result.message == m)
     se = np.sqrt(err0_exact * (1 - err0_exact) / trials +

@@ -172,9 +172,8 @@ def test_streaming_store_matches_materialized(monkeypatch):
             for t in range(20):
                 links = materialised.codeword_links(1 + t * 7) if t % 2 else \
                     rng.integers(0, 2, size=(3, n))
-                rx = ReceivedWord(links=links, erased=np.zeros(3, dtype=bool))
-                assert decode_overwrite(streaming, rx, MODEL) == \
-                    decode_overwrite(materialised, rx, MODEL)
+                assert decode_overwrite(streaming, erase(links, ()), MODEL) == \
+                    decode_overwrite(materialised, erase(links, ()), MODEL)
 
     p_u = Distribution(3, np.array([0.5, 0.3, 0.2]))
     kern = ConditionalKernel(3, 8, np.eye(3, 8) * 0.5 + 0.5 / 8)
@@ -250,9 +249,9 @@ def test_no_thread_outlives_a_pass(monkeypatch, thread_starts):
     make = codec._ChunkedStore._generator
     monkeypatch.setattr(codec._ChunkedStore, "_generator",
                         lambda self, c: derived.append(c) or make(self, c))
-    rx = ReceivedWord(links=code.codeword_links(1), erased=np.zeros(3, dtype=bool))
     count = threading.active_count()
-    assert decode_overwrite(code, rx, MODEL) == DecodeResult("error")
+    assert decode_overwrite(code, erase(code.codeword_links(1), ()), MODEL) == \
+        [DecodeResult("error")]
     assert threading.active_count() == count
     assert len(derived) < 19
 
@@ -331,8 +330,7 @@ def test_streaming_passes_derive_seeds_on_the_calling_thread(monkeypatch):
     _, code = _code_pair(monkeypatch, lambda: build_direct_code(
         SKEW8, CodeParams(n=8, rate=1.2, seed=5)))
     survey_restrictions(code, (0,), (1, 2), xj_targets=np.arange(10))
-    rx = ReceivedWord(links=code.codeword_links(2), erased=np.zeros(3, dtype=bool))
-    decode_overwrite(code, rx, MODEL)
+    decode_overwrite(code, erase(code.codeword_links(2), ()), MODEL)
     code.codeword(np.array([1, 100, 700]))
     assert len(callers) >= 2 * -(-code.message_count // 64)
     assert set(callers) == {threading.main_thread().ident}
@@ -419,8 +417,8 @@ def test_decode_on_a_batch_is_the_scheme_decoder():
             erased = np.zeros((40, 3), dtype=bool)
             links[1::2, 1] = rng.integers(0, 2, size=(20, 6))
             rx = ReceivedWord(links, erased)
-            want = [decode_overwrite(code, ReceivedWord(links[t], erased[t]), MODEL)
-                    for t in range(40)]
+            want = [r for t in range(40) for r in decode_overwrite(
+                code, ReceivedWord(links[t:t + 1], erased[t:t + 1]), MODEL)]
         assert len({r.verdict for r in want}) > 1, name
         assert decode(code, rx, MODEL, tp) == want, name
 
@@ -575,22 +573,26 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
                          [rng.integers(0, 2, size=(3, n)) for _ in range(20)])
         rx = ReceivedWord(words, np.zeros((len(words), 3), dtype=bool))
 
+        # the codewords each word agrees with on some set, counted directly
+        codewords = code.codeword_links(np.arange(1, code.message_count + 1))
+        agree = np.zeros((len(words), len(codewords)), dtype=bool)
+        for jc in sets:
+            agree |= (codewords[None][:, :, list(jc)] ==
+                      words[:, None][:, :, list(jc)]).all(axis=(2, 3))
+        row, column = np.nonzero(agree)
+
         def lists():
-            count, message = codec._listed(code, words, sets)
-            return decode_overwrite(code, rx, MODEL), count.tolist(), message.tolist()
+            pairs = set()
+            for word, message in codec._agreements(code, words, sets):
+                pairs.update(zip(word.tolist(), message.tolist()))
+            return decode_overwrite(code, rx, MODEL), pairs
         want = lists()
-        assert want[0] == [decode_overwrite(code, ReceivedWord(w, np.zeros(3, dtype=bool)),
-                                            MODEL) for w in words]
+        assert want[1] == set(zip(row.tolist(), (column + 1).tolist()))
+        assert want[0] == [r for w in words for r in decode_overwrite(code, erase(w, ()), MODEL)]
         monkeypatch.setattr(codec, "DECODE_CELLS", 128)
         assert lists() == want
         monkeypatch.setattr(codec, "DECODE_CELLS", cells)
         if n == 2:
-            # the codewords each word agrees with on some set, counted directly
-            codewords = code.codeword_links(np.arange(1, code.message_count + 1))
-            agree = np.zeros((len(words), len(codewords)), dtype=bool)
-            for jc in sets:
-                agree |= (codewords[None][:, :, list(jc)] ==
-                          words[:, None][:, :, list(jc)]).all(axis=(2, 3))
             assert agree.sum(axis=1).max() > 128 // len(sets)
         else:
             assert {r.verdict for r in want[0]} == {"innocent", "message", "error"}
@@ -600,8 +602,7 @@ def test_decode_overwrite_honest_word():
     code = build_direct_code(UNIFORM8, CodeParams(n=24, rate=0.5, seed=11))
     for m in (1, 9, code.message_count):
         tx = encode(code, MODEL, 1, m, 0)
-        rx = ReceivedWord(links=tx.links.copy(), erased=np.zeros(3, dtype=bool))
-        result = decode_overwrite(code, rx, MODEL)
+        result, = decode_overwrite(code, erase(tx.links, ()), MODEL)
         assert result.verdict == "message" and result.message == m
 
 
@@ -610,18 +611,15 @@ def test_decode_overwrite_innocent():
     hits = 0
     for t in range(50):
         tx = encode(code, MODEL, 0, 0, 3000 + t)
-        rx = ReceivedWord(links=tx.links.copy(), erased=np.zeros(3, dtype=bool))
-        if decode_overwrite(code, rx, MODEL).verdict == "innocent":
+        if decode_overwrite(code, erase(tx.links, ()), MODEL)[0].verdict == "innocent":
             hits += 1
     assert hits >= 48
 
 
 def test_decode_overwrite_rejects_erasures():
     code = build_direct_code(UNIFORM8, CodeParams(n=4, rate=0.5, seed=11))
-    rx = ReceivedWord(links=np.zeros((3, 4), dtype=np.int64),
-                      erased=np.array([True, False, False]))
     with pytest.raises(ValueError):
-        decode_overwrite(code, rx, MODEL)
+        decode_overwrite(code, erase(np.zeros((3, 4), dtype=np.int64), (0,)), MODEL)
 
 
 def test_decode_overwrite_constructed_ambiguity():
@@ -641,8 +639,8 @@ def test_decode_overwrite_constructed_ambiguity():
     m, mp = found
     y = code.codeword_links(m).copy()
     y[0] = code.codeword_links(mp)[0]
-    rx = ReceivedWord(links=y, erased=np.zeros(3, dtype=bool))
-    assert decode_overwrite(code, rx, MODEL).verdict == "error"
+    rx = erase(y, ())
+    assert decode_overwrite(code, rx, MODEL) == [DecodeResult("error")]
     # whatever order the index leaves equal keys in: messages ascending, then
     # descending, within each run of equal keys
     key = ("restriction-index", MODEL.unjammed_sets)
@@ -652,7 +650,7 @@ def test_decode_overwrite_constructed_ambiguity():
     assert not np.array_equal(*orders)
     for messages in orders:
         code.cache[key] = dataclasses.replace(index, messages=messages)
-        assert decode_overwrite(code, rx, MODEL).verdict == "error"
+        assert decode_overwrite(code, rx, MODEL) == [DecodeResult("error")]
 
 
 def _overwrite_batch(code, words):
@@ -682,8 +680,8 @@ def test_batched_decode_overwrite_matches_one_word_at_a_time(monkeypatch):
     cells = codec.DECODE_CELLS
     for code in (materialised, streaming, affine):
         rx = _overwrite_batch(code, 90)
-        want = [decode_overwrite(code, ReceivedWord(rx.links[t], rx.erased[t]), MODEL)
-                for t in range(len(rx.links))]
+        want = [r for t in range(len(rx.links)) for r in decode_overwrite(
+            code, ReceivedWord(rx.links[t:t + 1], rx.erased[t:t + 1]), MODEL)]
         assert {r.verdict for r in want} == {"innocent", "message", "error"}
         assert decode_overwrite(code, rx, MODEL) == want
         # candidate pairs two rows at a time for each group of 64 targets
@@ -694,19 +692,14 @@ def test_batched_decode_overwrite_matches_one_word_at_a_time(monkeypatch):
             assert want == decode_overwrite(materialised, rx, MODEL)
 
 
-def test_decode_overwrite_takes_a_word_or_a_batch():
-    code = build_direct_code(UNIFORM8, CodeParams(n=6, rate=1.0, seed=3))
-    word = ReceivedWord(code.codeword_links(5), np.zeros(3, dtype=bool))
-    assert decode_overwrite(code, word, MODEL) == DecodeResult("message", message=5)
-    batch = ReceivedWord(word.links[None], word.erased[None])
+def test_decode_overwrite_takes_a_batch():
+    code = build_direct_code(UNIFORM8, CodeParams(n=3, rate=1.0, seed=3))
+    batch = erase(code.codeword_links(5), ())
     assert decode_overwrite(code, batch, MODEL) == [DecodeResult("message", message=5)]
     assert decode_overwrite(code, ReceivedWord(batch.links[:0], batch.erased[:0]), MODEL) == []
-    # the index's last key, a run of one: the read past it clips back onto it
-    index = code.cache[("restriction-index", MODEL.unjammed_sets)]
-    last = int(index.messages[-1])
-    assert index.keys[-2] < index.keys[-1]
-    word = ReceivedWord(code.codeword_links(last), np.zeros(3, dtype=bool))
-    assert decode_overwrite(code, word, MODEL) == DecodeResult("message", message=last)
+    # one (C, n) word is refused, not misread as a batch (here n = C)
+    with pytest.raises(ValueError):
+        decode_overwrite(code, ReceivedWord(batch.links[0], batch.erased[0]), MODEL)
     # one erased link anywhere in the batch refuses the whole batch
     links = np.stack([code.codeword_links(m) for m in (1, 2, 3)])
     erased = np.zeros((3, 3), dtype=bool)
@@ -721,8 +714,8 @@ def test_decode_overwrite_indexed_and_scanned_honest_words():
     wide_code = build_direct_code(UNIFORM8, CodeParams(n=40, rate=0.15, seed=5))
     for code, indexed in ((packed_code, True), (wide_code, False)):
         m = 3
-        rx = ReceivedWord(links=code.codeword_links(m), erased=np.zeros(3, dtype=bool))
-        assert decode_overwrite(code, rx, MODEL) == DecodeResult("message", message=m)
+        assert decode_overwrite(code, erase(code.codeword_links(m), ()), MODEL) == \
+            [DecodeResult("message", message=m)]
         index = code.cache[("restriction-index", MODEL.unjammed_sets)]
         assert (index is not None) == indexed
 
@@ -738,14 +731,13 @@ def test_scan_budget_refuses_only_a_streaming_scan(monkeypatch):
     monkeypatch.setattr(codec, "DECODE_SCAN_BUDGET", 255)
     assert {c.message_count for c in (*direct, *layered, affine)} == {256}
     for code in (direct[0], affine):
-        rx = ReceivedWord(code.codeword_links(5), np.zeros(3, dtype=bool))
-        assert decode_overwrite(code, rx, MODEL) == DecodeResult("message", message=5)
+        assert decode_overwrite(code, erase(code.codeword_links(5), ()), MODEL) == \
+            [DecodeResult("message", message=5)]
     rx = erase(encode(layered[0], MODEL, 1, 5, 0).links, (0,))
     assert decode_erasure(layered[0], rx, TypicalityParams(4.0), MODEL) == \
         [DecodeResult("message", message=5)]
     with pytest.raises(ResourceBudgetError, match="scan budget"):
-        decode_overwrite(direct[1], ReceivedWord(direct[0].codeword_links(5),
-                                                 np.zeros(3, dtype=bool)), MODEL)
+        decode_overwrite(direct[1], erase(direct[0].codeword_links(5), ()), MODEL)
     with pytest.raises(ResourceBudgetError, match="scan budget"):
         decode_erasure(layered[1], rx, TypicalityParams(4.0), MODEL)
 
@@ -796,9 +788,8 @@ def test_streaming_decode_overwrite_matches_materialised(monkeypatch):
             tx = encode(materialised, MODEL, hyp, m, t)
             jammed = overwrite_jam(tx, JamSet((t % 3,)), strategy, t, MODEL, materialised)
             for links in (tx.links, jammed.links):
-                rx = ReceivedWord(links=links, erased=np.zeros(3, dtype=bool))
-                want = decode_overwrite(materialised, rx, MODEL)
-                assert decode_overwrite(streaming, rx, MODEL) == want
+                want, = decode_overwrite(materialised, erase(links, ()), MODEL)
+                assert decode_overwrite(streaming, erase(links, ()), MODEL) == [want]
                 verdicts.add(want.verdict)
         index = materialised.cache[("restriction-index", unjammed)]
         assert (index is not None) == indexed
