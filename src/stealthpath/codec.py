@@ -4,11 +4,12 @@ The direct scheme draws i.i.d. codewords from a network distribution and
 decodes by exact sub-codeword matching over every candidate jam set. The
 layered scheme draws intermediate codewords from an auxiliary distribution,
 maps them through a stochastic kernel at transmit time, and decodes by joint
-typicality on the unjammed links. Both list the codewords that agree with a
-word on a set of unjammed links, reading the code in one agreement pass where
-they must, and a word decodes only if exactly one does. `decode` takes a batch
-of received words for either: one pass per erasure pattern in it, or one list
-decode for the whole batch. `DecodeResult.decodes` scores a verdict.
+typicality on the unjammed links. Both take one list step (`_listed`): it
+lists the codewords that agree with a word on a set of unjammed links,
+exactly or by typicality, reading the code in one agreement pass where it
+must, and a word decodes only if exactly one is listed. `decode` takes a
+batch of received words for either: one list step per erasure pattern in it,
+or one for the whole batch. `DecodeResult.decodes` scores a verdict.
 
 Codebooks above the in-memory symbol budget fall back to streaming chunked
 regeneration: chunk c of CHUNK_MESSAGES codewords is reproducible from the
@@ -403,6 +404,11 @@ class _Code:
     def ensemble(self) -> str:
         return self._store.ensemble
 
+    @property
+    def affine(self) -> Optional[AffineStore]:
+        """The GF(2) structure of an affine code; None for any other code."""
+        return self._store if isinstance(self._store, AffineStore) else None
+
     def codeword(self, m) -> np.ndarray:
         """Codeword m (1-based); (..., n) for an array of messages."""
         return self._store.codeword(m - 1)
@@ -421,11 +427,6 @@ class DirectCode(_Code):
     """
 
     p_x: JointDistribution
-
-    @property
-    def affine(self) -> Optional[AffineStore]:
-        """The GF(2) structure of an affine code; None for an i.i.d. code."""
-        return self._store if isinstance(self._store, AffineStore) else None
 
     @property
     def link_sizes(self) -> tuple:
@@ -639,73 +640,6 @@ def _verdict(listed: int, message: int) -> DecodeResult:
     return DecodeResult("error")
 
 
-def _typical_matches(code: LayeredCode, unjammed: tuple, y: np.ndarray,
-                     gamma: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(match count, a matching message) for each row of y, (W, n) unjammed codes.
-
-    One agreement pass serves all W words: a codeword is a candidate for a
-    word where every letter pairs with the word's symbol at a positive joint
-    mass, and `typical_rows` then decides each candidate pair on its own row,
-    so a word's matches do not depend on the others. The pass stops once
-    every word has two matches; a count is exact below two.
-    """
-    joint = code_cached(code, ("unjammed-joint", unjammed),
-                        lambda: induced_unjammed_joint(code, unjammed))
-    au, ax = joint.factor_sizes
-    pair_dtype = np.min_scalar_type(joint.alphabet_size)
-    y = y.astype(pair_dtype)
-    words = len(y)
-    support = (joint.mass.reshape(au, ax) > 0).T  # [x, u]
-
-    def typical(rows, word):
-        pair = rows.astype(pair_dtype)
-        pair *= pair_dtype.type(ax)
-        pair += y[word]
-        return typical_rows(pair, joint.mass, gamma)
-
-    count = np.zeros(words, dtype=np.int64)
-    match = np.zeros(words, dtype=np.int64)
-    for start, (row, word) in _agreement_pass(code, support[y], typical):
-        count += np.bincount(word, minlength=words)
-        match[word] = start + row + 1
-        if (count > 1).all():
-            break
-    return count, match
-
-
-def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
-                   model: Optional[NetworkModel] = None) -> List[DecodeResult]:
-    """Typicality decoding on the unjammed links, jam set read off the erasures.
-
-    A word decodes to the messages whose pair sequence (u, unjammed symbols)
-    is strongly typical for the code's unjammed joint: none is innocent, one
-    is that message, more is an error. A word with every link erased, or (with
-    a model) more erasures than the adversary's budget, is an error.
-
-    Takes a batch of T words, (T, C, n) links and (T, C) erasures, and
-    returns one DecodeResult per word, in order. The words that share an
-    erasure pattern share one pass over the code.
-    """
-    links = np.asarray(rx.links)
-    words, c, _ = links.shape  # a one-word (C, n) call raises here
-    # each word's erasure pattern as an integer, bit i for link i
-    keys = np.asarray(rx.erased, dtype=bool) @ (1 << np.arange(c))
-    results = [DecodeResult("error")] * words
-    for key in np.unique(keys).tolist():
-        unjammed = tuple(i for i in range(c) if not key >> i & 1)
-        if not unjammed:
-            continue
-        if model is not None and len(unjammed) < c - model.adversary_budget:
-            continue
-        members = np.flatnonzero(keys == key)
-        y = indexing.pack_links(links[members][:, list(unjammed)],
-                                [code.link_sizes[i] for i in unjammed])
-        found, match = _typical_matches(code, unjammed, y, tp.gamma)
-        for w, k, m in zip(members.tolist(), found.tolist(), match.tolist()):
-            results[w] = _verdict(k, m)
-    return results
-
-
 @dataclass(frozen=True)
 class _RestrictionIndex:
     """Every codeword's restriction to each of S link sets, searchable at once.
@@ -732,11 +666,11 @@ class _RestrictionIndex:
                 np.searchsorted(self.keys, targets, side="right"))
 
 
-def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIndex]:
-    """The index of a materialised i.i.d. code on a tuple of link sets, cached.
+def _restriction_index(code: Code, sets: tuple) -> Optional[_RestrictionIndex]:
+    """The index of a materialised i.i.d. direct code on a tuple of link sets, cached.
 
-    None when the code streams or is affine, or when the offset keys do not
-    fit in 63 bits.
+    None for a layered code (typicality is not agreement), when the code
+    streams or is affine, or when the offset keys do not fit in 63 bits.
     """
     def build():
         n = code.params.n
@@ -758,40 +692,62 @@ def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIn
             messages[s * count:(s + 1) * count] = order + 1
         return _RestrictionIndex(tables, weights, offsets, keys, messages)
 
-    if code.affine is not None or not code.materialized:
+    if not isinstance(code, DirectCode) or code.affine is not None or not code.materialized:
         return None
     return code_cached(code, ("restriction-index", sets), build)
 
 
-def _agreements(code: DirectCode, links: np.ndarray,
-                sets: tuple) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """(words, messages) per chunk of one agreement pass over T·S targets.
+def _targets(code: Code, links: np.ndarray, sets: tuple,
+             gamma: Optional[float]) -> Tuple[np.ndarray, Optional[Callable]]:
+    """`_agreement_pass` inputs for the T·S (word, set) targets of (T, C, n) `links`.
 
-    Each word of (T, C, n) `links` is paired with every message that agrees
-    with it on one of the link `sets`; on two sets, twice.
+    Target k is word k // S on set k % S. Each set has a letter table, indexed
+    by the word's packed symbols on that set: on a direct code a letter agrees
+    where its restriction to the set equals the word's, with no confirm; on a
+    layered code (one set) a letter of U agrees where it pairs with the
+    word's symbol at a positive mass of the unjammed joint, and
+    `typical_rows` confirms each candidate pair on its own row, at `gamma`.
     """
-    allowed = np.stack([
-        indexing.restrict_codes(code.link_sizes, jc) ==
-        indexing.pack_links(links[:, list(jc)], [code.link_sizes[i] for i in jc])[..., None]
-        for jc in sets], axis=1)  # (T, S, n, letters): target k is word k // S
-    for start, (rows, targets) in _agreement_pass(code, allowed.reshape(-1, *allowed.shape[2:])):
-        yield targets // len(sets), start + rows + 1
+    sizes = code.link_sizes
+    y = np.stack([indexing.pack_links(links[:, list(jc)], [sizes[i] for i in jc])
+                  for jc in sets], axis=1)  # (T, S, n)
+    confirm = None
+    if isinstance(code, DirectCode):
+        tables = [indexing.restriction_matrix(sizes, jc) > 0 for jc in sets]
+    else:
+        (unjammed,) = sets
+        joint = code_cached(code, ("unjammed-joint", unjammed),
+                            lambda: induced_unjammed_joint(code, unjammed))
+        au, ax = joint.factor_sizes
+        tables = [(joint.mass.reshape(au, ax) > 0).T]  # [x, u]
+        pair_dtype = np.min_scalar_type(joint.alphabet_size)
+        word_codes = y[:, 0].astype(pair_dtype)
+
+        def confirm(rows, target):
+            pair = rows.astype(pair_dtype)
+            pair *= pair_dtype.type(ax)
+            pair += word_codes[target]
+            return typical_rows(pair, joint.mass, gamma)
+    allowed = np.stack([table[y[:, s]] for s, table in enumerate(tables)], axis=1)
+    return allowed.reshape(-1, *allowed.shape[2:]), confirm
 
 
-def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> Tuple[np.ndarray, np.ndarray]:
+def _listed(code: Code, links: np.ndarray, sets: tuple,
+            gamma: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
     """(listed count, smallest listed message) per word of (T, C, n) `links`.
 
-    A word lists the messages that agree with it on one of the link `sets`.
-    Its count is exact below two and 2 from there on, which already makes the
+    The one list step of both decoders. A word lists the messages whose
+    codewords agree with it on one of the link `sets`: exactly on a direct
+    code, by joint typicality at `gamma` on a layered code (`_targets`). Its
+    count is exact below two and 2 from there on, which already makes the
     verdict an error; its message is 0 where none is listed. A materialised
-    i.i.d. code answers every (word, set) target by one search of its
+    i.i.d. direct code answers every (word, set) target by one search of its
     restriction index, and lists the first and last message of each run of
-    equal keys; a streaming i.i.d. code, or one too wide for the index, is
-    read in one agreement pass (`_agreements`), which stops once every word
-    has listed two messages; an affine code lists at most two messages per
-    set, by one solve each, set by set until the word lists two. Every message
-    agrees with a word on an empty set, so that set lists min(N, 2) messages
-    or more.
+    equal keys; an affine code lists at most two messages per set, by one
+    solve each, set by set until the word lists two. Any other code is read
+    in one agreement pass, which stops once every word has listed two
+    messages. Every message agrees with a word on an empty set, so that set
+    lists min(N, 2) messages or more.
     """
     words, c, _ = links.shape  # a one-word (C, n) call raises here
     index = _restriction_index(code, sets)
@@ -819,7 +775,8 @@ def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> Tuple[np.ndarra
     else:
         low = np.full(words, np.iinfo(np.int64).max)
         high = np.zeros(words, dtype=np.int64)
-        for word, message in _agreements(code, links, sets):
+        for start, (rows, targets) in _agreement_pass(code, *_targets(code, links, sets, gamma)):
+            word, message = targets // len(sets), start + rows + 1
             np.minimum.at(low, word, message)
             np.maximum.at(high, word, message)
             if (low < high).all():
@@ -830,6 +787,36 @@ def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> Tuple[np.ndarra
     high = listed.max(axis=0)
     low = np.where(listed > 0, listed, high).min(axis=0)
     return (high > 0).astype(np.int64) + (low < high), low
+
+
+def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
+                   model: NetworkModel) -> List[DecodeResult]:
+    """Typicality decoding on the unjammed links, jam set read off the erasures.
+
+    A word lists the messages whose pair sequence (u, unjammed symbols) is
+    strongly typical for the code's unjammed joint (`_listed` on the one
+    unjammed set): none is innocent, one is that message, more is an error.
+    A word with every link erased, or more erasures than the adversary's
+    budget, is an error.
+
+    Takes a batch of T words, (T, C, n) links and (T, C) erasures, and
+    returns one DecodeResult per word, in order. The words that share an
+    erasure pattern share one `_listed` call, one pass over the code.
+    """
+    links = np.asarray(rx.links)
+    words, c, _ = links.shape  # a one-word (C, n) call raises here
+    # each word's erasure pattern as an integer, bit i for link i
+    keys = np.asarray(rx.erased, dtype=bool) @ (1 << np.arange(c))
+    results = [DecodeResult("error")] * words
+    for key in np.unique(keys).tolist():
+        unjammed = tuple(i for i in range(c) if not key >> i & 1)
+        if not unjammed or len(unjammed) < c - model.adversary_budget:
+            continue
+        members = np.flatnonzero(keys == key)
+        count, message = _listed(code, links[members], (unjammed,), tp.gamma)
+        for w, k, m in zip(members.tolist(), count.tolist(), message.tolist()):
+            results[w] = _verdict(k, m)
+    return results
 
 
 def decode_overwrite(code: DirectCode, rx: ReceivedWord,

@@ -262,7 +262,8 @@ def test_no_thread_outlives_a_pass(monkeypatch, thread_starts):
     tx = encode(layered, MODEL, 1, 5, 0)
     rx = ReceivedWord(links=tx.links[None], erased=np.array([[True, False, False]]))
     derived.clear()
-    assert decode_erasure(layered, rx, TypicalityParams(gamma=4.0)) == [DecodeResult("error")]
+    assert decode_erasure(layered, rx, TypicalityParams(gamma=4.0), MODEL) == \
+        [DecodeResult("error")]
     assert threading.active_count() == count
     assert len(derived) < 16
     # a batch of two erasure patterns: two passes, each left once all its
@@ -270,7 +271,7 @@ def test_no_thread_outlives_a_pass(monkeypatch, thread_starts):
     erased = np.array([[True, False, False], [False, False, True]] * 3)
     batch = ReceivedWord(links=np.where(erased[:, :, None], 0, tx.links), erased=erased)
     derived.clear()
-    assert decode_erasure(layered, batch, TypicalityParams(gamma=4.0)) == \
+    assert decode_erasure(layered, batch, TypicalityParams(gamma=4.0), MODEL) == \
         [DecodeResult("error")] * 6
     assert threading.active_count() == count
     assert derived.count(0) == 2 and len(derived) < 16
@@ -499,7 +500,7 @@ def test_decode_erasure_innocent():
 def test_decode_erasure_all_links_erased():
     code = identity_layered(8, 0.5, 11)
     tx = encode(code, MODEL, 1, 1, 7)
-    result, = decode_erasure(code, erase(tx.links, (0, 1, 2)), TypicalityParams(0.6))
+    result, = decode_erasure(code, erase(tx.links, (0, 1, 2)), TypicalityParams(0.6), MODEL)
     assert result.verdict == "error"
 
 
@@ -515,7 +516,8 @@ def test_decode_erasure_refuses_a_single_word():
     code = identity_layered(3, 0.5, 11)
     tx = encode(code, MODEL, 1, 1, 7)
     with pytest.raises(ValueError):
-        decode_erasure(code, ReceivedWord(tx.links, np.zeros(3, dtype=bool)), TypicalityParams())
+        decode_erasure(code, ReceivedWord(tx.links, np.zeros(3, dtype=bool)), TypicalityParams(),
+                       MODEL)
 
 
 def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
@@ -545,20 +547,19 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
         erased = patterns[np.where(t < 70, 1, t % len(patterns))]
         links[erased] = 0
         tp = TypicalityParams(gamma)
-        for model in (MODEL, None):
-            want = [r for t in range(size) for r in decode_erasure(
-                codes[0], ReceivedWord(links[t:t + 1], erased[t:t + 1]), tp, model)]
-            assert {r.verdict for r in want} == {"innocent", "message", "error"}, name
-            for code in codes:
-                # one word, one 64-word group and a word either side of it,
-                # all of one pattern; TRIAL_BLOCK + 1 words of every pattern
-                for batch in (1, 63, 64, 65, size):
-                    rx = ReceivedWord(links[:batch], erased[:batch])
-                    assert decode_erasure(code, rx, tp, model) == want[:batch], name
-                # candidate tables of two codewords for a 64-word group
-                monkeypatch.setattr(codec, "DECODE_CELLS", 128)
-                assert decode_erasure(code, ReceivedWord(links, erased), tp, model) == want
-                monkeypatch.setattr(codec, "DECODE_CELLS", cells)
+        want = [r for t in range(size) for r in decode_erasure(
+            codes[0], ReceivedWord(links[t:t + 1], erased[t:t + 1]), tp, MODEL)]
+        assert {r.verdict for r in want} == {"innocent", "message", "error"}, name
+        for code in codes:
+            # one word, one 64-word group and a word either side of it,
+            # all of one pattern; TRIAL_BLOCK + 1 words of every pattern
+            for batch in (1, 63, 64, 65, size):
+                rx = ReceivedWord(links[:batch], erased[:batch])
+                assert decode_erasure(code, rx, tp, MODEL) == want[:batch], name
+            # candidate tables of two codewords for a 64-word group
+            monkeypatch.setattr(codec, "DECODE_CELLS", 128)
+            assert decode_erasure(code, ReceivedWord(links, erased), tp, MODEL) == want
+            monkeypatch.setattr(codec, "DECODE_CELLS", cells)
 
     # the direct list's agreement pass, on one streaming chunk of 256 codewords:
     # at n=2 a word agrees with more codewords than 128 cells hold for four
@@ -583,8 +584,9 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
 
         def lists():
             pairs = set()
-            for word, message in codec._agreements(code, words, sets):
-                pairs.update(zip(word.tolist(), message.tolist()))
+            targets = codec._targets(code, words, sets, None)
+            for start, (rows, target) in codec._agreement_pass(code, *targets):
+                pairs.update(zip((target // len(sets)).tolist(), (start + rows + 1).tolist()))
             return decode_overwrite(code, rx, MODEL), pairs
         want = lists()
         assert want[1] == set(zip(row.tolist(), (column + 1).tolist()))
@@ -596,6 +598,59 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
             assert agree.sum(axis=1).max() > 128 // len(sets)
         else:
             assert {r.verdict for r in want[0]} == {"innocent", "message", "error"}
+
+
+def _typicality_reference(code, rx, tp, model):
+    """decode_erasure's verdicts, one word at a time, from every codeword's pair sequence."""
+    from stealthpath.codec import induced_unjammed_joint
+    from stealthpath.probkit import typical_rows
+    u = code.codeword(np.arange(1, code.message_count + 1))
+    verdicts = []
+    for links, erased in zip(rx.links, rx.erased):
+        unjammed = [i for i in range(len(erased)) if not erased[i]]
+        if not unjammed or erased.sum() > model.adversary_budget:
+            verdicts.append(DecodeResult("error"))
+            continue
+        joint = induced_unjammed_joint(code, unjammed)
+        y = indexing.pack_links(links[unjammed], [code.link_sizes[i] for i in unjammed])
+        listed = np.flatnonzero(typical_rows(u * joint.factor_sizes[1] + y, joint.mass,
+                                             tp.gamma)) + 1
+        verdicts.append(DecodeResult("innocent") if listed.size == 0 else
+                        DecodeResult("message", message=int(listed[0])) if listed.size == 1
+                        else DecodeResult("error"))
+    return verdicts
+
+
+def test_decode_erasure_matches_a_typicality_reference(monkeypatch):
+    from stealthpath import codec
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 16)
+    # none, one, two and three links erased
+    patterns = np.array([[False, False, False], [True, False, False], [False, True, False],
+                         [False, False, True], [False, True, True], [True, True, True]])
+    sparse = np.array([[.4, .3, .3, 0, 0, 0, 0, 0],
+                       [0, 0, .3, .4, .3, 0, 0, 0],
+                       [0, .2, 0, 0, .3, .5, 0, 0]])
+    kernels = {
+        "identity": (UNIFORM8.as_distribution(), ConditionalKernel.identity(8)),
+        "sparse": (Distribution(3, np.array([0.5, 0.3, 0.2])), ConditionalKernel(3, 8, sparse)),
+    }
+    tp = TypicalityParams(0.7)
+    for name, (p_u, kern) in kernels.items():
+        codes = _code_pair(monkeypatch, lambda: build_layered_code(
+            p_u, kern, CodeParams(n=8, rate=0.75, seed=5), (2, 2, 2)))
+        count = codes[0].message_count
+        # every fifth word innocent; each pattern meets both hypotheses
+        t = np.arange(90)
+        m = np.where(t % 5, 1 + 7 * t % count, 0)
+        links = np.stack([encode(codes[0], MODEL, int(m[k] > 0), int(m[k]), k).links
+                          for k in t])
+        erased = patterns[t % len(patterns)]
+        links[erased] = 0
+        rx = ReceivedWord(links, erased)
+        want = _typicality_reference(codes[0], rx, tp, MODEL)
+        assert {r.verdict for r in want} == {"innocent", "message", "error"}, name
+        for code in codes:
+            assert decode_erasure(code, rx, tp, MODEL) == want, name
 
 
 def test_decode_overwrite_honest_word():
@@ -814,7 +869,7 @@ def test_decode_erasure_memory_is_bounded_on_a_full_support_kernel():
     for word in (rx, batch):
         tracemalloc.start()
         try:
-            decode_erasure(code, word, TypicalityParams(0.5))
+            decode_erasure(code, word, TypicalityParams(0.5), MODEL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

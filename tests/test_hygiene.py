@@ -1,8 +1,12 @@
-"""Static checks on the package source, by `ast` alone."""
+"""Static checks on the package source, by `ast` alone, and on the names the
+benchmark's tracer wraps."""
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "stealthpath"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "stealthpath"
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -105,3 +109,16 @@ def test_no_id_calls_in_the_package():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "id"]
     assert calls == []
+
+
+def test_every_traced_name_exists():
+    # bench/tracing.py wraps these through getattr: a missing one crashes a
+    # traced benchmark run, and the bench suite is not collected here
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{name}" for targets, _, _ in tracing.TARGETS.values()
+               for module, name in targets
+               if not callable(getattr(importlib.import_module(f"stealthpath.{module}"),
+                                       name, None))]
+    assert tracing.TARGETS and missing == []
