@@ -189,7 +189,8 @@ class SpoofCodeword(JammingStrategy):
 
     Candidate messages are those whose restriction to the jammed links is
     strongly typical for the code's jammed-link marginal; if none qualify the
-    choice falls back to all messages.
+    choice falls back to all messages. Typicality depends only on a
+    restriction's type, so the candidate table judges each distinct type once.
     """
 
     id = "spoof-codeword"
@@ -204,11 +205,38 @@ class SpoofCodeword(JammingStrategy):
             indexing.restriction_matrix(code.link_sizes, j.links) @ code.p_x.mass))
 
     def _candidates(self, code: DirectCode, j: JamSet) -> np.ndarray:
-        """Candidate messages, kept in the code's cache."""
+        """Candidate messages, kept in the code's cache.
+
+        One chunk pass keys each codeword by the type of its restriction r,
+        its letter counts packed base n+1 (sum_t (n+1)**r(x_t)), and
+        `typical_rows` judges one row per distinct type of the chunk. The key
+        fits in int64 iff (n+1)**A_J <= 2**63 for A_J jammed letters, the
+        63-bit rule of the decoder's restriction index; otherwise every
+        codeword's restriction is judged on its own.
+        """
         def compute():
-            sub = _codeword_restrictions(code, j)
-            cand = np.nonzero(typical_rows(sub, self._jam_mass(code, j), self.gamma))[0] + 1
-            return cand if cand.size else np.arange(1, sub.shape[0] + 1)
+            n = code.params.n
+            restrict = indexing.restrict_codes(code.link_sizes, j.links)
+            mass = self._jam_mass(code, j)
+            a = mass.size
+            if (n + 1) ** a > 1 << 63:
+                restrict = restrict.astype(np.min_scalar_type(a - 1))
+
+                def typical(block):
+                    return typical_rows(restrict[block], mass, self.gamma)
+            else:
+                weights = (n + 1) ** np.arange(a, dtype=np.int64)
+                table = weights[restrict]
+
+                def typical(block):
+                    keys, inverse = np.unique(indexing.fold_sequences(block, table, 1),
+                                              return_inverse=True)
+                    counts = (keys[:, None] // weights % (n + 1)).ravel()
+                    rows = np.repeat(np.tile(np.arange(a), keys.size), counts)
+                    return typical_rows(rows.reshape(keys.size, n), mass, self.gamma)[inverse]
+            cand = np.concatenate([np.flatnonzero(hit) + start + 1
+                                   for start, hit in code.chunks(typical)])
+            return cand if cand.size else np.arange(1, code.message_count + 1)
         return code_cached(code, ("spoof-candidates", self.gamma, j.links), compute)
 
     def _affine_messages(self, code: DirectCode, j: JamSet, seed) -> np.ndarray:

@@ -105,7 +105,9 @@ def fold_sequences(block: np.ndarray, table: np.ndarray, alphabet_size: int) -> 
     a time (acc = acc * a + table[block[:, t]]), so no (rows, n) int64 copy
     of the block is made. Every symbol must index `table` (the gathers clip
     rather than check, which lets them write into one reused buffer), and
-    alphabet_size**n must fit in 63 bits.
+    every partial acc * a + table[x] must fit in int64: for a table of letters
+    below a, that is a**n <= 2**63. With a = 1 the fold is a sum of table
+    entries (a type key, for a table of powers).
     """
     table = np.asarray(table, dtype=np.int64)
     acc = np.take(table, block[:, 0], mode="clip")

@@ -18,7 +18,7 @@ import numpy as np
 # Construction tolerances: reject real bugs, forgive float dust.
 SUM_TOL = 1e-9
 MASS_TOL = 1e-12
-# typical_rows: count-table cells per block of rows.
+# typical_rows: cells per block of rows, in its count table and in its symbol copy.
 TYPICAL_BLOCK_CELLS = 1 << 18
 
 
@@ -270,13 +270,14 @@ def typical_rows(seqs: np.ndarray, mass: np.ndarray, gamma: float) -> np.ndarray
     A row passes iff no zero-mass letter occurs in it and the L1 distance of
     its type from `mass` is at most gamma. Symbols must lie in [0, mass.size).
     Rows holding a zero-mass letter are rejected first, by one gather; the
-    count table is built only for the rest, TYPICAL_BLOCK_CELLS cells at a time.
+    count table is built only for the rest, in blocks of rows whose count
+    table and int64 symbol copy each hold at most TYPICAL_BLOCK_CELLS cells.
     """
     rows, n = seqs.shape
     a = mass.size
     out = (mass > 0)[seqs].all(axis=1)
     survivors = np.flatnonzero(out)
-    step = max(TYPICAL_BLOCK_CELLS // a, 1)
+    step = max(TYPICAL_BLOCK_CELLS // max(a, n), 1)
     for lo in range(0, survivors.size, step):
         idx = survivors[lo:lo + step]
         flat = (np.arange(idx.size, dtype=np.int64)[:, None] * a + seqs[idx]).ravel()

@@ -14,7 +14,7 @@ from stealthpath.adversary import (
     pack_observation,
 )
 from stealthpath.codec import CodeParams, build_direct_code, encode
-from stealthpath.probkit import Distribution, JointDistribution
+from stealthpath.probkit import Distribution, JointDistribution, typical_rows
 from stealthpath.ratesolver import NetworkModel
 
 
@@ -111,6 +111,106 @@ def test_spoof_codeword_writes_a_codeword_restriction():
     rx = overwrite_jam(tx, JamSet((0,)), strat, 5, MODEL, CODE)
     restrictions = [CODE.codeword_links(m)[[0]] for m in range(1, CODE.message_count + 1)]
     assert any(np.array_equal(rx.links[[0]], r) for r in restrictions)
+
+
+def _scanned_candidates(code, j, gamma):
+    """spoof-codeword's candidates by the per-codeword scan: every codeword's
+    jammed restriction through `typical_rows`, all messages if none passes."""
+    restrict = indexing.restrict_codes(code.link_sizes, j.links)
+    mass = indexing.restriction_matrix(code.link_sizes, j.links) @ code.p_x.mass
+    messages = np.arange(1, code.message_count + 1)
+    typical = typical_rows(restrict[code.codeword(messages)], mass, gamma)
+    return messages[typical] if typical.any() else messages
+
+
+def _joint(sizes, rng, zero=None):
+    mass = rng.dirichlet(np.ones(int(np.prod(sizes))))
+    if zero is not None:
+        mass[zero] = 0.0
+    return JointDistribution(tuple(sizes), mass / mass.sum())
+
+
+def test_spoof_candidates_match_the_per_codeword_scan(monkeypatch):
+    import dataclasses
+    import itertools
+    from stealthpath import codec
+    from stealthpath.codec import build_affine_code
+    rng = np.random.default_rng(20)
+    # uniform binary links (an L1 tie at gamma = 2/n), a random law, and one
+    # whose marginals have a zero-mass letter
+    laws = [JointDistribution.from_factors([Distribution.uniform(2)] * 3),
+            _joint((3, 2, 4), rng),
+            JointDistribution.from_factors([Distribution.uniform(2),
+                                            Distribution(3, np.array([0.5, 0.5, 0.0]))])]
+    cases, fallbacks, subsets = 0, 0, 0
+
+    def check(code, sets, gammas):
+        nonlocal cases, fallbacks, subsets
+        for links, gamma in itertools.product(sets, gammas):
+            j = JamSet(links)
+            want = _scanned_candidates(code, j, gamma)
+            got = get_strategy("spoof-codeword", gamma=gamma)._candidates(code, j)
+            assert np.array_equal(got, want), (code.link_sizes, code.params.n, links, gamma)
+            cases += 1
+            fallbacks += want.size == code.message_count
+            subsets += want.size < code.message_count
+
+    for law, n in itertools.product(laws, (3, 6, 9)):
+        c = len(law.factor_sizes)
+        sets = [s for k in (1, 2) for s in itertools.combinations(range(c), k)]
+        code = build_direct_code(law, CodeParams(n=n, rate=7 / n, seed=n))
+        assert code.materialized
+        check(code, sets, (0.0, 0.1, 2 / n, 0.5, 1.0))
+        if law is laws[2]:
+            # the code's letters judged against a law that gives some of
+            # them no mass: the zero-mass test, on types
+            full = JointDistribution.from_factors([Distribution.uniform(2)] * 2)
+            check(dataclasses.replace(build_direct_code(full, code.params), p_x=law), sets,
+                  (0.5, 1.0))
+    # a streaming code, over several chunks on the pool, and an affine code
+    monkeypatch.setattr(codec, "SYMBOL_BUDGET", 0)
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 16)
+    streaming = build_direct_code(laws[1], CodeParams(n=6, rate=7 / 6, seed=4))
+    assert not streaming.materialized and streaming.message_count > 4 * 16
+    check(streaming, [(0,), (1, 2)], (0.5, 1.0))
+    affine = build_affine_code((2, 2, 2), CodeParams(n=6, rate=7 / 6, seed=5))
+    assert affine.affine is not None and affine.message_count > 4 * 16
+    check(affine, [(0,), (0, 2)], (2 / 6, 0.5))
+    assert fallbacks and subsets and cases == 3 * 15 * 5 + 3 * 3 * 2 + 4 + 4
+
+
+def test_spoof_candidates_scan_each_codeword_where_the_type_key_overflows(monkeypatch):
+    # two 8-letter links: 64 jammed letters, (n+1)**64 > 2**63 at any n, so no
+    # type key is folded; one link's 8 letters, (n+1)**8 <= 2**63, are keyed
+    folds = []
+    original = indexing.fold_sequences
+    monkeypatch.setattr(indexing, "fold_sequences", lambda *a: folds.append(a) or original(*a))
+    rng = np.random.default_rng(21)
+    code = build_direct_code(_joint((8, 8), rng), CodeParams(n=3, rate=3.0, seed=2))
+    for links, keyed in (((0, 1), False), ((1,), True)):
+        folds.clear()
+        for gamma in (0.5, 1.0, 1.5):
+            j = JamSet(links)
+            assert np.array_equal(
+                get_strategy("spoof-codeword", gamma=gamma)._candidates(code, j),
+                _scanned_candidates(code, j, gamma))
+        assert bool(folds) == keyed
+
+
+def test_spoof_candidates_memory_is_bounded():
+    # one type key per codeword, not an (N, n) int64 restriction
+    import tracemalloc
+    code = build_direct_code(MODEL.innocent, CodeParams(n=10, rate=1.7, seed=1))
+    assert code.materialized and code.message_count == 1 << 17
+    strategy = get_strategy("spoof-codeword")
+    tracemalloc.start()
+    try:
+        cand = strategy._candidates(code, JamSet((0,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < cand.size < code.message_count
+    assert peak < 8 << 20
 
 
 def test_spoof_consistent_prefers_agreement():

@@ -212,9 +212,24 @@ def test_typical_rows_in_blocks_matches_one_block(monkeypatch):
     mass = np.array([0.25, 0.0, 0.375, 0.125, 0.0, 0.25])
     seqs = rng.choice([0, 2, 3, 5, 5, 1], size=(300, 9)).astype(np.uint8)
     whole = typical_rows(seqs, mass, 0.6)
-    monkeypatch.setattr(probkit, "TYPICAL_BLOCK_CELLS", 16)  # two rows per block
+    monkeypatch.setattr(probkit, "TYPICAL_BLOCK_CELLS", 16)  # one row per block (16 // 9)
     assert np.array_equal(typical_rows(seqs, mass, 0.6), whole)
     assert whole.any() and not whole.all()
+
+
+def test_typical_rows_memory_is_bounded_when_rows_are_longer_than_the_alphabet():
+    # a block's int64 symbol copy is rows x n cells, not rows x a: with n > a
+    # it, not the count table, must bound the block
+    import tracemalloc
+    seqs = np.random.default_rng(2).integers(0, 2, size=(1 << 17, 10)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        typical = typical_rows(seqs, np.array([0.5, 0.5]), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert typical.any() and not typical.all()
+    assert peak < 8 << 20
 
 
 def test_inverse_cdf_matches_searchsorted():
