@@ -34,7 +34,6 @@ from .codec import (
     CodeParams,
     DecodeResult,
     DirectCode,
-    LayeredCode,
     ReceivedWord,
     ResourceBudgetError,
     Transmission,

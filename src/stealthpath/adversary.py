@@ -23,7 +23,6 @@ import numpy as np
 
 from . import indexing
 from .codec import (
-    Code,
     DirectCode,
     ReceivedWord,
     ResourceBudgetError,
@@ -87,17 +86,17 @@ class JammingStrategy:
     params_schema: dict = {}
 
     def apply(self, x_j: np.ndarray, j: JamSet, model: NetworkModel,
-              code: Optional[Code], seed: int) -> np.ndarray:
+              code: Optional[DirectCode], seed: int) -> np.ndarray:
         raise NotImplementedError
 
     def outcomes(self, x_j: np.ndarray, j: JamSet, model: NetworkModel,
-                 code: Optional[Code]) -> List[Tuple[float, np.ndarray]]:
+                 code: Optional[DirectCode]) -> List[Tuple[float, np.ndarray]]:
         raise NotImplementedError
 
     def _direct(self, code) -> DirectCode:
-        """`code`, which this strategy reads codewords from, if it is a direct code."""
-        if not isinstance(code, DirectCode):
-            raise ValueError(f"strategy {self.id!r} needs a direct codebook handle")
+        """`code`, which this strategy reads codewords from; it must be given."""
+        if code is None:
+            raise ValueError(f"strategy {self.id!r} needs a codebook handle")
         return code
 
 
@@ -367,7 +366,7 @@ def list_strategies() -> List[dict]:
 
 def overwrite_jam(tx: Transmission, j: JamSet, strategy: JammingStrategy,
                   seed, model: NetworkModel,
-                  code: Optional[Code] = None) -> ReceivedWord:
+                  code: Optional[DirectCode] = None) -> ReceivedWord:
     """Replace the jammed links with the strategy's output; erase nothing.
 
     A batch of blocks takes an array of seeds of the batch's leading shape.

@@ -127,7 +127,11 @@ def _cmd_oracle(args) -> int:
         _emit({"jam_set": list(j.links), "alpha": alpha, "beta": beta,
                "alpha_plus_beta": ab}, args.out)
     elif sub == "error":
+        # the config's scheme fixes the decoder, so the jamming must match it
         jamming = obj.get("jamming", "erasure")
+        if (jamming == "erasure") != (obj["scheme"] == "erasure-layered"):
+            raise ConfigError("erasure jamming uses the layered scheme" if jamming == "erasure"
+                              else "overwrite strategies use the direct scheme")
         if jamming != "erasure":
             jamming = get_strategy(jamming)
         p = oracle.exact_error_probability(

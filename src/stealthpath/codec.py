@@ -1,15 +1,18 @@
 """Codebook construction and decoding for the two random-coding schemes.
 
-The direct scheme draws i.i.d. codewords from a network distribution and
-decodes by exact sub-codeword matching over every candidate jam set. The
-layered scheme draws intermediate codewords from an auxiliary distribution,
-maps them through a stochastic kernel at transmit time, and decodes by joint
-typicality on the unjammed links. Both take one list step (`_listed`): it
-lists the codewords that agree with a word on a set of unjammed links,
-exactly or by typicality, reading the code in one agreement pass where it
-must, and a word decodes only if exactly one is listed. `decode` takes a
-batch of received words for either: one list step per erasure pattern in it,
-or one for the whole batch. `DecodeResult.decodes` scores a verdict.
+There is one code class, `DirectCode`: codewords over the network product
+alphabet, i.i.d. from a single-letter law or affine. The direct scheme draws
+them from a solved network law, the layered scheme from an auxiliary law p_u
+whose kernel is the identity on p_u's support (`build_layered_code`), so its
+auxiliary codeword is the transmitted word. The scheme picks the decoder:
+`decode_erasure` lists by joint typicality on a word's unerased links,
+`decode_overwrite` by exact agreement over every candidate jam set. Both take
+one list step (`_listed`): it lists the codewords that agree with a word on a
+set of unjammed links, exactly or by typicality, reading the code in one
+agreement pass where it must, and a word decodes only if exactly one is
+listed. Both take a batch of received words: one list step per erasure
+pattern in it, or one for the whole batch. `DecodeResult.decodes` scores a
+verdict.
 
 Codebooks above the in-memory symbol budget fall back to streaming chunked
 regeneration: chunk c of CHUNK_MESSAGES codewords is reproducible from the
@@ -21,7 +24,7 @@ many chunks in flight; generators are derived and results consumed in chunk
 order on the calling thread, so no byte depends on the threads. A pass of no
 more chunks than workers (every materialised code) starts no thread.
 
-Direct codes over the message budget can come from a second ensemble instead,
+Codes over the message budget can come from a second ensemble instead,
 an affine code over GF(2) (`build_code_for_bound` decides): codeword m is
 G·bits(m-1) ⊕ s, so encoding is a matrix product and list decoding one linear
 solve per candidate jam set, with no enumeration.
@@ -153,7 +156,9 @@ class _ChunkedStore:
     determined by (mass, n, seed) and the fixed chunk size. A chunk is drawn
     in sub-blocks of DRAW_ROWS rows from its one generator, which give the
     numbers of one draw of the whole chunk without a chunk-sized int64 or
-    float64 temporary.
+    float64 temporary. A draw at or past the cumulative mass of the last
+    letter of positive mass, which float sums can leave one ulp below 1, is
+    that letter: zero-mass letters after it are never drawn.
     """
 
     ensemble = "iid"
@@ -167,7 +172,7 @@ class _ChunkedStore:
         self.label = label
         self.alphabet = mass.size
         self._uniform = bool(np.allclose(mass, mass[0], atol=1e-12))
-        self._cdf = np.cumsum(mass)
+        self._cdf = np.cumsum(mass[:np.flatnonzero(mass)[-1] + 1])
         self._dtype = np.min_scalar_type(self.alphabet - 1)
         self._all: Optional[np.ndarray] = None
         if materialize:
@@ -244,7 +249,8 @@ class AffineStore:
     n·w_i bits (w_i = log2 size_i), position t of it w_i bits, least
     significant first. Column k of G is the image of bit k of b. G (drawn
     first) and s come from derive(seed, "affine-gf2", rows, K) alone, K being
-    the bit length of count - 1.
+    the bit length of count - 1. `mass`, the single-letter law of every
+    codeword, is uniform on the product alphabet.
     """
 
     ensemble = "affine-gf2"
@@ -270,7 +276,9 @@ class AffineStore:
         self.s = rng.integers(0, 2, size=self.rows, dtype=np.uint8)
         self._s = gf2.to_int(self.s)
         self._g_t = self.g.T.astype(np.float32)
-        self._dtype = np.min_scalar_type(int(np.prod(self.link_sizes)) - 1)
+        total = int(np.prod(self.link_sizes))
+        self.mass = np.full(total, 1.0 / total)
+        self._dtype = np.min_scalar_type(total - 1)
         self._solvers: dict = {}
         # product code at position t = bits[gather[t]] · weights; the link
         # sizes are powers of 2, so each weight is a distinct power of 2
@@ -380,15 +388,19 @@ def _build_store(mass: np.ndarray, params: CodeParams, symbols_per_use: int,
 
 
 @dataclass
-class _Code:
-    """A codebook: its parameters and the store its codewords come from.
+class DirectCode:
+    """A codebook over the network product alphabet, and the store it comes from.
 
-    `cache` holds tables derived from the codewords (restriction indices,
-    strategy tables, oracle marginals) under tagged keys; they live as long as
-    the code.
+    A codeword is a sequence of product codes, drawn i.i.d. from the store's
+    `mass` or affine. `p_x` is the single-letter law of each codeword: the
+    law it is drawn from, its image under a layered code's kernel, or an
+    affine code's uniform product law. `cache` holds tables derived from the
+    codewords (restriction indices, strategy tables, oracle marginals) under
+    tagged keys; they live as long as the code.
     """
 
     params: CodeParams
+    p_x: JointDistribution
     _store: Union[_ChunkedStore, AffineStore]
     cache: dict = field(default_factory=dict, repr=False, compare=False, kw_only=True)
 
@@ -409,47 +421,24 @@ class _Code:
         """The GF(2) structure of an affine code; None for any other code."""
         return self._store if isinstance(self._store, AffineStore) else None
 
+    @property
+    def link_sizes(self) -> tuple:
+        return self.p_x.factor_sizes
+
     def codeword(self, m) -> np.ndarray:
         """Codeword m (1-based); (..., n) for an array of messages."""
         return self._store.codeword(m - 1)
+
+    def codeword_links(self, m) -> np.ndarray:
+        """Per-link symbols of codeword m, (..., C, n)."""
+        return indexing.unpack_links(self.codeword(m), self.link_sizes)
 
     def chunks(self, kernel: Callable = _identity) -> Iterator[Tuple[int, object]]:
         """(start, kernel(block)) for each chunk of codewords, in order."""
         return self._store.chunks(kernel)
 
 
-@dataclass
-class DirectCode(_Code):
-    """Codewords over the network product alphabet: i.i.d. from p_x, or affine.
-
-    A codeword is a sequence of product codes. An affine code's p_x is the
-    uniform product law, the single-letter law of each of its codewords.
-    """
-
-    p_x: JointDistribution
-
-    @property
-    def link_sizes(self) -> tuple:
-        return self.p_x.factor_sizes
-
-    def codeword_links(self, m) -> np.ndarray:
-        """Per-link symbols of codeword m, (..., C, n)."""
-        return indexing.unpack_links(self.codeword(m), self.link_sizes)
-
-
-@dataclass
-class LayeredCode(_Code):
-    """Intermediate codewords over the auxiliary alphabet plus a transmit kernel."""
-
-    p_u: Distribution
-    kernel: ConditionalKernel
-    link_sizes: tuple
-
-
-Code = Union[DirectCode, LayeredCode]
-
-
-def code_cached(code: Code, key: tuple, compute: Callable):
+def code_cached(code: DirectCode, key: tuple, compute: Callable):
     """compute(), kept in the code's cache under `key`.
 
     A key names the table and what it depends on beyond the code itself, by
@@ -468,9 +457,8 @@ def build_direct_code(p_x: JointDistribution, params: CodeParams) -> DirectCode:
 def build_affine_code(link_sizes: Sequence[int], params: CodeParams) -> DirectCode:
     """Affine GF(2) code; its p_x is the uniform law on the product alphabet."""
     store = AffineStore(link_sizes, params.n, params.seed, params.message_count)
-    total = int(np.prod(store.link_sizes))
-    p_x = JointDistribution(store.link_sizes, np.full(total, 1.0 / total))
-    return DirectCode(params=params, p_x=p_x, _store=store)
+    return DirectCode(params=params, p_x=JointDistribution(store.link_sizes, store.mass),
+                      _store=store)
 
 
 def _uniform_is_optimal(model: NetworkModel, value: float) -> bool:
@@ -503,15 +491,26 @@ def build_code_for_bound(model: NetworkModel, sol: SolutionB, params: CodeParams
 
 
 def build_layered_code(p_u: Distribution, kernel: ConditionalKernel,
-                       params: CodeParams, link_sizes: Sequence[int]) -> LayeredCode:
+                       params: CodeParams, link_sizes: Sequence[int]) -> DirectCode:
+    """The layered scheme's code: auxiliary codewords drawn i.i.d. from p_u.
+
+    The kernel must be the identity on p_u's support, as `solve_a`'s U = X
+    embedding is (its zero-mass letters may have any row); anything else
+    raises ValueError. Each auxiliary codeword is then the word sent, so the
+    code is a direct code whose p_x is the kernel's image of p_u.
+    """
     link_sizes = tuple(int(s) for s in link_sizes)
     if kernel.input_size != p_u.alphabet_size:
         raise ValueError("kernel input alphabet does not match the auxiliary distribution")
     if kernel.output_size != int(np.prod(link_sizes)):
         raise ValueError("kernel output alphabet does not match the link alphabets")
+    support = np.flatnonzero(p_u.mass)
+    if support[-1] >= kernel.output_size or \
+            not np.array_equal(kernel.matrix[support], np.eye(kernel.output_size)[support]):
+        raise ValueError("the kernel must be the identity on the auxiliary law's support")
     store = _build_store(p_u.mass, params, 1, "u-codeword-chunk")
-    return LayeredCode(params=params, p_u=p_u, kernel=kernel,
-                       link_sizes=link_sizes, _store=store)
+    return DirectCode(params=params, p_x=JointDistribution(link_sizes, p_u.mass @ kernel.matrix),
+                      _store=store)
 
 
 @dataclass(frozen=True)
@@ -556,38 +555,24 @@ class DecodeResult:
         return self.verdict == "message" and self.message == m
 
 
-def encode(code: Code, model: NetworkModel, t: int, m, tx_seed) -> Transmission:
-    """Alice's encoder: innocent sampling or codeword (plus kernel map) lookup.
+def encode(code: DirectCode, model: NetworkModel, t: int, m, tx_seed) -> Transmission:
+    """Alice's encoder: innocent sampling or codeword lookup.
 
     `m` and `tx_seed` are scalars for one block, or arrays of one shape for a
-    batch of blocks of status `t`; each block draws from generator(tx_seed, ·).
+    batch of blocks of status `t`; each innocent block draws from
+    generator(tx_seed, ·). An active block draws nothing, so it needs no seed.
     """
-    n = code.params.n
-    sizes = model.link_alphabet_sizes
     if t == INNOCENT:
         if not _in_range(m, 0, 1):
             raise ValueError("innocent transmission must carry message 0")
-        codes = inverse_cdf(model.innocent.cdf, streams(tx_seed, "innocent").random(n))
-        return Transmission(INNOCENT, m, indexing.unpack_links(codes, sizes))
+        codes = inverse_cdf(model.innocent.cdf, streams(tx_seed, "innocent").random(code.params.n))
+        return Transmission(INNOCENT, m, indexing.unpack_links(codes, model.link_alphabet_sizes))
     if not _in_range(m, 1, code.message_count + 1):
         raise ValueError(f"message {m} out of range 1..{code.message_count}")
-    if isinstance(code, DirectCode):
-        return Transmission(ACTIVE, m, code.codeword_links(m))
-    # Layered scheme: a fresh stochastic map from the intermediate codeword
-    # on every transmission.
-    u = code.codeword(m)
-    codes = inverse_cdf(code.kernel.cdf[u], streams(tx_seed, "transmit-map").random(n))
-    return Transmission(ACTIVE, m, indexing.unpack_links(codes, sizes))
+    return Transmission(ACTIVE, m, code.codeword_links(m))
 
 
-def induced_unjammed_joint(code: LayeredCode, unjammed_links: Sequence[int]) -> JointDistribution:
-    """Exact single-letter joint of (U, X restricted to the unjammed links)."""
-    s = indexing.restriction_matrix(code.link_sizes, unjammed_links)
-    joint = code.p_u.mass[:, None] * (code.kernel.matrix @ s.T)
-    return JointDistribution((code.p_u.alphabet_size, s.shape[0]), joint.reshape(-1))
-
-
-def _agreement_pass(code: Code, allowed: np.ndarray,
+def _agreement_pass(code: DirectCode, allowed: np.ndarray,
                     confirm: Optional[Callable] = None) -> Iterator[Tuple[int, tuple]]:
     """(start, (rows, targets)) per chunk: the codewords that agree with each target.
 
@@ -666,11 +651,11 @@ class _RestrictionIndex:
                 np.searchsorted(self.keys, targets, side="right"))
 
 
-def _restriction_index(code: Code, sets: tuple) -> Optional[_RestrictionIndex]:
-    """The index of a materialised i.i.d. direct code on a tuple of link sets, cached.
+def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIndex]:
+    """The index of a materialised i.i.d. code on a tuple of link sets, cached.
 
-    None for a layered code (typicality is not agreement), when the code
-    streams or is affine, or when the offset keys do not fit in 63 bits.
+    None when the code streams or is affine, or when the offset keys do not
+    fit in 63 bits.
     """
     def build():
         n = code.params.n
@@ -692,32 +677,46 @@ def _restriction_index(code: Code, sets: tuple) -> Optional[_RestrictionIndex]:
             messages[s * count:(s + 1) * count] = order + 1
         return _RestrictionIndex(tables, weights, offsets, keys, messages)
 
-    if not isinstance(code, DirectCode) or code.affine is not None or not code.materialized:
+    if code.affine is not None or not code.materialized:
         return None
     return code_cached(code, ("restriction-index", sets), build)
 
 
-def _targets(code: Code, links: np.ndarray, sets: tuple,
+def _unjammed_joint(code: DirectCode, unjammed: tuple) -> JointDistribution:
+    """Single-letter joint of (codeword letter, the letter's symbols on `unjammed`).
+
+    Built from the law the codewords are drawn from, the store's mass, with
+    every letter of it: a letter past the product alphabet (a zero-mass
+    padding letter of p_u) has a zero row.
+    """
+    mass = code._store.mass
+    s = indexing.restriction_matrix(code.link_sizes, unjammed)
+    rows = np.zeros((mass.size, s.shape[0]))
+    rows[:s.shape[1]] = s.T
+    return JointDistribution((mass.size, s.shape[0]), (mass[:, None] * rows).reshape(-1))
+
+
+def _targets(code: DirectCode, links: np.ndarray, sets: tuple,
              gamma: Optional[float]) -> Tuple[np.ndarray, Optional[Callable]]:
     """`_agreement_pass` inputs for the T·S (word, set) targets of (T, C, n) `links`.
 
     Target k is word k // S on set k % S. Each set has a letter table, indexed
-    by the word's packed symbols on that set: on a direct code a letter agrees
-    where its restriction to the set equals the word's, with no confirm; on a
-    layered code (one set) a letter of U agrees where it pairs with the
-    word's symbol at a positive mass of the unjammed joint, and
+    by the word's packed symbols on that set. With no `gamma` a letter agrees
+    where its restriction to the set equals the word's, with no confirm. With
+    `gamma` (one set) a letter agrees where it pairs with the word's symbol at
+    a positive mass of the unjammed joint (`_unjammed_joint`), and
     `typical_rows` confirms each candidate pair on its own row, at `gamma`.
     """
     sizes = code.link_sizes
     y = np.stack([indexing.pack_links(links[:, list(jc)], [sizes[i] for i in jc])
                   for jc in sets], axis=1)  # (T, S, n)
     confirm = None
-    if isinstance(code, DirectCode):
+    if gamma is None:
         tables = [indexing.restriction_matrix(sizes, jc) > 0 for jc in sets]
     else:
         (unjammed,) = sets
         joint = code_cached(code, ("unjammed-joint", unjammed),
-                            lambda: induced_unjammed_joint(code, unjammed))
+                            lambda: _unjammed_joint(code, unjammed))
         au, ax = joint.factor_sizes
         tables = [(joint.mass.reshape(au, ax) > 0).T]  # [x, u]
         pair_dtype = np.min_scalar_type(joint.alphabet_size)
@@ -732,26 +731,26 @@ def _targets(code: Code, links: np.ndarray, sets: tuple,
     return allowed.reshape(-1, *allowed.shape[2:]), confirm
 
 
-def _listed(code: Code, links: np.ndarray, sets: tuple,
+def _listed(code: DirectCode, links: np.ndarray, sets: tuple,
             gamma: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
     """(listed count, smallest listed message) per word of (T, C, n) `links`.
 
     The one list step of both decoders. A word lists the messages whose
-    codewords agree with it on one of the link `sets`: exactly on a direct
-    code, by joint typicality at `gamma` on a layered code (`_targets`). Its
-    count is exact below two and 2 from there on, which already makes the
-    verdict an error; its message is 0 where none is listed. A materialised
-    i.i.d. direct code answers every (word, set) target by one search of its
+    codewords agree with it on one of the link `sets`: exactly with no
+    `gamma`, by joint typicality at `gamma` (`_targets`). Its count is exact
+    below two and 2 from there on, which already makes the verdict an error;
+    its message is 0 where none is listed. Exact agreement on a materialised
+    i.i.d. code answers every (word, set) target by one search of its
     restriction index, and lists the first and last message of each run of
-    equal keys; an affine code lists at most two messages per set, by one
-    solve each, set by set until the word lists two. Any other code is read
-    in one agreement pass, which stops once every word has listed two
-    messages. Every message agrees with a word on an empty set, so that set
-    lists min(N, 2) messages or more.
+    equal keys; on an affine code it lists at most two messages per set, by
+    one solve each, set by set until the word lists two. Anything else,
+    typicality included, is read in one agreement pass, which stops once
+    every word has listed two messages. Every message agrees with a word on
+    an empty set, so that set lists min(N, 2) messages or more.
     """
     words, c, _ = links.shape  # a one-word (C, n) call raises here
-    index = _restriction_index(code, sets)
-    affine = code.affine
+    index = _restriction_index(code, sets) if gamma is None else None
+    affine = code.affine if gamma is None else None
     if index is not None:
         x = indexing.pack_links(links, code.link_sizes)
         lo, hi = index.search(
@@ -789,13 +788,14 @@ def _listed(code: Code, links: np.ndarray, sets: tuple,
     return (high > 0).astype(np.int64) + (low < high), low
 
 
-def decode_erasure(code: LayeredCode, rx: ReceivedWord, tp: TypicalityParams,
+def decode_erasure(code: DirectCode, rx: ReceivedWord, tp: TypicalityParams,
                    model: NetworkModel) -> List[DecodeResult]:
     """Typicality decoding on the unjammed links, jam set read off the erasures.
 
-    A word lists the messages whose pair sequence (u, unjammed symbols) is
-    strongly typical for the code's unjammed joint (`_listed` on the one
-    unjammed set): none is innocent, one is that message, more is an error.
+    A word lists the messages whose pair sequence (codeword letter, unjammed
+    symbols) is strongly typical for the code's unjammed joint (`_listed` on
+    the one unjammed set, at tp.gamma): none is innocent, one is that message,
+    more is an error.
     A word with every link erased, or more erasures than the adversary's
     budget, is an error.
 
@@ -835,18 +835,6 @@ def decode_overwrite(code: DirectCode, rx: ReceivedWord,
         raise ValueError("overwrite decoding expects a fully symbol-valued word")
     count, message = _listed(code, np.asarray(rx.links), model.unjammed_sets)
     return [_verdict(k, m) for k, m in zip(count.tolist(), message.tolist())]
-
-
-def decode(code: Code, rx: ReceivedWord, model: NetworkModel,
-           tp: TypicalityParams) -> List[DecodeResult]:
-    """One DecodeResult per word of a (T, C, n) batch, in order.
-
-    A layered code takes one `decode_erasure` call, a direct code one
-    `decode_overwrite` call (which ignores `tp`).
-    """
-    if isinstance(code, LayeredCode):
-        return decode_erasure(code, rx, tp, model)
-    return decode_overwrite(code, rx, model)
 
 
 # ---------------------------------------------------------------------------

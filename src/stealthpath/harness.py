@@ -6,9 +6,11 @@ derives its randomness as hash(master_seed, label, sweep, hypothesis, trial),
 so re-running, reordering, or parallelizing cannot change any number. Trials
 run in blocks of at most TRIAL_BLOCK: one encode call per block and
 hypothesis, whose transmissions every jam set then detects and jams, with one
-`codec.decode` call per (block, jam set) on both hypotheses' words that
+decoder call per (block, jam set) on both hypotheses' words that
 `DecodeResult.decodes` scores; each call's per-trial streams are those of one
-call per trial.
+call per trial. Both schemes build a `DirectCode`; the scheme picks the
+jamming and the decoder: `erasure_jam` and `decode_erasure` for
+erasure-layered, `overwrite_jam` and `decode_overwrite` for overwrite-direct.
 """
 from __future__ import annotations
 
@@ -30,13 +32,14 @@ from .adversary import (
     overwrite_jam,
 )
 from .codec import (
-    Code,
     CodeParams,
+    DirectCode,
     ReceivedWord,
     ResourceBudgetError,
     build_code_for_bound,
     build_layered_code,
-    decode,
+    decode_erasure,
+    decode_overwrite,
     encode,
 )
 from .probkit import Distribution, JointDistribution, TypicalityParams
@@ -287,13 +290,13 @@ class _Blocklength:
     """What the sweep points of one blocklength share."""
 
     rate: float
-    code: Code
+    code: DirectCode
     jam_sets: List[JamSet]
     stealth_gap: Optional[float]
     note: str
 
 
-def build_code(model: NetworkModel, scheme: str, sol, params: CodeParams) -> Code:
+def build_code(model: NetworkModel, scheme: str, sol, params: CodeParams) -> DirectCode:
     """The scheme's code at its solved bound (`solve_bound`)."""
     if scheme == "overwrite-direct":
         return build_code_for_bound(model, sol, params)
@@ -356,7 +359,7 @@ def run_experiment(cfg: ExperimentConfig,
     return rows
 
 
-def _detector(cfg: ExperimentConfig, code: Code, j: JamSet) -> Optional[Callable]:
+def _detector(cfg: ExperimentConfig, code: DirectCode, j: JamSet) -> Optional[Callable]:
     """The oracle detector on j's links, or None without one (or outside its budget)."""
     if cfg.detector != "optimal-oracle" or not j.links:
         return None
@@ -373,6 +376,7 @@ def _run_sweep_point(cfg: ExperimentConfig, sweep: int, built: _Blocklength,
                      strategy_id: str, tp: TypicalityParams) -> MetricsRow:
     """One pass over the trials: each block is encoded once and read by every jam set."""
     model, code, jam_sets = cfg.model, built.code, built.jam_sets
+    erasure = cfg.scheme == "erasure-layered"
     strategy = get_strategy(strategy_id) if strategy_id else None
     detectors = [_detector(cfg, code, j) for j in jam_sets]
     # [jam set][hypothesis]: wrong decodes, and wrong verdicts (alarms, misses)
@@ -384,9 +388,10 @@ def _run_sweep_point(cfg: ExperimentConfig, sweep: int, built: _Blocklength,
         block = range(lo, min(lo + TRIAL_BLOCK, cfg.trials))
         m = np.array([derive_seed(seed, "message", sweep, t) % n_msg + 1 for t in block],
                      dtype=np.int64)
-        txs = [encode(code, model, hyp, m * hyp,
-                      [derive_seed(seed, "trial", sweep, hyp, t) for t in block])
-               for hyp in (0, 1)]
+        # only an innocent block draws, so only it takes trial seeds
+        txs = [encode(code, model, 0, 0 * m, [derive_seed(seed, "trial", sweep, 0, t)
+                                              for t in block]),
+               encode(code, model, 1, m, None)]
         sent = np.concatenate([0 * m, m]).tolist()
         for k, j in enumerate(jam_sets):
             received = []
@@ -394,7 +399,7 @@ def _run_sweep_point(cfg: ExperimentConfig, sweep: int, built: _Blocklength,
                 if detectors[k] is not None:
                     verdicts = detectors[k](tx.links[:, list(j.links)])
                     wrong_verdicts[k][hyp] += int(np.count_nonzero(verdicts != hyp))
-                if cfg.scheme == "erasure-layered":
+                if erasure:
                     received.append(erasure_jam(tx, j))
                 else:  # the empty set calls no strategy, so it needs no jam seeds
                     jam_seeds = [derive_seed(seed, "jam", sweep, hyp, t, *j.links)
@@ -403,7 +408,9 @@ def _run_sweep_point(cfg: ExperimentConfig, sweep: int, built: _Blocklength,
             # both hypotheses' words in one decode call: innocent first, then active
             rx = ReceivedWord(np.concatenate([r.links for r in received]),
                               np.concatenate([r.erased for r in received]))
-            wrong = [not r.decodes(mi) for r, mi in zip(decode(code, rx, model, tp), sent)]
+            results = decode_erasure(code, rx, tp, model) if erasure else \
+                decode_overwrite(code, rx, model)
+            wrong = [not r.decodes(mi) for r, mi in zip(results, sent)]
             err[k][0] += sum(wrong[:len(block)])
             err[k][1] += sum(wrong[len(block):])
 

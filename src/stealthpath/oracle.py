@@ -5,26 +5,27 @@ exact variational-distance stealth gaps, exhaustive detector optimization,
 exact decoder error probabilities, and a grid search over the marginal-matching
 polytope. These certify the fast Monte Carlo and solver paths on instances
 small enough to enumerate; every operation raises ResourceBudgetError instead
-of silently approximating when the state space is too large.
+of silently approximating when the state space is too large. Codes of both
+schemes are direct codes, so a marginal is one histogram of the codewords,
+and an error probability takes its decoder from the jamming.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import gf2, indexing
 from .adversary import JammingStrategy, JamSet, iid_blocks
 from .codec import (
-    Code,
     DirectCode,
-    LayeredCode,
     ReceivedWord,
     ResourceBudgetError,
     code_cached,
-    decode,
+    decode_erasure,
+    decode_overwrite,
 )
 from .probkit import (
     Distribution,
@@ -53,9 +54,8 @@ ENUMERATION_BUDGET = 1 << 20
 BRUTE_FORCE_POINTS = 16
 GRID_MAX_DIMENSION = 4
 _WORK_BUDGET = 1 << 28
-# Elements of the (codewords, observations) product array the layered marginal
-# builds at once, and of the observation sequences the gap partition unpacks at
-# once; small enough not to move a run's peak memory.
+# Elements of the observation sequences the gap partition unpacks at once;
+# small enough not to move a run's peak memory.
 _BATCH_ELEMENTS = 1 << 15
 # Received words an exact error probability hands the decoder per call.
 _DECODE_BATCH = 1 << 12
@@ -84,8 +84,12 @@ def exact_innocent_marginal(model: NetworkModel, j: JamSet, n: int) -> Distribut
     return Distribution(space, mass)
 
 
-def exact_active_marginal(code: Code, j: JamSet) -> Distribution:
-    """What the adversary sees on the jammed links, averaged over all codewords."""
+def exact_active_marginal(code: DirectCode, j: JamSet) -> Distribution:
+    """What the adversary sees on the jammed links, averaged over all codewords.
+
+    One streaming histogram pass of the codewords' jammed restrictions: O(N n)
+    work regardless of the observation space.
+    """
     sizes = code.link_sizes
     n = code.params.n
     aj = int(np.prod([sizes[i] for i in j.links])) if j.links else 1
@@ -93,36 +97,16 @@ def exact_active_marginal(code: Code, j: JamSet) -> Distribution:
     count = code.message_count
     if not j.links:
         return Distribution(1, np.array([1.0]))
-    if isinstance(code, DirectCode):
-        # one streaming histogram pass: O(N n) work regardless of the space
-        if count * n > _WORK_BUDGET:
-            raise ResourceBudgetError("marginal enumeration work exceeds the budget")
-        restrict = indexing.restrict_codes(sizes, j.links)
-        hist = np.zeros(space, dtype=np.int64)
-        for _, packed in code.chunks(lambda block: indexing.fold_sequences(block, restrict, aj)):
-            hist += np.bincount(packed, minlength=space)
-        return Distribution(space, hist / count)
-    # Layered: exact per-position convolution of the kernel rows. A batch of
-    # codewords gets its products by the outer-product recurrence np.kron
-    # follows, and is summed in codeword order (an axis-0 reduction is a
-    # running total), so the mass is bit-identical to a per-codeword loop.
-    if count * space > _WORK_BUDGET:
+    if count * n > _WORK_BUDGET:
         raise ResourceBudgetError("marginal enumeration work exceeds the budget")
-    s = indexing.restriction_matrix(sizes, j.links)
-    rows = code.kernel.matrix @ s.T  # (u_size, aj)
-    batch = max(_BATCH_ELEMENTS // space, 1)
-    mass = np.zeros(space)
-    for _, block in code.chunks():
-        for lo in range(0, block.shape[0], batch):
-            u = block[lo:lo + batch].astype(np.int64)
-            v = np.ones((u.shape[0], 1))
-            for t in range(n):
-                v = (v[:, :, None] * rows[u[:, t]][:, None, :]).reshape(u.shape[0], -1)
-            mass = np.add.reduce(np.concatenate([mass[None, :], v]), axis=0)
-    return Distribution(space, mass / count)
+    restrict = indexing.restrict_codes(sizes, j.links)
+    hist = np.zeros(space, dtype=np.int64)
+    for _, packed in code.chunks(lambda block: indexing.fold_sequences(block, restrict, aj)):
+        hist += np.bincount(packed, minlength=space)
+    return Distribution(space, hist / count)
 
 
-def cached_active_marginal(code: Code, j: JamSet) -> Distribution:
+def cached_active_marginal(code: DirectCode, j: JamSet) -> Distribution:
     """exact_active_marginal(code, j), computed once per jam set of a code.
 
     The marginal is kept in the code's cache, so a detector and a stealth gap
@@ -132,14 +116,14 @@ def cached_active_marginal(code: Code, j: JamSet) -> Distribution:
                        lambda: exact_active_marginal(code, j))
 
 
-def exact_stealth_gap(code: Code, model: NetworkModel, j: JamSet) -> float:
+def exact_stealth_gap(code: DirectCode, model: NetworkModel, j: JamSet) -> float:
     """Exact variational distance between active and innocent observations.
 
     An affine code against a uniform innocent marginal on j needs no
     enumeration of the observation space, so MARGINAL_BUDGET does not apply
     to it.
     """
-    if isinstance(code, DirectCode) and code.affine is not None and j.links:
+    if code.affine is not None and j.links:
         single = model.innocent_marginal(j.links)
         if np.allclose(single, 1.0 / single.size, rtol=0.0, atol=1e-12):
             return _affine_uniform_gap(code, j)
@@ -180,7 +164,7 @@ def _affine_uniform_gap(code: DirectCode, j: JamSet) -> float:
     return float(gap)
 
 
-def stealth_gap_partition(code: Code, model: NetworkModel, j: JamSet,
+def stealth_gap_partition(code: DirectCode, model: NetworkModel, j: JamSet,
                           tp: TypicalityParams) -> Tuple[float, float]:
     """Split the exact gap into typical and atypical observation contributions.
 
@@ -201,7 +185,7 @@ def stealth_gap_partition(code: Code, model: NetworkModel, j: JamSet,
     return float(diff[typical].sum()), float(diff[~typical].sum())
 
 
-def exhaustive_best_detector(code: Code, model: NetworkModel,
+def exhaustive_best_detector(code: DirectCode, model: NetworkModel,
                              j: JamSet) -> Tuple[float, float, float]:
     """(alpha, beta, alpha+beta) of the pointwise-optimal deterministic detector."""
     _jam_space(model.link_alphabet_sizes, j, code.params.n, DETECTOR_BUDGET)
@@ -239,24 +223,8 @@ def _innocent_blocks(model: NetworkModel, n: int) -> Iterator[Tuple[float, np.nd
     yield from iid_blocks(model.innocent.mass, model.link_alphabet_sizes, n)
 
 
-def _active_blocks(code: Code, m: int) -> Iterator[Tuple[float, np.ndarray]]:
-    """Every possible transmitted block for message m with its probability."""
-    if isinstance(code, DirectCode):
-        yield 1.0, code.codeword_links(m)
-        return
-    u_seq = code.codeword(m)
-    kern = code.kernel.matrix
-    supports = [np.nonzero(kern[int(u)])[0] for u in u_seq]
-    total = int(np.prod([s.size for s in supports]))
-    if total > ENUMERATION_BUDGET:
-        raise ResourceBudgetError("kernel randomness enumeration exceeds the budget")
-    for combo in itertools.product(*supports):
-        p = float(np.prod([kern[int(u), int(x)] for u, x in zip(u_seq, combo)]))
-        yield p, indexing.unpack_links(np.array(combo), code.link_sizes)
-
-
 def _received_words(links: np.ndarray, j: JamSet, jamming: Union[str, JammingStrategy],
-                    model: NetworkModel, code: Code) -> Iterator[Tuple[float, ReceivedWord]]:
+                    model: NetworkModel, code: DirectCode) -> Iterator[Tuple[float, ReceivedWord]]:
     c = links.shape[0]
     if jamming == "erasure":
         erased = np.zeros(c, dtype=bool)
@@ -278,7 +246,7 @@ def _received_words(links: np.ndarray, j: JamSet, jamming: Union[str, JammingStr
         yield p, ReceivedWord(links=out, erased=np.zeros(c, dtype=bool))
 
 
-def exact_error_probability(code: Code, model: NetworkModel, j: JamSet,
+def exact_error_probability(code: DirectCode, model: NetworkModel, j: JamSet,
                             jamming: Union[str, JammingStrategy],
                             tp: Optional[TypicalityParams] = None) -> float:
     """Exact error probability, summed over the innocent and active hypotheses."""
@@ -286,51 +254,50 @@ def exact_error_probability(code: Code, model: NetworkModel, j: JamSet,
     return err0 + err1
 
 
-def exact_error_components(code: Code, model: NetworkModel, j: JamSet,
+def exact_error_components(code: DirectCode, model: NetworkModel, j: JamSet,
                            jamming: Union[str, JammingStrategy],
                            tp: Optional[TypicalityParams] = None) -> Tuple[float, float]:
     """Exact per-hypothesis error probabilities (innocent, active).
 
-    Enumerates message choice, encoder randomness, and strategy randomness.
-    Erasure jamming pairs with the typicality decoder on a layered code;
-    overwrite strategies pair with the list decoder on a direct code.
+    Enumerates message choice and strategy randomness. The jamming picks the
+    decoder, whatever built the code: erasure jamming pairs with
+    `decode_erasure` at tp's gamma, an overwrite strategy with
+    `decode_overwrite`.
     """
-    if jamming == "erasure":
-        if not isinstance(code, LayeredCode):
-            raise ValueError("erasure jamming uses the layered scheme")
-    elif not isinstance(code, DirectCode):
-        raise ValueError("overwrite strategies use the direct scheme")
     tp = tp or TypicalityParams()
+    if jamming == "erasure":
+        def decode(rx):
+            return decode_erasure(code, rx, tp, model)
+    else:
+        def decode(rx):
+            return decode_overwrite(code, rx, model)
     n = code.params.n
     # Innocent hypothesis: error whenever the verdict is not "innocent".
     innocent = ((p_block * p_rx, rx) for p_block, links in _innocent_blocks(model, n)
                 for p_rx, rx in _received_words(links, j, jamming, model, code))
-    err0 = sum((p for p, result in _decoded(innocent, code, model, tp)
-                if not result.decodes(0)), 0.0)
+    err0 = sum((p for p, result in _decoded(innocent, decode) if not result.decodes(0)), 0.0)
     # Active hypothesis: uniform message; error unless that exact message decodes.
     count = code.message_count
     if count > ENUMERATION_BUDGET:
         raise ResourceBudgetError("message enumeration exceeds the budget")
-    active = (((p_block * p_rx, m), rx) for m in range(1, count + 1)
-              for p_block, links in _active_blocks(code, m)
-              for p_rx, rx in _received_words(links, j, jamming, model, code))
-    err1 = sum((p / count for (p, m), result in _decoded(active, code, model, tp)
+    active = (((p_rx, m), rx) for m in range(1, count + 1)
+              for p_rx, rx in _received_words(code.codeword_links(m), j, jamming, model, code))
+    err1 = sum((p / count for (p, m), result in _decoded(active, decode)
                 if not result.decodes(m)), 0.0)
     return err0, err1
 
 
-def _decoded(outcomes: Iterator, code: Code, model: NetworkModel,
-             tp: TypicalityParams) -> Iterator:
+def _decoded(outcomes: Iterator, decode: Callable) -> Iterator:
     """(key, verdict) for each (key, received word) of `outcomes`, in order.
 
-    The words go to `codec.decode` _DECODE_BATCH at a time.
+    The words go to `decode` _DECODE_BATCH at a time.
     """
     outcomes = iter(outcomes)
     while batch := list(itertools.islice(outcomes, _DECODE_BATCH)):
         keys, words = zip(*batch)
         rx = ReceivedWord(links=np.stack([w.links for w in words]),
                           erased=np.stack([w.erased for w in words]))
-        yield from zip(keys, decode(code, rx, model, tp))
+        yield from zip(keys, decode(rx))
 
 
 # ---------------------------------------------------------------------------

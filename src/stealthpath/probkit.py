@@ -157,11 +157,6 @@ class ConditionalKernel:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
-    @cached_property
-    def cdf(self) -> np.ndarray:
-        """Cumulative mass of each row, (input_size, output_size)."""
-        return _frozen_cumsum(self.matrix)
-
     @classmethod
     def identity(cls, size: int) -> "ConditionalKernel":
         return cls(size, size, np.eye(size))

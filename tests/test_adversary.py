@@ -314,9 +314,9 @@ def test_a_batch_draws_what_one_call_per_block_draws(sid):
     model = uniform_model(c=2, z=0, allow_symmetrizable=True) if sid == "symmetrize" \
         else MODEL
     code = build_direct_code(model.innocent, CodeParams(n=8, rate=1.0, seed=3))
-    layered = build_layered_code(Distribution.uniform(4),
-                                 ConditionalKernel.constant(4, Distribution.uniform(8)),
-                                 CodeParams(n=8, rate=0.25, seed=2), (2, 2, 2))
+    layered = build_layered_code(model.innocent.as_distribution(),
+                                 ConditionalKernel.identity(model.product_alphabet_size),
+                                 CodeParams(n=8, rate=0.25, seed=2), model.link_alphabet_sizes)
     strategy, j = get_strategy(sid), JamSet((0,))
     seeds = np.arange(100, 140)
     messages = seeds % code.message_count + 1

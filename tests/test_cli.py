@@ -238,3 +238,30 @@ def test_oracle_rejects_a_jam_set_outside_the_family(op, jam_set, tmp_path, caps
                                   "jam_set": jam_set})
     assert main(["oracle", op, "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith("error: jam set")
+
+
+@pytest.mark.parametrize("scheme,jamming,message", [
+    ("overwrite-direct", None, "erasure jamming uses the layered scheme"),
+    ("erasure-layered", "passthrough", "overwrite strategies use the direct scheme"),
+])
+def test_oracle_error_refuses_a_jamming_of_the_other_scheme(scheme, jamming, message,
+                                                             tmp_path, capsys):
+    # the scheme fixes the decoder; erasure jamming (the default) needs the
+    # layered scheme, an overwrite strategy the direct one
+    obj = {"schema": 1, "model": model_obj(), "scheme": scheme,
+           "code": {"n": 3, "rate_bits": 1.0, "seed": 4}, "jam_set": [0]}
+    if jamming:
+        obj["jamming"] = jamming
+    assert main(["oracle", "error", "--config", write_config(tmp_path, obj)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("scheme,jamming", [("erasure-layered", None),
+                                            ("overwrite-direct", "passthrough")])
+def test_oracle_error_runs_a_jamming_of_the_scheme(scheme, jamming, tmp_path, capsys):
+    obj = {"schema": 1, "model": model_obj(), "scheme": scheme,
+           "code": {"n": 3, "rate_bits": 1.0, "seed": 4}, "jam_set": [0]}
+    if jamming:
+        obj["jamming"] = jamming
+    assert main(["oracle", "error", "--config", write_config(tmp_path, obj)]) == 0
+    assert 0.0 <= json.loads(capsys.readouterr().out)["p_err"] <= 2.0

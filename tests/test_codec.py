@@ -93,6 +93,15 @@ def test_codeword_symbol_frequencies_near_uniform():
 
 
 SKEW8 = JointDistribution((2, 2, 2), np.array([.2, .1, .1, .15, .1, .1, .15, .1]))
+# solve_a's shape of auxiliary law and kernel: SKEW8 on the first 8 letters,
+# then zero-mass padding letters with uniform kernel rows
+SKEW_U = Distribution(11, np.r_[SKEW8.mass, 0.0, 0.0, 0.0])
+PADDED_IDENTITY = ConditionalKernel(11, 8, np.vstack([np.eye(8), np.full((3, 8), 1 / 8)]))
+
+
+def skew_layered(n, rate, seed):
+    return build_layered_code(SKEW_U, PADDED_IDENTITY, CodeParams(n=n, rate=rate, seed=seed),
+                              (2, 2, 2))
 
 
 def _one_shot_chunk(store, c, rows):
@@ -175,11 +184,7 @@ def test_streaming_store_matches_materialized(monkeypatch):
                 assert decode_overwrite(streaming, erase(links, ()), MODEL) == \
                     decode_overwrite(materialised, erase(links, ()), MODEL)
 
-    p_u = Distribution(3, np.array([0.5, 0.3, 0.2]))
-    kern = ConditionalKernel(3, 8, np.eye(3, 8) * 0.5 + 0.5 / 8)
-    materialised, streaming = _code_pair(
-        monkeypatch, lambda: build_layered_code(p_u, kern, CodeParams(n=5, rate=1.4, seed=8),
-                                                (2, 2, 2)))
+    materialised, streaming = _code_pair(monkeypatch, lambda: skew_layered(5, 1.4, 8))
     np.testing.assert_array_equal(
         oracle.exact_active_marginal(streaming, JamSet((0,))).mass,
         oracle.exact_active_marginal(materialised, JamSet((0,))).mass)
@@ -255,10 +260,9 @@ def test_no_thread_outlives_a_pass(monkeypatch, thread_starts):
     assert threading.active_count() == count
     assert len(derived) < 19
 
-    p_u = Distribution.uniform(3)
-    kern = ConditionalKernel.constant(3, UNIFORM8.as_distribution())
-    _, layered = _code_pair(monkeypatch, lambda: build_layered_code(
-        p_u, kern, CodeParams(n=4, rate=2.0, seed=2), (2, 2, 2)))
+    # n=2: a word's two unjammed links agree with one codeword in 16
+    _, layered = _code_pair(monkeypatch, lambda: identity_layered(2, 4.0, 2))
+    assert layered.message_count == 256
     tx = encode(layered, MODEL, 1, 5, 0)
     rx = ReceivedWord(links=tx.links[None], erased=np.array([[True, False, False]]))
     derived.clear()
@@ -353,17 +357,62 @@ def test_streaming_store_batch_lookup_matches_one_by_one(monkeypatch):
 
 
 def test_layered_code_validation_and_determinism():
-    p_u = Distribution.uniform(3)
-    kern = ConditionalKernel.constant(3, UNIFORM8.as_distribution())
     params = CodeParams(n=6, rate=0.5, seed=2)
-    a = build_layered_code(p_u, kern, params, (2, 2, 2))
-    b = build_layered_code(p_u, kern, params, (2, 2, 2))
+    a = build_layered_code(SKEW_U, PADDED_IDENTITY, params, (2, 2, 2))
+    b = build_layered_code(SKEW_U, PADDED_IDENTITY, params, (2, 2, 2))
     for m in range(1, a.message_count + 1):
         np.testing.assert_array_equal(a.codeword(m), b.codeword(m))
     with pytest.raises(ValueError):
-        build_layered_code(Distribution.uniform(2), kern, params, (2, 2, 2))
+        build_layered_code(Distribution.uniform(2), PADDED_IDENTITY, params, (2, 2, 2))
     with pytest.raises(ValueError):
-        build_layered_code(p_u, kern, params, (2, 2))
+        build_layered_code(SKEW_U, PADDED_IDENTITY, params, (2, 2))
+
+
+def test_layered_code_needs_the_identity_on_the_support():
+    params = CodeParams(n=6, rate=0.5, seed=2)
+    refused = {
+        "stochastic row": (Distribution(3, np.array([0.5, 0.3, 0.2])),
+                           ConditionalKernel(3, 8, np.eye(3, 8) * 0.5 + 0.5 / 8)),
+        "permutation": (UNIFORM8.as_distribution(), ConditionalKernel(8, 8, np.eye(8)[::-1])),
+        # letter 8 carries mass but has no product symbol of its own
+        "letter past |X|": (Distribution(9, np.r_[np.full(8, 0.1), 0.2]),
+                            ConditionalKernel(9, 8, np.vstack([np.eye(8), np.eye(8)[:1]]))),
+    }
+    for p_u, kernel in refused.values():
+        with pytest.raises(ValueError, match="identity"):
+            build_layered_code(p_u, kernel, params, (2, 2, 2))
+
+    # solve_a's zero-padded kernel: uniform rows on its zero-mass letters
+    from stealthpath.ratesolver import SolverConfig, solve_a
+    biased = NetworkModel(3, 1, (2, 2, 2), JointDistribution.from_factors(
+        [Distribution(2, np.array([p, 1 - p])) for p in (0.7, 0.6, 0.5)]))
+    sol = solve_a(biased, cfg=SolverConfig(restarts=2))
+    padding = sol.p_u.mass == 0
+    assert sol.p_u.alphabet_size > 8 and padding[8:].all()
+    np.testing.assert_array_equal(sol.kernel.matrix[padding], 1 / 8)
+    params = CodeParams(n=5, rate=1.0, seed=6)
+    code = build_layered_code(sol.p_u, sol.kernel, params, (2, 2, 2))
+    np.testing.assert_allclose(code.p_x.mass, sol.p_u.mass[:8], rtol=0, atol=1e-15)
+    # the codewords are the store's draws under "u-codeword-chunk", one chunk
+    u = generator(6, "u-codeword-chunk", 0).random((code.message_count, 5))
+    np.testing.assert_array_equal(code.codeword(np.arange(1, code.message_count + 1)),
+                                  inverse_cdf(np.cumsum(sol.p_u.mass), u))
+
+
+def test_a_draw_past_the_last_letter_of_positive_mass_is_that_letter():
+    # uniform over 7 of 10 letters: the cumulative mass of letter 6 is one ulp
+    # or two below 1, so the largest draw passes it; it is letter 6, never a
+    # zero-mass letter after it (which would lie past the product alphabet)
+    mass = Distribution(10, np.r_[np.full(7, 1 / 7), 0.0, 0.0, 0.0]).mass
+    top = np.nextafter(1.0, 0.0)
+    assert np.cumsum(mass)[6] <= top
+
+    class Largest:
+        def random(self, shape):
+            return np.full(shape, top)
+    store = _ChunkedStore(mass=mass, n=4, seed=0, count=3, label="u-codeword-chunk",
+                          materialize=False)
+    np.testing.assert_array_equal(store._draw(Largest(), 3), np.full((3, 4), 6))
 
 
 def test_transmission_status_message_consistency():
@@ -392,12 +441,10 @@ def test_decodes_is_right_only_for_the_sent_message():
 
 
 def test_decode_on_a_batch_is_the_scheme_decoder():
-    from stealthpath.codec import build_affine_code, decode
+    # each scheme's decoder on a batch gives what it gives one word at a time
+    from stealthpath.codec import build_affine_code
     codes = {
-        "layered": build_layered_code(
-            Distribution(3, np.array([0.5, 0.3, 0.2])),
-            ConditionalKernel(3, 8, np.eye(3, 8) * 0.5 + 0.5 / 8),
-            CodeParams(n=5, rate=1.0, seed=8), (2, 2, 2)),
+        "layered": skew_layered(5, 1.0, 8),
         "iid": build_direct_code(SKEW8, CodeParams(n=6, rate=1.8, seed=4)),
         "affine": build_affine_code((2, 2, 2), CodeParams(n=6, rate=1.8, seed=3)),
     }
@@ -412,16 +459,19 @@ def test_decode_on_a_batch_is_the_scheme_decoder():
             erased = np.array([[False] * 3, [True, False, False], [False, True, False],
                                [True, False, True]])[seeds % 4]
             links[erased] = 0
-            rx = ReceivedWord(links, erased)
-            want = decode_erasure(code, rx, tp, MODEL)
+
+            def decode(rx, code=code):
+                return decode_erasure(code, rx, tp, MODEL)
         else:  # overwrite one link of every other word
             erased = np.zeros((40, 3), dtype=bool)
             links[1::2, 1] = rng.integers(0, 2, size=(20, 6))
-            rx = ReceivedWord(links, erased)
-            want = [r for t in range(40) for r in decode_overwrite(
-                code, ReceivedWord(links[t:t + 1], erased[t:t + 1]), MODEL)]
+
+            def decode(rx, code=code):
+                return decode_overwrite(code, rx, MODEL)
+        want = [r for t in range(40) for r in decode(ReceivedWord(links[t:t + 1],
+                                                                  erased[t:t + 1]))]
         assert len({r.verdict for r in want}) > 1, name
-        assert decode(code, rx, MODEL, tp) == want, name
+        assert decode(ReceivedWord(links, erased)) == want, name
 
 
 def test_encode_innocent_reproducible():
@@ -450,16 +500,6 @@ def test_encode_layered_identity_kernel_is_the_codeword():
     tx = encode(code, MODEL, 1, 7, 5)
     np.testing.assert_array_equal(
         indexing.pack_links(tx.links, (2, 2, 2)), code.codeword(7))
-
-
-def test_encode_layered_resamples_per_transmission():
-    noisy = ConditionalKernel.constant(8, UNIFORM8.as_distribution())
-    code = build_layered_code(UNIFORM8.as_distribution(), noisy,
-                              CodeParams(n=12, rate=0.5, seed=4), (2, 2, 2))
-    tx1 = encode(code, MODEL, 1, 1, 5)
-    tx2 = encode(code, MODEL, 1, 1, 6)
-    assert not np.array_equal(tx1.links, tx2.links)
-    np.testing.assert_array_equal(encode(code, MODEL, 1, 1, 5).links, tx1.links)
 
 
 def identity_layered(n, rate, seed):
@@ -529,8 +569,7 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
                          [False, False, True], [True, True, False], [True, True, True]])
     kernels = {
         "identity": (UNIFORM8.as_distribution(), ConditionalKernel.identity(8), 1.0),
-        "stochastic": (Distribution(3, np.array([0.5, 0.3, 0.2])),
-                       ConditionalKernel(3, 8, np.eye(3, 8) * 0.5 + 0.5 / 8), 0.8),
+        "skewed": (SKEW_U, PADDED_IDENTITY, 0.8),
     }
     size = TRIAL_BLOCK + 1
     cells = codec.DECODE_CELLS
@@ -600,9 +639,12 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
             assert {r.verdict for r in want[0]} == {"innocent", "message", "error"}
 
 
-def _typicality_reference(code, rx, tp, model):
-    """decode_erasure's verdicts, one word at a time, from every codeword's pair sequence."""
-    from stealthpath.codec import induced_unjammed_joint
+def _typicality_reference(code, rx, tp, model, mass):
+    """decode_erasure's verdicts, one word at a time, from every codeword's pair sequence.
+
+    `mass` is the law the codewords are drawn from; the joint pairs each of
+    its letters with that letter's symbols on the unjammed links.
+    """
     from stealthpath.probkit import typical_rows
     u = code.codeword(np.arange(1, code.message_count + 1))
     verdicts = []
@@ -611,10 +653,14 @@ def _typicality_reference(code, rx, tp, model):
         if not unjammed or erased.sum() > model.adversary_budget:
             verdicts.append(DecodeResult("error"))
             continue
-        joint = induced_unjammed_joint(code, unjammed)
+        restrict = indexing.restrict_codes(code.link_sizes, unjammed)
+        ax = 2 ** len(unjammed)
+        pairs = np.zeros((mass.size, ax))
+        for letter, x in enumerate(restrict):
+            pairs[letter, x] = mass[letter]
+        joint = JointDistribution((mass.size, ax), pairs.reshape(-1))
         y = indexing.pack_links(links[unjammed], [code.link_sizes[i] for i in unjammed])
-        listed = np.flatnonzero(typical_rows(u * joint.factor_sizes[1] + y, joint.mass,
-                                             tp.gamma)) + 1
+        listed = np.flatnonzero(typical_rows(u * ax + y, joint.mass, tp.gamma)) + 1
         verdicts.append(DecodeResult("innocent") if listed.size == 0 else
                         DecodeResult("message", message=int(listed[0])) if listed.size == 1
                         else DecodeResult("error"))
@@ -627,12 +673,9 @@ def test_decode_erasure_matches_a_typicality_reference(monkeypatch):
     # none, one, two and three links erased
     patterns = np.array([[False, False, False], [True, False, False], [False, True, False],
                          [False, False, True], [False, True, True], [True, True, True]])
-    sparse = np.array([[.4, .3, .3, 0, 0, 0, 0, 0],
-                       [0, 0, .3, .4, .3, 0, 0, 0],
-                       [0, .2, 0, 0, .3, .5, 0, 0]])
     kernels = {
         "identity": (UNIFORM8.as_distribution(), ConditionalKernel.identity(8)),
-        "sparse": (Distribution(3, np.array([0.5, 0.3, 0.2])), ConditionalKernel(3, 8, sparse)),
+        "skewed": (SKEW_U, PADDED_IDENTITY),
     }
     tp = TypicalityParams(0.7)
     for name, (p_u, kern) in kernels.items():
@@ -647,7 +690,7 @@ def test_decode_erasure_matches_a_typicality_reference(monkeypatch):
         erased = patterns[t % len(patterns)]
         links[erased] = 0
         rx = ReceivedWord(links, erased)
-        want = _typicality_reference(codes[0], rx, tp, MODEL)
+        want = _typicality_reference(codes[0], rx, tp, MODEL, p_u.mass)
         assert {r.verdict for r in want} == {"innocent", "message", "error"}, name
         for code in codes:
             assert decode_erasure(code, rx, tp, MODEL) == want, name
@@ -851,18 +894,18 @@ def test_streaming_decode_overwrite_matches_materialised(monkeypatch):
     assert verdicts == {"innocent", "message", "error"}
 
 
-def test_decode_erasure_memory_is_bounded_on_a_full_support_kernel():
-    # every row survives the zero-mass pre-screen; the count table is built
-    # in blocks, not for all 65,536 codewords at once
+def test_decode_erasure_memory_is_bounded_when_many_codewords_agree():
+    # n=2: a word agrees with one codeword in 16 on two unjammed links, and
+    # every such candidate survives the zero-mass pre-screen; over 32 letters
+    # of the auxiliary law the count table is built in blocks, not for all
+    # 12,288 candidate pairs of a batch's three words of one pattern at once
     import tracemalloc
-    rng = np.random.default_rng(0)
-    kernel = ConditionalKernel(15, 8, rng.dirichlet(np.ones(8), size=15))
-    code = build_layered_code(Distribution.uniform(15), kernel,
-                              CodeParams(n=10, rate=1.6, seed=1), (2, 2, 2))
+    p_u = Distribution(32, np.r_[SKEW8.mass, np.zeros(24)])
+    kernel = ConditionalKernel(32, 8, np.vstack([np.eye(8), np.full((24, 8), 1 / 8)]))
+    code = build_layered_code(p_u, kernel, CodeParams(n=2, rate=8.0, seed=1), (2, 2, 2))
     assert code.materialized and code.message_count == 65536
     rx = ReceivedWord(links=encode(code, MODEL, 1, 5, 0).links[None],
                       erased=np.array([[True, False, False]]))
-    # and a batch, where every (codeword, word) pair survives the support filter
     words = np.stack([encode(code, MODEL, 1, m, m).links for m in (5, 9, 70, 4000)])
     erased = np.array([[True, False, False]] * 3 + [[False, False, True]])
     batch = ReceivedWord(links=np.where(erased[:, :, None], 0, words), erased=erased)
@@ -874,22 +917,3 @@ def test_decode_erasure_memory_is_bounded_on_a_full_support_kernel():
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
-
-
-def test_layered_transmit_map_matches_the_strict_comparison_form():
-    # the draw used to count the kernel-row cdf entries strictly below u; the
-    # shared sampler counts those <= u, which differs only when u equals one
-    # of them exactly
-    from stealthpath.rng import generator
-    kernel = ConditionalKernel(3, 8, np.vstack([np.full(8, 0.125),
-                                                np.r_[0.5, 0.0, 0.25, 0.0, 0.25, 0, 0, 0],
-                                                np.eye(8)[5]]))
-    code = build_layered_code(Distribution(3, np.array([0.5, 0.3, 0.2])), kernel,
-                              CodeParams(n=12, rate=0.5, seed=3), (2, 2, 2))
-    cdf_rows = np.cumsum(kernel.matrix, axis=1)
-    for m in range(1, code.message_count + 1):
-        for tx_seed in range(5):
-            u = generator(tx_seed, "transmit-map").random(12)
-            old = (u[:, None] > cdf_rows[code.codeword(m)]).sum(axis=1).clip(max=7)
-            tx = encode(code, MODEL, 1, m, tx_seed)
-            np.testing.assert_array_equal(indexing.pack_links(tx.links, (2, 2, 2)), old)

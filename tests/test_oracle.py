@@ -46,16 +46,6 @@ def test_exact_active_marginal_two_codewords_average():
     np.testing.assert_allclose(marg.mass, expected)
 
 
-def test_exact_active_marginal_constant_kernel():
-    row = Distribution(8, MODEL.innocent.mass)
-    code = build_layered_code(Distribution.uniform(3),
-                              ConditionalKernel.constant(3, row),
-                              CodeParams(n=3, rate=0.5, seed=1), (2, 2, 2))
-    marg = oracle.exact_active_marginal(code, JamSet((1,)))
-    inn = oracle.exact_innocent_marginal(MODEL, JamSet((1,)), 3)
-    np.testing.assert_allclose(marg.mass, inn.mass, atol=1e-12)
-
-
 def test_exact_active_marginal_sums_to_one():
     code = build_direct_code(MODEL.innocent, CodeParams(n=4, rate=1.0, seed=5))
     for j in ((0,), (1,), (2,)):
@@ -163,17 +153,13 @@ def test_batched_erasure_error_components_match_a_per_word_loop(monkeypatch):
         result, = decode_erasure(code, ReceivedWord(rx.links[None], rx.erased[None]), tp, model)
         return result
     # batches of 7 words: boundaries fall inside the innocent blocks and
-    # inside one message's kernel outcomes
+    # inside the messages
     monkeypatch.setattr(oracle, "_DECODE_BATCH", 7)
-    rng = np.random.default_rng(4)
-    sparse = rng.random((3, 8)) * (rng.random((3, 8)) < 0.4) + np.eye(3, 8)
-    # the identity kernel with no link erased, the stochastic one with link 1 erased
+    # the identity kernel with no link erased, and with link 1 erased
     codes = [
         build_layered_code(MODEL.innocent.as_distribution(), ConditionalKernel.identity(8),
-                           CodeParams(n=4, rate=1.0, seed=3), (2, 2, 2)),
-        build_layered_code(Distribution(3, np.array([0.5, 0.3, 0.2])),
-                           ConditionalKernel(3, 8, sparse / sparse.sum(axis=1, keepdims=True)),
-                           CodeParams(n=4, rate=0.8, seed=5), (2, 2, 2)),
+                           CodeParams(n=4, rate=rate, seed=seed), (2, 2, 2))
+        for rate, seed in ((1.0, 3), (0.8, 3))
     ]
     tp = TypicalityParams(1.25)
     for code, j in zip(codes, (JamSet(()), JamSet((1,)))):
@@ -184,11 +170,11 @@ def test_batched_erasure_error_components_match_a_per_word_loop(monkeypatch):
                     err0 += p_block * p_rx
         err1 = 0.0
         for m in range(1, code.message_count + 1):
-            for p_block, links in oracle._active_blocks(code, m):
-                for p_rx, rx in oracle._received_words(links, j, "erasure", MODEL, code):
-                    result = decode_one(code, rx, tp, MODEL)
-                    if not (result.verdict == "message" and result.message == m):
-                        err1 += p_block * p_rx / code.message_count
+            links = code.codeword_links(m)
+            for p_rx, rx in oracle._received_words(links, j, "erasure", MODEL, code):
+                result = decode_one(code, rx, tp, MODEL)
+                if not (result.verdict == "message" and result.message == m):
+                    err1 += p_rx / code.message_count
         assert 0 < err0 < 1 and 0 < err1 < 1
         assert oracle.exact_error_components(code, MODEL, j, "erasure", tp) == (err0, err1)
 
@@ -218,19 +204,21 @@ def test_grid_solve_b_dimension_guard():
 
 
 def test_layered_marginal_matches_a_per_codeword_kron_loop(monkeypatch):
+    # the layered marginal, once a per-codeword product of kernel rows, is the
+    # codewords' histogram: byte for byte on an identity kernel with zero-mass
+    # padding letters, as solve_a builds it
     from stealthpath import codec, indexing
-    # chunks of 5 and batches of 3 codewords: both boundaries fall mid-code
+    # a streaming code in chunks of 5 codewords: a boundary falls mid-code
     monkeypatch.setattr(codec, "CHUNK_MESSAGES", 5)
-    rng = np.random.default_rng(8)
-    kernel = rng.random((4, 8))
-    kernel /= kernel.sum(axis=1, keepdims=True)
-    code = build_layered_code(Distribution(4, np.array([0.1, 0.2, 0.3, 0.4])),
-                              ConditionalKernel(4, 8, kernel),
+    monkeypatch.setattr(codec, "SYMBOL_BUDGET", 0)
+    kernel = np.vstack([np.eye(8), np.full((3, 8), 1 / 8)])
+    code = build_layered_code(Distribution(11, np.r_[np.arange(1, 9) / 36, 0, 0, 0]),
+                              ConditionalKernel(11, 8, kernel),
                               CodeParams(n=4, rate=1.2, seed=3), (2, 2, 2))
+    assert not code.materialized
     for links in ((0,), (1, 2)):
-        rows = code.kernel.matrix @ indexing.restriction_matrix((2, 2, 2), links).T
+        rows = kernel @ indexing.restriction_matrix((2, 2, 2), links).T
         space = rows.shape[1] ** 4
-        monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", 3 * space)
         mass = np.zeros(space)
         for m in range(1, code.message_count + 1):
             v = np.array([1.0])
