@@ -2,7 +2,7 @@
 
 A library and CLI for studying reliable, hard-to-detect communication over C
 parallel links when an adversary can observe and jam any subset of at most Z
-of them: rate-bound solvers, random-coding codebooks with typicality and
+of them: rate-bound solvers, random-coding codebooks with exact-agreement
 list decoders, a jamming-strategy suite with detectors, exact brute-force
 oracles for tiny instances, and a seeded Monte Carlo experiment harness.
 """

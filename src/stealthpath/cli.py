@@ -17,7 +17,6 @@ from .adversary import JamSet, get_strategy, list_strategies
 from .codec import CodeParams, ResourceBudgetError
 from .harness import (ConfigError, ExperimentConfig, config_blocklengths, config_field,
                       model_from_config, parse_config)
-from .probkit import TypicalityParams
 from .ratesolver import SolverConfig, achievable_rate, solve_a, solve_b
 
 EXIT_OK = 0
@@ -134,8 +133,7 @@ def _cmd_oracle(args) -> int:
                               else "overwrite strategies use the direct scheme")
         if jamming != "erasure":
             jamming = get_strategy(jamming)
-        p = oracle.exact_error_probability(
-            code, model, j, jamming, TypicalityParams(config_field(obj, "gamma", float, 0.1)))
+        p = oracle.exact_error_probability(code, model, j, jamming)
         _emit({"jam_set": list(j.links), "p_err": p}, args.out)
     else:
         raise ConfigError(f"unknown oracle operation {sub!r}")

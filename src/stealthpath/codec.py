@@ -5,14 +5,14 @@ alphabet, i.i.d. from a single-letter law or affine. The direct scheme draws
 them from a solved network law, the layered scheme from an auxiliary law p_u
 whose kernel is the identity on p_u's support (`build_layered_code`), so its
 auxiliary codeword is the transmitted word. The scheme picks the decoder:
-`decode_erasure` lists by joint typicality on a word's unerased links,
-`decode_overwrite` by exact agreement over every candidate jam set. Both take
-one list step (`_listed`): it lists the codewords that agree with a word on a
-set of unjammed links, exactly or by typicality, reading the code in one
-agreement pass where it must, and a word decodes only if exactly one is
-listed. Both take a batch of received words: one list step per erasure
-pattern in it, or one for the whole batch. `DecodeResult.decodes` scores a
-verdict.
+`decode_erasure` lists by exact agreement on a word's unerased links,
+`decode_overwrite` on the unjammed links of every candidate jam set. Both
+take one list step (`_listed`): it lists the codewords that equal a word on
+a set of links, by a search of a materialised code's restriction index, by
+GF(2) solves on an affine code, or else in one agreement pass over the code,
+and a word decodes only if exactly one is listed. Both take a batch of
+received words: one list step per erasure pattern in it, or one for the
+whole batch. `DecodeResult.decodes` scores a verdict.
 
 Codebooks above the in-memory symbol budget fall back to streaming chunked
 regeneration: chunk c of CHUNK_MESSAGES codewords is reproducible from the
@@ -41,14 +41,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2, indexing
-from .probkit import (
-    ConditionalKernel,
-    Distribution,
-    JointDistribution,
-    TypicalityParams,
-    inverse_cdf,
-    typical_rows,
-)
+from .probkit import ConditionalKernel, Distribution, JointDistribution, inverse_cdf
 from .ratesolver import OPT_TOL, NetworkModel, SolutionB, check_feasibility_b
 from .rng import generator, streams
 
@@ -58,8 +51,8 @@ DRAW_ROWS = 1 << 12
 SYMBOL_BUDGET = 1 << 26
 MESSAGE_BUDGET = 1 << 31
 DECODE_SCAN_BUDGET = 1 << 28
-# Candidate (codeword, target) pairs an agreement pass draws, and a typicality
-# decode tests, at once, whatever the batch or chunk size.
+# Candidate (codeword, target) pairs an agreement pass draws at once, whatever
+# the batch or chunk size.
 DECODE_CELLS = 1 << 16
 # Affine codes: message indices must stay below 2^63, where the harness's and
 # the strategies' 64-bit message draws are still uniform.
@@ -572,8 +565,7 @@ def encode(code: DirectCode, model: NetworkModel, t: int, m, tx_seed) -> Transmi
     return Transmission(ACTIVE, m, code.codeword_links(m))
 
 
-def _agreement_pass(code: DirectCode, allowed: np.ndarray,
-                    confirm: Optional[Callable] = None) -> Iterator[Tuple[int, tuple]]:
+def _agreement_pass(code: DirectCode, allowed: np.ndarray) -> Iterator[Tuple[int, tuple]]:
     """(start, (rows, targets)) per chunk: the codewords that agree with each target.
 
     allowed[k, t, x] says whether letter x at position t agrees with target
@@ -581,9 +573,8 @@ def _agreement_pass(code: DirectCode, allowed: np.ndarray,
     the uint64 mask of group g is target 64g + b, and a codeword stays a
     candidate for a target while that bit survives an AND over its positions,
     taken one position at a time over the rows still alive. The candidate
-    (row, target) pairs are drawn at most DECODE_CELLS at a time; with
-    `confirm`, confirm(codewords, targets) keeps those it marks True. Rows
-    are 0-based within their chunk.
+    (row, target) pairs are drawn at most DECODE_CELLS at a time. Rows are
+    0-based within their chunk.
     """
     count = code.message_count
     if not code.materialized and count > DECODE_SCAN_BUDGET:
@@ -607,11 +598,7 @@ def _agreement_pass(code: DirectCode, allowed: np.ndarray,
                 alive, acc = alive[keep], acc[keep]
             for lo in range(0, alive.size, step):
                 cand, bit = np.nonzero(acc[lo:lo + step, None] & bits[:width])
-                row, target = alive[lo:lo + step][cand], bit + 64 * g
-                if confirm is not None:
-                    ok = confirm(block[row], target)
-                    row, target = row[ok], target[ok]
-                pairs.append((row, target))
+                pairs.append((alive[lo:lo + step][cand], bit + 64 * g))
         return tuple(np.concatenate(p) for p in zip(*pairs))
     return code.chunks(agree)
 
@@ -682,75 +669,38 @@ def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIn
     return code_cached(code, ("restriction-index", sets), build)
 
 
-def _unjammed_joint(code: DirectCode, unjammed: tuple) -> JointDistribution:
-    """Single-letter joint of (codeword letter, the letter's symbols on `unjammed`).
+def _targets(code: DirectCode, links: np.ndarray, sets: tuple) -> np.ndarray:
+    """`_agreement_pass` table for the T·S (word, set) targets of (T, C, n) `links`.
 
-    Built from the law the codewords are drawn from, the store's mass, with
-    every letter of it: a letter past the product alphabet (a zero-mass
-    padding letter of p_u) has a zero row.
-    """
-    mass = code._store.mass
-    s = indexing.restriction_matrix(code.link_sizes, unjammed)
-    rows = np.zeros((mass.size, s.shape[0]))
-    rows[:s.shape[1]] = s.T
-    return JointDistribution((mass.size, s.shape[0]), (mass[:, None] * rows).reshape(-1))
-
-
-def _targets(code: DirectCode, links: np.ndarray, sets: tuple,
-             gamma: Optional[float]) -> Tuple[np.ndarray, Optional[Callable]]:
-    """`_agreement_pass` inputs for the T·S (word, set) targets of (T, C, n) `links`.
-
-    Target k is word k // S on set k % S. Each set has a letter table, indexed
-    by the word's packed symbols on that set. With no `gamma` a letter agrees
-    where its restriction to the set equals the word's, with no confirm. With
-    `gamma` (one set) a letter agrees where it pairs with the word's symbol at
-    a positive mass of the unjammed joint (`_unjammed_joint`), and
-    `typical_rows` confirms each candidate pair on its own row, at `gamma`.
+    Target k is word k // S on set k % S: a letter agrees with it at position
+    t where the letter's restriction to the set equals the word's there.
     """
     sizes = code.link_sizes
     y = np.stack([indexing.pack_links(links[:, list(jc)], [sizes[i] for i in jc])
                   for jc in sets], axis=1)  # (T, S, n)
-    confirm = None
-    if gamma is None:
-        tables = [indexing.restriction_matrix(sizes, jc) > 0 for jc in sets]
-    else:
-        (unjammed,) = sets
-        joint = code_cached(code, ("unjammed-joint", unjammed),
-                            lambda: _unjammed_joint(code, unjammed))
-        au, ax = joint.factor_sizes
-        tables = [(joint.mass.reshape(au, ax) > 0).T]  # [x, u]
-        pair_dtype = np.min_scalar_type(joint.alphabet_size)
-        word_codes = y[:, 0].astype(pair_dtype)
-
-        def confirm(rows, target):
-            pair = rows.astype(pair_dtype)
-            pair *= pair_dtype.type(ax)
-            pair += word_codes[target]
-            return typical_rows(pair, joint.mass, gamma)
-    allowed = np.stack([table[y[:, s]] for s, table in enumerate(tables)], axis=1)
-    return allowed.reshape(-1, *allowed.shape[2:]), confirm
+    allowed = np.stack([(indexing.restriction_matrix(sizes, jc) > 0)[y[:, s]]
+                        for s, jc in enumerate(sets)], axis=1)
+    return allowed.reshape(-1, *allowed.shape[2:])
 
 
-def _listed(code: DirectCode, links: np.ndarray, sets: tuple,
-            gamma: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> Tuple[np.ndarray, np.ndarray]:
     """(listed count, smallest listed message) per word of (T, C, n) `links`.
 
     The one list step of both decoders. A word lists the messages whose
-    codewords agree with it on one of the link `sets`: exactly with no
-    `gamma`, by joint typicality at `gamma` (`_targets`). Its count is exact
-    below two and 2 from there on, which already makes the verdict an error;
-    its message is 0 where none is listed. Exact agreement on a materialised
-    i.i.d. code answers every (word, set) target by one search of its
-    restriction index, and lists the first and last message of each run of
-    equal keys; on an affine code it lists at most two messages per set, by
-    one solve each, set by set until the word lists two. Anything else,
-    typicality included, is read in one agreement pass, which stops once
-    every word has listed two messages. Every message agrees with a word on
-    an empty set, so that set lists min(N, 2) messages or more.
+    codewords equal it on one of the link `sets`. Its count is exact below
+    two and 2 from there on, which already makes the verdict an error; its
+    message is 0 where none is listed. A materialised i.i.d. code answers
+    every (word, set) target by one search of its restriction index, and
+    lists the first and last message of each run of equal keys; an affine
+    code lists at most two messages per set, by one solve each, set by set
+    until the word lists two. Any other code is read in one agreement pass,
+    which stops once every word has listed two messages. Every message
+    agrees with a word on an empty set, so that set lists min(N, 2) messages
+    or more.
     """
     words, c, _ = links.shape  # a one-word (C, n) call raises here
-    index = _restriction_index(code, sets) if gamma is None else None
-    affine = code.affine if gamma is None else None
+    index = _restriction_index(code, sets)
+    affine = code.affine
     if index is not None:
         x = indexing.pack_links(links, code.link_sizes)
         lo, hi = index.search(
@@ -774,7 +724,7 @@ def _listed(code: DirectCode, links: np.ndarray, sets: tuple,
     else:
         low = np.full(words, np.iinfo(np.int64).max)
         high = np.zeros(words, dtype=np.int64)
-        for start, (rows, targets) in _agreement_pass(code, *_targets(code, links, sets, gamma)):
+        for start, (rows, targets) in _agreement_pass(code, _targets(code, links, sets)):
             word, message = targets // len(sets), start + rows + 1
             np.minimum.at(low, word, message)
             np.maximum.at(high, word, message)
@@ -788,20 +738,18 @@ def _listed(code: DirectCode, links: np.ndarray, sets: tuple,
     return (high > 0).astype(np.int64) + (low < high), low
 
 
-def decode_erasure(code: DirectCode, rx: ReceivedWord, tp: TypicalityParams,
+def decode_erasure(code: DirectCode, rx: ReceivedWord,
                    model: NetworkModel) -> List[DecodeResult]:
-    """Typicality decoding on the unjammed links, jam set read off the erasures.
+    """Exact list decoding on the unerased links, the jam set read off the erasures.
 
-    A word lists the messages whose pair sequence (codeword letter, unjammed
-    symbols) is strongly typical for the code's unjammed joint (`_listed` on
-    the one unjammed set, at tp.gamma): none is innocent, one is that message,
-    more is an error.
-    A word with every link erased, or more erasures than the adversary's
-    budget, is an error.
+    A message is listed where its codeword equals the word on every unerased
+    link (`_listed` on that one set): none listed is innocent, one is that
+    message, more is an error. A word with every link erased, or more
+    erasures than the adversary's budget, is an error.
 
     Takes a batch of T words, (T, C, n) links and (T, C) erasures, and
     returns one DecodeResult per word, in order. The words that share an
-    erasure pattern share one `_listed` call, one pass over the code.
+    erasure pattern share one `_listed` call.
     """
     links = np.asarray(rx.links)
     words, c, _ = links.shape  # a one-word (C, n) call raises here
@@ -813,7 +761,7 @@ def decode_erasure(code: DirectCode, rx: ReceivedWord, tp: TypicalityParams,
         if not unjammed or len(unjammed) < c - model.adversary_budget:
             continue
         members = np.flatnonzero(keys == key)
-        count, message = _listed(code, links[members], (unjammed,), tp.gamma)
+        count, message = _listed(code, links[members], (unjammed,))
         for w, k, m in zip(members.tolist(), count.tolist(), message.tolist()):
             results[w] = _verdict(k, m)
     return results

@@ -11,6 +11,8 @@ decoder call per (block, jam set) on both hypotheses' words that
 call per trial. Both schemes build a `DirectCode`; the scheme picks the
 jamming and the decoder: `erasure_jam` and `decode_erasure` for
 erasure-layered, `overwrite_jam` and `decode_overwrite` for overwrite-direct.
+Both decoders list by exact agreement, so a config's `gamma` reaches the
+rows and no decoder.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from .codec import (
     decode_overwrite,
     encode,
 )
-from .probkit import Distribution, JointDistribution, TypicalityParams
+from .probkit import Distribution, JointDistribution
 from .ratesolver import NetworkModel, SolverConfig, achievable_rate, solve_a, solve_b
 from .rng import derive_seed
 
@@ -65,7 +67,7 @@ class ExperimentConfig:
     blocklengths: tuple
     rate_rule: dict          # {"rule": "absolute", "bits": x} or
                              # {"rule": "bound-minus-epsilon", "epsilon": e}
-    gamma: float
+    gamma: float             # a CSV column; no decoder reads it
     jam_rule: str            # "fixed" | "worst-over-family"
     jam_set: tuple           # used when jam_rule == "fixed"
     strategies: tuple        # overwrite strategy ids; ("",) for erasure
@@ -78,6 +80,8 @@ class ExperimentConfig:
         _check_scheme(self.scheme)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not self.gamma > 0:
+            raise ConfigError("gamma must be positive")
         if not self.blocklengths:
             raise ConfigError("at least one blocklength is required")
         if self.jam_rule not in ("fixed", "worst-over-family"):
@@ -338,7 +342,6 @@ def run_experiment(cfg: ExperimentConfig,
     The bound is solved once per run and the code built once per blocklength;
     only the current blocklength's code and its caches are kept.
     """
-    tp = TypicalityParams(cfg.gamma)
     solved = _once(lambda: solve_bound(cfg.model, cfg.scheme, solver_cfg))
     rows: List[MetricsRow] = []
     built, built_n = None, None
@@ -347,7 +350,7 @@ def run_experiment(cfg: ExperimentConfig,
         if n != built_n:  # the previous code is freed before the lazy build runs
             built, built_n = _once(lambda n=n: _build(cfg, n, solved)), n
         try:
-            rows.append(_run_sweep_point(cfg, sweep, built(), strategy_id, tp))
+            rows.append(_run_sweep_point(cfg, sweep, built(), strategy_id))
         except (ConfigError, ResourceBudgetError) as exc:
             nan = float("nan")
             rows.append(MetricsRow(
@@ -373,10 +376,11 @@ def _detector(cfg: ExperimentConfig, code: DirectCode, j: JamSet) -> Optional[Ca
 
 
 def _run_sweep_point(cfg: ExperimentConfig, sweep: int, built: _Blocklength,
-                     strategy_id: str, tp: TypicalityParams) -> MetricsRow:
+                     strategy_id: str) -> MetricsRow:
     """One pass over the trials: each block is encoded once and read by every jam set."""
     model, code, jam_sets = cfg.model, built.code, built.jam_sets
     erasure = cfg.scheme == "erasure-layered"
+    decode = decode_erasure if erasure else decode_overwrite
     strategy = get_strategy(strategy_id) if strategy_id else None
     detectors = [_detector(cfg, code, j) for j in jam_sets]
     # [jam set][hypothesis]: wrong decodes, and wrong verdicts (alarms, misses)
@@ -408,9 +412,7 @@ def _run_sweep_point(cfg: ExperimentConfig, sweep: int, built: _Blocklength,
             # both hypotheses' words in one decode call: innocent first, then active
             rx = ReceivedWord(np.concatenate([r.links for r in received]),
                               np.concatenate([r.erased for r in received]))
-            results = decode_erasure(code, rx, tp, model) if erasure else \
-                decode_overwrite(code, rx, model)
-            wrong = [not r.decodes(mi) for r, mi in zip(results, sent)]
+            wrong = [not r.decodes(mi) for r, mi in zip(decode(code, rx, model), sent)]
             err[k][0] += sum(wrong[:len(block)])
             err[k][1] += sum(wrong[len(block):])
 

@@ -7,13 +7,14 @@ polytope. These certify the fast Monte Carlo and solver paths on instances
 small enough to enumerate; every operation raises ResourceBudgetError instead
 of silently approximating when the state space is too large. Codes of both
 schemes are direct codes, so a marginal is one histogram of the codewords,
-and an error probability takes its decoder from the jamming.
+and an error probability takes its decoder from the jamming; both decoders
+list by exact agreement, so it needs no typicality slack.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -247,30 +248,24 @@ def _received_words(links: np.ndarray, j: JamSet, jamming: Union[str, JammingStr
 
 
 def exact_error_probability(code: DirectCode, model: NetworkModel, j: JamSet,
-                            jamming: Union[str, JammingStrategy],
-                            tp: Optional[TypicalityParams] = None) -> float:
+                            jamming: Union[str, JammingStrategy]) -> float:
     """Exact error probability, summed over the innocent and active hypotheses."""
-    err0, err1 = exact_error_components(code, model, j, jamming, tp)
+    err0, err1 = exact_error_components(code, model, j, jamming)
     return err0 + err1
 
 
 def exact_error_components(code: DirectCode, model: NetworkModel, j: JamSet,
-                           jamming: Union[str, JammingStrategy],
-                           tp: Optional[TypicalityParams] = None) -> Tuple[float, float]:
+                           jamming: Union[str, JammingStrategy]) -> Tuple[float, float]:
     """Exact per-hypothesis error probabilities (innocent, active).
 
     Enumerates message choice and strategy randomness. The jamming picks the
     decoder, whatever built the code: erasure jamming pairs with
-    `decode_erasure` at tp's gamma, an overwrite strategy with
-    `decode_overwrite`.
+    `decode_erasure`, an overwrite strategy with `decode_overwrite`.
     """
-    tp = tp or TypicalityParams()
-    if jamming == "erasure":
-        def decode(rx):
-            return decode_erasure(code, rx, tp, model)
-    else:
-        def decode(rx):
-            return decode_overwrite(code, rx, model)
+    decoder = decode_erasure if jamming == "erasure" else decode_overwrite
+
+    def decode(rx):
+        return decoder(code, rx, model)
     n = code.params.n
     # Innocent hypothesis: error whenever the verdict is not "innocent".
     innocent = ((p_block * p_rx, rx) for p_block, links in _innocent_blocks(model, n)

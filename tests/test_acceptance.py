@@ -8,17 +8,13 @@ harness then builds the affine GF(2) ensemble, because the uniform law is an
 optimum of the entropy bound there (see the README), and decodes it by linear
 solves.
 
-Criterion 6 is run exactly as specified and fails, for two causes:
-  * resources: n=64 at rate 2.0-0.3 asks for floor(2^108.8) layered
-    codewords, which no enumeration budget admits;
-  * finite length, on a machine of any size: solve_a's optimum is p_u uniform
-    on 8 letters with an identity kernel, and the L1 strong-typicality test
-    (probkit.is_strongly_typical, gamma=0.1) accepts the transmitted codeword
-    at n=64 with probability ~1.1% (multinomial(64, 1/8)). An 84-message
-    layered code (n=64, rate 0.1, seed 7) decodes ~1.8% of 2,000
-    transmissions correctly, so p_err would be ~0.98.
-The criterion does not settle whether n, gamma or the typicality notion
-should give way, so it stays as stated.
+Criterion 6 is run exactly as specified and fails for want of resources:
+n=64 at rate 2.0-0.3 asks for floor(2^108.8) layered codewords, over the
+i.i.d. message budget, and the layered scheme does not yet build the affine
+ensemble (which stops at 2^63 in any case). Finite length is not the cause: the erasure
+decoder lists by exact agreement on the unerased links, and an 84-message
+layered code (n=64, rate 0.1, seed 7, worst over the family) gives p_err
+0.000 over 1,000 trials.
 """
 import json
 import time
@@ -44,7 +40,6 @@ from stealthpath.probkit import (
     ConditionalKernel,
     Distribution,
     JointDistribution,
-    TypicalityParams,
 )
 from stealthpath.ratesolver import (
     NetworkModel,

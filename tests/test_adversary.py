@@ -281,7 +281,7 @@ def test_strategy_tables_follow_their_code():
 def test_per_transmission_tables_are_built_once_per_code(monkeypatch):
     from stealthpath.codec import (ReceivedWord, build_layered_code, decode_erasure,
                                    decode_overwrite)
-    from stealthpath.probkit import ConditionalKernel, TypicalityParams
+    from stealthpath.probkit import ConditionalKernel
     calls = []
     original = indexing.restriction_matrix
     monkeypatch.setattr(indexing, "restriction_matrix",
@@ -289,7 +289,6 @@ def test_per_transmission_tables_are_built_once_per_code(monkeypatch):
     layered = build_layered_code(Distribution.uniform(8), ConditionalKernel.identity(8),
                                  CodeParams(n=6, rate=0.5, seed=2), (2, 2, 2))
     strategy = get_strategy("resample-innocent")
-    tp = TypicalityParams(0.5)
 
     def transmissions(ts):
         for t in ts:
@@ -298,7 +297,7 @@ def test_per_transmission_tables_are_built_once_per_code(monkeypatch):
             rx = overwrite_jam(tx, j, strategy, t, MODEL, CODE)
             decode_overwrite(CODE, ReceivedWord(rx.links[None], rx.erased[None]), MODEL)
             tx = encode(layered, MODEL, 1, np.array([1 + t % layered.message_count]), [t])
-            decode_erasure(layered, erasure_jam(tx, j), tp, MODEL)
+            decode_erasure(layered, erasure_jam(tx, j), MODEL)
 
     transmissions(range(10))  # 20 transmissions
     warm = len(calls)

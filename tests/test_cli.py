@@ -110,6 +110,10 @@ def test_validation_exit_code(tmp_path, capsys):
         ("solve", {"model": {**model_obj(), "link_alphabet_sizes": 2}},
          'error: "model.link_alphabet_sizes" must be a list of integers, got 2\n'),
         ("simulate", {"gamma": [0.1]}, 'error: "gamma" must be one number, got [0.1]\n'),
+        # a gamma no decoder reads is still refused where it is not positive
+        *[("simulate", {"scheme": scheme, "gamma": gamma}, "error: gamma must be positive\n")
+          for scheme in ("erasure-layered", "overwrite-direct")
+          for gamma in (0, -0.5, float("nan"))],
         # a section that is not an object, and a list that is not a list
         ("simulate", {"adversary": 5}, 'error: "adversary" must be an object, got 5\n'),
         ("simulate", {"code": 5}, 'error: "code" must be an object, got 5\n'),

@@ -23,7 +23,6 @@ from stealthpath.probkit import (
     ConditionalKernel,
     Distribution,
     JointDistribution,
-    TypicalityParams,
     inverse_cdf,
 )
 from stealthpath.ratesolver import NetworkModel
@@ -194,10 +193,9 @@ def test_streaming_store_matches_materialized(monkeypatch):
         erased = np.arange(3) == t % 3
         rx = ReceivedWord(links=np.where(erased[:, None], 0, tx.links)[None],
                           erased=erased[None])
-        for gamma in (0.3, 0.8):
-            want = decode_erasure(materialised, rx, TypicalityParams(gamma=gamma), MODEL)
-            assert decode_erasure(streaming, rx, TypicalityParams(gamma=gamma), MODEL) == want
-            verdicts.add(want[0].verdict)
+        want = decode_erasure(materialised, rx, MODEL)
+        assert decode_erasure(streaming, rx, MODEL) == want
+        verdicts.add(want[0].verdict)
     assert len(verdicts) > 1
 
 
@@ -266,7 +264,7 @@ def test_no_thread_outlives_a_pass(monkeypatch, thread_starts):
     tx = encode(layered, MODEL, 1, 5, 0)
     rx = ReceivedWord(links=tx.links[None], erased=np.array([[True, False, False]]))
     derived.clear()
-    assert decode_erasure(layered, rx, TypicalityParams(gamma=4.0), MODEL) == \
+    assert decode_erasure(layered, rx, MODEL) == \
         [DecodeResult("error")]
     assert threading.active_count() == count
     assert len(derived) < 16
@@ -275,7 +273,7 @@ def test_no_thread_outlives_a_pass(monkeypatch, thread_starts):
     erased = np.array([[True, False, False], [False, False, True]] * 3)
     batch = ReceivedWord(links=np.where(erased[:, :, None], 0, tx.links), erased=erased)
     derived.clear()
-    assert decode_erasure(layered, batch, TypicalityParams(gamma=4.0), MODEL) == \
+    assert decode_erasure(layered, batch, MODEL) == \
         [DecodeResult("error")] * 6
     assert threading.active_count() == count
     assert derived.count(0) == 2 and len(derived) < 16
@@ -448,7 +446,6 @@ def test_decode_on_a_batch_is_the_scheme_decoder():
         "iid": build_direct_code(SKEW8, CodeParams(n=6, rate=1.8, seed=4)),
         "affine": build_affine_code((2, 2, 2), CodeParams(n=6, rate=1.8, seed=3)),
     }
-    tp = TypicalityParams(0.8)
     rng = np.random.default_rng(6)
     seeds = np.arange(40)
     for name, code in codes.items():
@@ -461,7 +458,7 @@ def test_decode_on_a_batch_is_the_scheme_decoder():
             links[erased] = 0
 
             def decode(rx, code=code):
-                return decode_erasure(code, rx, tp, MODEL)
+                return decode_erasure(code, rx, MODEL)
         else:  # overwrite one link of every other word
             erased = np.zeros((40, 3), dtype=bool)
             links[1::2, 1] = rng.integers(0, 2, size=(20, 6))
@@ -518,21 +515,19 @@ def erase(links, erased_links, c=3):
 
 def test_decode_erasure_round_trip():
     code = identity_layered(24, 0.5, 11)
-    tp = TypicalityParams(0.6)
     for m in (1, 5, code.message_count):
         tx = encode(code, MODEL, 1, m, 100 + m)
         for j in ((), (0,), (1,), (2,)):
-            result, = decode_erasure(code, erase(tx.links, j), tp, MODEL)
+            result, = decode_erasure(code, erase(tx.links, j), MODEL)
             assert result.verdict == "message" and result.message == m
 
 
 def test_decode_erasure_innocent():
     code = identity_layered(24, 0.5, 11)
-    tp = TypicalityParams(0.6)
     hits = 0
     for t in range(50):
         tx = encode(code, MODEL, 0, 0, 2000 + t)
-        if decode_erasure(code, erase(tx.links, (0,)), tp, MODEL)[0].verdict == "innocent":
+        if decode_erasure(code, erase(tx.links, (0,)), MODEL)[0].verdict == "innocent":
             hits += 1
     assert hits >= 48  # false codeword matches require an exact 24-symbol hit
 
@@ -540,14 +535,14 @@ def test_decode_erasure_innocent():
 def test_decode_erasure_all_links_erased():
     code = identity_layered(8, 0.5, 11)
     tx = encode(code, MODEL, 1, 1, 7)
-    result, = decode_erasure(code, erase(tx.links, (0, 1, 2)), TypicalityParams(0.6), MODEL)
+    result, = decode_erasure(code, erase(tx.links, (0, 1, 2)), MODEL)
     assert result.verdict == "error"
 
 
 def test_decode_erasure_too_many_erasures_with_model():
     code = identity_layered(8, 0.5, 11)
     tx = encode(code, MODEL, 1, 1, 7)
-    result, = decode_erasure(code, erase(tx.links, (0, 1)), TypicalityParams(0.6), MODEL)
+    result, = decode_erasure(code, erase(tx.links, (0, 1)), MODEL)
     assert result.verdict == "error"
 
 
@@ -556,8 +551,7 @@ def test_decode_erasure_refuses_a_single_word():
     code = identity_layered(3, 0.5, 11)
     tx = encode(code, MODEL, 1, 1, 7)
     with pytest.raises(ValueError):
-        decode_erasure(code, ReceivedWord(tx.links, np.zeros(3, dtype=bool)), TypicalityParams(),
-                       MODEL)
+        decode_erasure(code, ReceivedWord(tx.links, np.zeros(3, dtype=bool)), MODEL)
 
 
 def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
@@ -568,12 +562,12 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
     patterns = np.array([[False, False, False], [True, False, False], [False, True, False],
                          [False, False, True], [True, True, False], [True, True, True]])
     kernels = {
-        "identity": (UNIFORM8.as_distribution(), ConditionalKernel.identity(8), 1.0),
-        "skewed": (SKEW_U, PADDED_IDENTITY, 0.8),
+        "identity": (UNIFORM8.as_distribution(), ConditionalKernel.identity(8)),
+        "skewed": (SKEW_U, PADDED_IDENTITY),
     }
     size = TRIAL_BLOCK + 1
     cells = codec.DECODE_CELLS
-    for name, (p_u, kern, gamma) in kernels.items():
+    for name, (p_u, kern) in kernels.items():
         codes = _code_pair(monkeypatch, lambda: build_layered_code(
             p_u, kern, CodeParams(n=5, rate=1.0, seed=8), (2, 2, 2)))
         count = codes[0].message_count
@@ -585,19 +579,18 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
         t = np.arange(size)
         erased = patterns[np.where(t < 70, 1, t % len(patterns))]
         links[erased] = 0
-        tp = TypicalityParams(gamma)
         want = [r for t in range(size) for r in decode_erasure(
-            codes[0], ReceivedWord(links[t:t + 1], erased[t:t + 1]), tp, MODEL)]
+            codes[0], ReceivedWord(links[t:t + 1], erased[t:t + 1]), MODEL)]
         assert {r.verdict for r in want} == {"innocent", "message", "error"}, name
         for code in codes:
             # one word, one 64-word group and a word either side of it,
             # all of one pattern; TRIAL_BLOCK + 1 words of every pattern
             for batch in (1, 63, 64, 65, size):
                 rx = ReceivedWord(links[:batch], erased[:batch])
-                assert decode_erasure(code, rx, tp, MODEL) == want[:batch], name
+                assert decode_erasure(code, rx, MODEL) == want[:batch], name
             # candidate tables of two codewords for a 64-word group
             monkeypatch.setattr(codec, "DECODE_CELLS", 128)
-            assert decode_erasure(code, ReceivedWord(links, erased), tp, MODEL) == want
+            assert decode_erasure(code, ReceivedWord(links, erased), MODEL) == want
             monkeypatch.setattr(codec, "DECODE_CELLS", cells)
 
     # the direct list's agreement pass, on one streaming chunk of 256 codewords:
@@ -623,8 +616,8 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
 
         def lists():
             pairs = set()
-            targets = codec._targets(code, words, sets, None)
-            for start, (rows, target) in codec._agreement_pass(code, *targets):
+            allowed = codec._targets(code, words, sets)
+            for start, (rows, target) in codec._agreement_pass(code, allowed):
                 pairs.update(zip((target // len(sets)).tolist(), (start + rows + 1).tolist()))
             return decode_overwrite(code, rx, MODEL), pairs
         want = lists()
@@ -639,61 +632,69 @@ def test_batched_decode_erasure_matches_one_word_at_a_time(monkeypatch):
             assert {r.verdict for r in want[0]} == {"innocent", "message", "error"}
 
 
-def _typicality_reference(code, rx, tp, model, mass):
-    """decode_erasure's verdicts, one word at a time, from every codeword's pair sequence.
+def _agreement_reference(code, rx, model):
+    """decode_erasure's verdicts, one word at a time, from every codeword's links.
 
-    `mass` is the law the codewords are drawn from; the joint pairs each of
-    its letters with that letter's symbols on the unjammed links.
+    A word lists the messages whose codewords equal it on its unerased links.
     """
-    from stealthpath.probkit import typical_rows
-    u = code.codeword(np.arange(1, code.message_count + 1))
+    codewords = code.codeword_links(np.arange(1, code.message_count + 1))
     verdicts = []
     for links, erased in zip(rx.links, rx.erased):
         unjammed = [i for i in range(len(erased)) if not erased[i]]
         if not unjammed or erased.sum() > model.adversary_budget:
             verdicts.append(DecodeResult("error"))
             continue
-        restrict = indexing.restrict_codes(code.link_sizes, unjammed)
-        ax = 2 ** len(unjammed)
-        pairs = np.zeros((mass.size, ax))
-        for letter, x in enumerate(restrict):
-            pairs[letter, x] = mass[letter]
-        joint = JointDistribution((mass.size, ax), pairs.reshape(-1))
-        y = indexing.pack_links(links[unjammed], [code.link_sizes[i] for i in unjammed])
-        listed = np.flatnonzero(typical_rows(u * ax + y, joint.mass, tp.gamma)) + 1
+        listed = np.flatnonzero((codewords[:, unjammed] == links[unjammed]).all(axis=(1, 2))) + 1
         verdicts.append(DecodeResult("innocent") if listed.size == 0 else
                         DecodeResult("message", message=int(listed[0])) if listed.size == 1
                         else DecodeResult("error"))
     return verdicts
 
 
-def test_decode_erasure_matches_a_typicality_reference(monkeypatch):
+def test_decode_erasure_matches_an_agreement_reference(monkeypatch):
     from stealthpath import codec
+    from stealthpath.codec import build_affine_code
     monkeypatch.setattr(codec, "CHUNK_MESSAGES", 16)
     # none, one, two and three links erased
     patterns = np.array([[False, False, False], [True, False, False], [False, True, False],
                          [False, False, True], [False, True, True], [True, True, True]])
-    kernels = {
-        "identity": (UNIFORM8.as_distribution(), ConditionalKernel.identity(8)),
-        "skewed": (SKEW_U, PADDED_IDENTITY),
-    }
-    tp = TypicalityParams(0.7)
-    for name, (p_u, kern) in kernels.items():
-        codes = _code_pair(monkeypatch, lambda: build_layered_code(
-            p_u, kern, CodeParams(n=8, rate=0.75, seed=5), (2, 2, 2)))
-        count = codes[0].message_count
+    params = CodeParams(n=8, rate=0.75, seed=5)
+    # materialised and streaming codes of both auxiliary laws (the restriction
+    # index and the agreement pass), and an affine code (GF(2) solves)
+    codes = {name: _code_pair(monkeypatch, lambda: build_layered_code(
+        p_u, kern, params, (2, 2, 2))) for name, (p_u, kern) in {
+            "identity": (UNIFORM8.as_distribution(), ConditionalKernel.identity(8)),
+            "skewed": (SKEW_U, PADDED_IDENTITY)}.items()}
+    codes["affine"] = (build_affine_code((2, 2, 2), params),)
+    for name, pair in codes.items():
+        count = pair[0].message_count
         # every fifth word innocent; each pattern meets both hypotheses
         t = np.arange(90)
         m = np.where(t % 5, 1 + 7 * t % count, 0)
-        links = np.stack([encode(codes[0], MODEL, int(m[k] > 0), int(m[k]), k).links
+        links = np.stack([encode(pair[0], MODEL, int(m[k] > 0), int(m[k]), k).links
                           for k in t])
         erased = patterns[t % len(patterns)]
         links[erased] = 0
         rx = ReceivedWord(links, erased)
-        want = _typicality_reference(codes[0], rx, tp, MODEL, p_u.mass)
+        want = _agreement_reference(pair[0], rx, MODEL)
         assert {r.verdict for r in want} == {"innocent", "message", "error"}, name
-        for code in codes:
-            assert decode_erasure(code, rx, tp, MODEL) == want, name
+        for code in pair:
+            assert decode_erasure(code, rx, MODEL) == want, name
+
+
+def test_decode_erasure_lists_a_codeword_of_atypical_type():
+    # the sent codeword is listed whatever its own type: these codewords lie
+    # more than 0.6 in L1 from p_u, so a typicality test at 0.6 refuses them
+    from stealthpath.probkit import typical_rows
+    code = skew_layered(24, 0.5, 11)
+    messages = np.arange(1, code.message_count + 1)
+    atypical = messages[~typical_rows(code.codeword(messages), SKEW_U.mass, 0.6)][:40]
+    assert atypical.size == 40
+    for m in atypical.tolist():
+        tx = encode(code, MODEL, 1, m, 0)
+        for j in ((), (0,), (1,), (2,)):
+            assert decode_erasure(code, erase(tx.links, j), MODEL) == \
+                [DecodeResult("message", message=m)]
 
 
 def test_decode_overwrite_honest_word():
@@ -832,12 +833,12 @@ def test_scan_budget_refuses_only_a_streaming_scan(monkeypatch):
         assert decode_overwrite(code, erase(code.codeword_links(5), ()), MODEL) == \
             [DecodeResult("message", message=5)]
     rx = erase(encode(layered[0], MODEL, 1, 5, 0).links, (0,))
-    assert decode_erasure(layered[0], rx, TypicalityParams(4.0), MODEL) == \
+    assert decode_erasure(layered[0], rx, MODEL) == \
         [DecodeResult("message", message=5)]
     with pytest.raises(ResourceBudgetError, match="scan budget"):
         decode_overwrite(direct[1], erase(direct[0].codeword_links(5), ()), MODEL)
     with pytest.raises(ResourceBudgetError, match="scan budget"):
-        decode_erasure(layered[1], rx, TypicalityParams(4.0), MODEL)
+        decode_erasure(layered[1], rx, MODEL)
 
 
 def test_survey_restrictions_census_and_membership():
@@ -895,10 +896,10 @@ def test_streaming_decode_overwrite_matches_materialised(monkeypatch):
 
 
 def test_decode_erasure_memory_is_bounded_when_many_codewords_agree():
-    # n=2: a word agrees with one codeword in 16 on two unjammed links, and
-    # every such candidate survives the zero-mass pre-screen; over 32 letters
-    # of the auxiliary law the count table is built in blocks, not for all
-    # 12,288 candidate pairs of a batch's three words of one pattern at once
+    # n=2: a word agrees with one codeword in 16 on two unjammed links, so a
+    # batch's three words of one pattern agree with 12,288 codewords; over
+    # 32 letters of the auxiliary law, listing them holds no table per
+    # candidate
     import tracemalloc
     p_u = Distribution(32, np.r_[SKEW8.mass, np.zeros(24)])
     kernel = ConditionalKernel(32, 8, np.vstack([np.eye(8), np.full((24, 8), 1 / 8)]))
@@ -912,7 +913,7 @@ def test_decode_erasure_memory_is_bounded_when_many_codewords_agree():
     for word in (rx, batch):
         tracemalloc.start()
         try:
-            decode_erasure(code, word, TypicalityParams(0.5), MODEL)
+            decode_erasure(code, word, MODEL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -275,9 +275,9 @@ def test_two_by_two_csv_bytes_are_pinned(tmp_path):
 
 
 def test_erasure_layered_csv_bytes_are_pinned(tmp_path):
-    # the bytes with a sampler and a typicality test per module; the shared
-    # probkit ones must not move one. A biased innocent law gives the auxiliary
-    # codewords, the innocent blocks and the decoder non-uniform masses.
+    # the bytes with a sampler per module; the shared probkit one must not
+    # move one. A biased innocent law gives the auxiliary codewords and the
+    # innocent blocks non-uniform masses.
     cfg = ExperimentConfig.from_json(base_config(
         model={"link_count": 3, "adversary_budget": 1, "link_alphabet_sizes": [2, 2, 2],
                "innocent": {"factors": [[0.7, 0.3]] * 3}},
@@ -288,23 +288,40 @@ def test_erasure_layered_csv_bytes_are_pinned(tmp_path):
     path = tmp_path / "rows.csv"
     export(run_experiment(cfg, SolverConfig(restarts=2)), "csv", str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "49e71482379089c33df3e2688a64dda4ed789f586dad2a4c77ea700ceee63419"
+        "4603cc05b33425ecdf8e66fdfd4e5910d4927d94ba4b14543cf9da3093c4592d"
 
 
 @pytest.mark.parametrize("seed,digest", [
-    (1, "718013179325eb529a03324000ddaebca8eba41243e37e4dc8cb6eaeca8ce7e5"),
-    (3, "01b2792f4da78e294acf1843e4b4048bf4f535bad38f341298c25e149833654b"),
+    (1, "247c63b5e607eb2ff390175d1e9fca578b207ee81563032a7e234c471a28c92f"),
+    (3, "79798e6e417cd0a9b94cdd18492f22817f2f653c74dadaf3947131a2a61ba996"),
 ])
 def test_erasure_layered_at_gamma_one_is_pinned(seed, digest, tmp_path):
-    # uniform bits at n=7, the bound less 0.3 and gamma = 1.0: a type's L1
-    # distance often equals gamma there, so the verdicts hang on the last
-    # bits of the decoder's joint
+    # uniform bits at n=7, the bound less 0.3 and gamma = 1.0, which no
+    # decoder reads: about 3,800 codewords over the 2^14 words of two
+    # unerased links, so codewords often agree with one another there
     cfg = ExperimentConfig.from_json(base_config(
         scheme="erasure-layered", gamma=1.0,
         code={"n": 7, "rate": {"rule": "bound-minus-epsilon", "epsilon": 0.3}, "seed": 7},
         adversary={"jam_rule": "worst-over-family"}, detector="optimal-oracle",
         trials=130, master_seed=seed))
     assert _csv_digest(run_experiment(cfg, SolverConfig(restarts=2)), tmp_path) == digest
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (1, "d93eb4ed3e163e8907a93a0bd4a9bc28b01e508d742c0f8653122d1287b4e79f"),
+    (3, "c8babeae0e621dd598a17b64b63166b41b7663959340ae0d384f24b504c01639"),
+])
+def test_overwrite_at_the_bound_less_three_tenths_is_pinned(seed, digest, tmp_path):
+    # uniform bits at n=10, the bound less 0.3, two strategies over the jam
+    # family with the oracle detector and the default solver: the list step
+    # both decoders share must not move one verdict
+    cfg = ExperimentConfig.from_json(base_config(
+        gamma=0.1,
+        code={"n": [10], "rate": {"rule": "bound-minus-epsilon", "epsilon": 0.3}, "seed": 7},
+        adversary={"jam_rule": "worst-over-family",
+                   "strategies": ["resample-innocent", "spoof-codeword"]},
+        detector="optimal-oracle", trials=500, master_seed=seed))
+    assert _csv_digest(run_experiment(cfg), tmp_path) == digest
 
 
 def test_invalid_fixed_jam_set_gives_failure_row():

@@ -122,3 +122,39 @@ def test_every_traced_name_exists():
                if not callable(getattr(importlib.import_module(f"stealthpath.{module}"),
                                        name, None))]
     assert tracing.TARGETS and missing == []
+
+
+def _strategy_classes(tree: ast.Module) -> set:
+    """JammingStrategy and its subclasses in a module, by their base names."""
+    names = {"JammingStrategy"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and \
+                any(isinstance(b, ast.Name) and b.id in names for b in node.bases):
+            names.add(node.name)
+    return names
+
+
+def test_no_unused_parameters():
+    # a parameter no line of its function reads is plumbing for nothing; a
+    # method's receiver, and the methods of the strategy interface, whose
+    # signature every strategy shares, are exempt
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        strategies = _strategy_classes(tree)
+        exempt = {id(item) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) and cls.name in strategies
+                  for item in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) \
+                    or id(fn) in exempt:
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None and p.arg not in ("self", "cls")]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unused += [f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p})"
+                       for p in params if p not in read]
+    assert unused == []

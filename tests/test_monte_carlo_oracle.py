@@ -17,7 +17,6 @@ from stealthpath import harness, oracle
 from stealthpath.adversary import STRATEGY_IDS, JamSet, get_strategy
 from stealthpath.codec import CodeParams, build_affine_code
 from stealthpath.harness import ExperimentConfig, run_experiment
-from stealthpath.probkit import TypicalityParams
 from stealthpath.ratesolver import SolverConfig
 
 FAST = SolverConfig(restarts=4)
@@ -73,8 +72,7 @@ def _row_and_code(model: dict, scheme: str, strategy: str, n: int):
 
 
 def _check(row, model, code, jamming):
-    exact_errors = oracle.exact_error_components(code, model, JAM, jamming,
-                                                 TypicalityParams(GAMMA))
+    exact_errors = oracle.exact_error_components(code, model, JAM, jamming)
     alpha, beta, _ = oracle.exhaustive_best_detector(code, model, JAM)
     hats = (row.err_innocent_hat, row.err_active_hat, row.alpha_hat, row.beta_hat)
     zs = [_z(hat, p, TRIALS) for hat, p in zip(hats, (*exact_errors, alpha, beta))]

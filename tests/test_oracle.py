@@ -140,43 +140,43 @@ def test_exact_error_erasure_layered():
     code = build_layered_code(MODEL.innocent.as_distribution(),
                               ConditionalKernel.identity(8),
                               CodeParams(n=4, rate=0.5, seed=3), (2, 2, 2))
-    err0, err1 = oracle.exact_error_components(code, MODEL, JamSet((2,)), "erasure",
-                                               TypicalityParams(1.6))
-    assert err1 == 0.0  # exact-restriction typicality always accepts the truth
+    err0, err1 = oracle.exact_error_components(code, MODEL, JamSet((2,)), "erasure")
+    assert err1 == 0.0  # no two codewords agree on links 0 and 1
     assert 0.0 <= err0 <= 0.1
 
 
 def test_batched_erasure_error_components_match_a_per_word_loop(monkeypatch):
     from stealthpath.codec import ReceivedWord, decode_erasure
 
-    def decode_one(code, rx, tp, model):
-        result, = decode_erasure(code, ReceivedWord(rx.links[None], rx.erased[None]), tp, model)
+    def decode_one(code, rx, model):
+        result, = decode_erasure(code, ReceivedWord(rx.links[None], rx.erased[None]), model)
         return result
     # batches of 7 words: boundaries fall inside the innocent blocks and
     # inside the messages
     monkeypatch.setattr(oracle, "_DECODE_BATCH", 7)
-    # the identity kernel with no link erased, and with link 1 erased
+    # the identity kernel with no link erased, and with link 1 erased; at
+    # these rates some codewords agree on every unerased link, so both
+    # hypotheses err
     codes = [
         build_layered_code(MODEL.innocent.as_distribution(), ConditionalKernel.identity(8),
                            CodeParams(n=4, rate=rate, seed=seed), (2, 2, 2))
-        for rate, seed in ((1.0, 3), (0.8, 3))
+        for rate, seed in ((2.0, 3), (1.5, 3))
     ]
-    tp = TypicalityParams(1.25)
     for code, j in zip(codes, (JamSet(()), JamSet((1,)))):
         err0 = 0.0
         for p_block, links in oracle._innocent_blocks(MODEL, 4):
             for p_rx, rx in oracle._received_words(links, j, "erasure", MODEL, code):
-                if decode_one(code, rx, tp, MODEL).verdict != "innocent":
+                if decode_one(code, rx, MODEL).verdict != "innocent":
                     err0 += p_block * p_rx
         err1 = 0.0
         for m in range(1, code.message_count + 1):
             links = code.codeword_links(m)
             for p_rx, rx in oracle._received_words(links, j, "erasure", MODEL, code):
-                result = decode_one(code, rx, tp, MODEL)
+                result = decode_one(code, rx, MODEL)
                 if not (result.verdict == "message" and result.message == m):
                     err1 += p_rx / code.message_count
         assert 0 < err0 < 1 and 0 < err1 < 1
-        assert oracle.exact_error_components(code, MODEL, j, "erasure", tp) == (err0, err1)
+        assert oracle.exact_error_components(code, MODEL, j, "erasure") == (err0, err1)
 
 
 def test_grid_solve_b_uniform():
