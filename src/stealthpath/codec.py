@@ -22,7 +22,9 @@ each from its one Philox generator in sub-blocks of DRAW_ROWS rows, and the
 pass's kernel runs on them on a pool of min(CPUs, 4) threads, at most that
 many chunks in flight; generators are derived and results consumed in chunk
 order on the calling thread, so no byte depends on the threads. A pass of no
-more chunks than workers (every materialised code) starts no thread.
+more chunks than workers starts no thread. A materialised code is read in
+the same chunks and the same pass, each chunk a view of the stored array, so
+every kernel holds temporaries for one chunk, never for the whole code.
 
 Codes over the message budget can come from a second ensemble instead,
 an affine code over GF(2) (`build_code_for_bound` decides): codeword m is
@@ -194,21 +196,24 @@ class _ChunkedStore:
         return generator(self.seed, self.label, chunk_index)
 
     def chunks(self, kernel: Callable = _identity) -> Iterator[Tuple[int, object]]:
-        """(start, kernel(block)) for each chunk in order; one block if materialised.
+        """(start, kernel(block)) for each chunk of CHUNK_MESSAGES rows, in order.
 
-        A streaming store draws its chunks and runs `kernel` on them in an
-        ordered pass (`_ordered_pass`); `kernel` must not touch shared state.
+        `kernel` runs in an ordered pass (`_ordered_pass`), so it must not
+        touch shared state. A materialised store's blocks are views of its
+        array; a streaming store draws them.
         """
+        starts = range(0, self.count, CHUNK_MESSAGES)
         if self._all is not None:
-            yield 0, kernel(self._all)
-            return
-        size = -(-self.count // CHUNK_MESSAGES)
-        tasks = ((c * CHUNK_MESSAGES, self._generator(c)) for c in range(size))
+            tasks = ((start, self._all[start:start + CHUNK_MESSAGES]) for start in starts)
+        else:
+            tasks = ((start, self._generator(c)) for c, start in enumerate(starts))
 
         def run(task):
-            start, rng = task
-            return start, kernel(self._draw(rng, min(CHUNK_MESSAGES, self.count - start)))
-        yield from _ordered_pass(tasks, run, size)
+            start, block = task  # a view of the stored rows, or the chunk's generator
+            if self._all is None:
+                block = self._draw(block, min(CHUNK_MESSAGES, self.count - start))
+            return start, kernel(block)
+        yield from _ordered_pass(tasks, run, len(starts))
 
     def codeword(self, m) -> np.ndarray:
         """Symbols of codeword m (0-based); (..., n) for an array of indices.
@@ -616,24 +621,27 @@ def _verdict(listed: int, message: int) -> DecodeResult:
 class _RestrictionIndex:
     """Every codeword's restriction to each of S link sets, searchable at once.
 
+    The sets are the minimal ones a list step is asked about (`_listed`).
     Set s restricts product code x at position t to tables[s, x], and packs a
     word's n restrictions with weights[s]. keys holds every message's packed
     restriction plus offsets[s] = s << bits, sorted within each set and the
-    sets concatenated, so the whole array is sorted; messages holds the
-    1-based message of each key. Equal keys keep no particular message order:
-    the messages of one set are distinct, so the first and last places of a
-    run longer than one hold two messages whatever that order is, and no
-    verdict depends on it.
+    sets concatenated, so the whole array is sorted; it is stored in the
+    narrowest unsigned dtype that holds the largest offset key. messages
+    holds the 1-based message of each key. Equal keys keep no particular
+    message order: the messages of one set are distinct, so the first and
+    last places of a run longer than one hold two messages whatever that
+    order is, and no verdict depends on it.
     """
 
     tables: np.ndarray    # (S, product alphabet) int64
     weights: np.ndarray   # (S, n) int64
     offsets: np.ndarray   # (S,) int64
-    keys: np.ndarray      # (S * N,) int64
+    keys: np.ndarray      # (S * N,) unsigned, at most 64 bits
     messages: np.ndarray  # (S * N,) int32
 
     def search(self, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """[lo, hi) of the keys equal to each target."""
+        """[lo, hi) of the keys equal to each target, searched in the keys' dtype."""
+        targets = targets.astype(self.keys.dtype)
         return (np.searchsorted(self.keys, targets, side="left"),
                 np.searchsorted(self.keys, targets, side="right"))
 
@@ -642,7 +650,10 @@ def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIn
     """The index of a materialised i.i.d. code on a tuple of link sets, cached.
 
     None when the code streams or is affine, or when the offset keys do not
-    fit in 63 bits.
+    fit in 63 bits. One chunk pass folds every set's offset keys into one
+    preallocated array; then one sort per set orders them. Beyond its S·N
+    keys and int32 messages, the build holds one set's sort order and
+    chunk-sized temporaries.
     """
     def build():
         n = code.params.n
@@ -650,19 +661,25 @@ def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIn
         bits = max((a ** n - 1).bit_length() for a in alphas)
         if bits + (len(sets) - 1).bit_length() > 63:
             return None
-        (_, block), = code.chunks()
-        count = block.shape[0]
         tables = np.stack([indexing.restrict_codes(code.link_sizes, links) for links in sets])
         weights = np.stack([indexing.sequence_weights(a, n) for a in alphas])
         offsets = np.arange(len(sets), dtype=np.int64) << bits
-        keys = np.empty(len(sets) * count, dtype=np.int64)
-        messages = np.empty(len(sets) * count, dtype=np.int32)
-        for s in range(len(sets)):
-            values = indexing.fold_sequences(block, tables[s], alphas[s])
-            order = np.argsort(values)
-            keys[s * count:(s + 1) * count] = values[order] + offsets[s]
-            messages[s * count:(s + 1) * count] = order + 1
-        return _RestrictionIndex(tables, weights, offsets, keys, messages)
+        keys = np.empty((len(sets), code.message_count),
+                        dtype=np.min_scalar_type((len(sets) << bits) - 1))
+
+        def fold(block):
+            return [indexing.fold_sequences(block, table, a) + offset
+                    for table, a, offset in zip(tables, alphas, offsets)]
+        for start, values in code.chunks(fold):
+            for row, part in zip(keys, values):
+                row[start:start + part.size] = part
+        messages = np.empty(keys.shape, dtype=np.int32)
+        for row, message in zip(keys, messages):
+            order = np.argsort(row)
+            row[:] = row[order]
+            message[:] = order
+            message += 1
+        return _RestrictionIndex(tables, weights, offsets, keys.ravel(), messages.ravel())
 
     if code.affine is not None or not code.materialized:
         return None
@@ -687,18 +704,21 @@ def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> Tuple[np.ndarra
     """(listed count, smallest listed message) per word of (T, C, n) `links`.
 
     The one list step of both decoders. A word lists the messages whose
-    codewords equal it on one of the link `sets`. Its count is exact below
-    two and 2 from there on, which already makes the verdict an error; its
-    message is 0 where none is listed. A materialised i.i.d. code answers
-    every (word, set) target by one search of its restriction index, and
-    lists the first and last message of each run of equal keys; an affine
-    code lists at most two messages per set, by one solve each, set by set
-    until the word lists two. Any other code is read in one agreement pass,
-    which stops once every word has listed two messages. Every message
-    agrees with a word on an empty set, so that set lists min(N, 2) messages
-    or more.
+    codewords equal it on one of the link `sets`. Agreement on a set implies
+    agreement on each of its subsets, so only the minimal sets, those that
+    strictly contain no other set of `sets`, are searched: they list the same
+    messages. Its count is exact below two and 2 from there on, which
+    already makes the verdict an error; its message is 0 where none is
+    listed. A materialised i.i.d. code answers every (word, set) target by
+    one search of its restriction index on the minimal sets, and lists the
+    first and last message of each run of equal keys; an affine code lists
+    at most two messages per set, by one solve each, set by set until the
+    word lists two. Any other code is read in one agreement pass, which stops
+    once every word has listed two messages. Every message agrees with a word
+    on an empty set, so that set lists min(N, 2) messages or more.
     """
     words, c, _ = links.shape  # a one-word (C, n) call raises here
+    sets = tuple(s for s in sets if not any(set(t) < set(s) for t in sets))
     index = _restriction_index(code, sets)
     affine = code.affine
     if index is not None:
@@ -845,7 +865,7 @@ def survey_restrictions(code: DirectCode, j_links: Sequence[int],
     counts = np.zeros(j_space, dtype=np.int64)
     got_xj, got_g = [], []
     for start, (pj, pair, xj, g) in code.chunks(census):
-        counts += np.bincount(pj, minlength=j_space)
+        np.add.at(counts, pj, 1)
         pair_values[start:start + pair.size] = pair
         got_xj.append(xj)
         got_g.append(g)

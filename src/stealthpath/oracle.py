@@ -89,7 +89,10 @@ def exact_active_marginal(code: DirectCode, j: JamSet) -> Distribution:
     """What the adversary sees on the jammed links, averaged over all codewords.
 
     One streaming histogram pass of the codewords' jammed restrictions: O(N n)
-    work regardless of the observation space.
+    work regardless of the observation space, each chunk added to the one
+    histogram in place. The histogram counts in float64 (exact integers below
+    2^53) and is divided in place, so it is the only space-sized array besides
+    the Distribution's own copy.
     """
     sizes = code.link_sizes
     n = code.params.n
@@ -101,10 +104,11 @@ def exact_active_marginal(code: DirectCode, j: JamSet) -> Distribution:
     if count * n > _WORK_BUDGET:
         raise ResourceBudgetError("marginal enumeration work exceeds the budget")
     restrict = indexing.restrict_codes(sizes, j.links)
-    hist = np.zeros(space, dtype=np.int64)
+    hist = np.zeros(space)
     for _, packed in code.chunks(lambda block: indexing.fold_sequences(block, restrict, aj)):
-        hist += np.bincount(packed, minlength=space)
-    return Distribution(space, hist / count)
+        np.add.at(hist, packed, 1.0)
+    hist /= count
+    return Distribution(space, hist)
 
 
 def cached_active_marginal(code: DirectCode, j: JamSet) -> Distribution:

@@ -30,7 +30,7 @@ def _validated_mass(mass, expected_len: int) -> np.ndarray:
         raise ValueError(f"probability mass must be finite, got {arr.tolist()}")
     if np.any(arr < -MASS_TOL):
         raise ValueError("negative probability mass")
-    arr = np.maximum(arr, 0.0)
+    np.maximum(arr, 0.0, out=arr)
     total = arr.sum()
     if abs(total - 1.0) > SUM_TOL:
         raise ValueError(f"mass sums to {total!r}, not 1 within {SUM_TOL}")

@@ -36,6 +36,8 @@ def uniform_model(c=3, z=1):
 
 MODEL = uniform_model()
 UNIFORM8 = MODEL.innocent
+# the unjammed sets of MODEL that contain no other one: its index's sets
+MINIMAL_SETS = ((1, 2), (0, 2), (0, 1))
 
 
 def test_code_params_message_count():
@@ -164,7 +166,7 @@ def test_streaming_store_matches_materialized(monkeypatch):
             want = survey_restrictions(materialised, (0,), (1, 2), xj_targets=targets)
             got = survey_restrictions(streaming, (0,), (1, 2), xj_targets=targets)
             # the materialised survey against one pack of the whole codebook
-            (_, words), = materialised.chunks()
+            words = np.concatenate([b for _, b in materialised.chunks()])
             pj = indexing.pack_sequences(indexing.restrict_codes((2, 2, 2), (0,))[words], 2)
             pg = indexing.pack_sequences(indexing.restrict_codes((2, 2, 2), (1, 2))[words], 4)
             hit = np.isin(pj, targets)
@@ -313,6 +315,25 @@ def test_a_pass_of_no_more_chunks_than_workers_starts_no_thread(monkeypatch, thr
                           label="codeword-chunk", materialize=False)
     assert len(list(large.chunks())) == workers + 1
     assert bool(thread_starts) == _pooled()
+
+
+def test_a_materialised_code_is_read_in_the_streaming_chunks(monkeypatch, thread_starts):
+    import os
+    from stealthpath import codec
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 16)
+    workers = min(len(os.sched_getaffinity(0)), 4)
+    for count in (16 * workers - 5, 16 * workers + 7):
+        kw = dict(mass=SKEW8.mass, n=5, seed=17, count=count, label="codeword-chunk")
+        mat = _ChunkedStore(materialize=True, **kw)
+        streamed = list(_ChunkedStore(materialize=False, **kw).chunks())
+        thread_starts.clear()
+        blocks = list(mat.chunks())
+        # no more chunks than workers: inline; more: on the pool
+        assert bool(thread_starts) == (count > 16 * workers and _pooled())
+        assert [s for s, _ in blocks] == [s for s, _ in streamed] == list(range(0, count, 16))
+        for (_, block), (_, want) in zip(blocks, streamed):
+            np.testing.assert_array_equal(block, want)
+            assert np.shares_memory(block, mat._all)
 
 
 def test_streaming_passes_derive_seeds_on_the_calling_thread(monkeypatch):
@@ -742,7 +763,8 @@ def test_decode_overwrite_constructed_ambiguity():
     assert decode_overwrite(code, rx, MODEL) == [DecodeResult("error")]
     # whatever order the index leaves equal keys in: messages ascending, then
     # descending, within each run of equal keys
-    key = ("restriction-index", MODEL.unjammed_sets)
+    # the index covers the minimal sets only: the full set (0, 1, 2) goes
+    key = ("restriction-index", MINIMAL_SETS)
     index = code.cache[key]
     orders = [index.messages[np.lexsort((sign * index.messages, index.keys))]
               for sign in (1, -1)]
@@ -808,14 +830,14 @@ def test_decode_overwrite_takes_a_batch():
 
 
 def test_decode_overwrite_indexed_and_scanned_honest_words():
-    # n=40 over three binary links exceeds 63-bit keys, forcing the chunk scan
+    # n=40 over two binary links exceeds 63-bit keys, forcing the chunk scan
     packed_code = build_direct_code(UNIFORM8, CodeParams(n=20, rate=0.3, seed=5))
     wide_code = build_direct_code(UNIFORM8, CodeParams(n=40, rate=0.15, seed=5))
     for code, indexed in ((packed_code, True), (wide_code, False)):
         m = 3
         assert decode_overwrite(code, erase(code.codeword_links(m), ()), MODEL) == \
             [DecodeResult("message", message=m)]
-        index = code.cache[("restriction-index", MODEL.unjammed_sets)]
+        index = code.cache[("restriction-index", MINIMAL_SETS)]
         assert (index is not None) == indexed
 
 
@@ -869,13 +891,14 @@ def test_streaming_decode_overwrite_matches_materialised(monkeypatch):
     monkeypatch.setattr(codec, "CHUNK_MESSAGES", 64)
     skew = JointDistribution.from_factors([Distribution.bernoulli(0.3)] +
                                           [Distribution.uniform(2)] * 2)
-    unjammed = tuple(tuple(i for i in range(3) if i not in j) for j in MODEL.jam_family())
     strategy = get_strategy("uniform-random")
     verdicts = set()
-    # 776 messages: spurious matches occur; at n=21 the full word packs into
-    # 63 bits, so the set offsets do not fit and the materialised code is scanned
+    # 776 messages: spurious matches occur; the index holds only the two-link
+    # sets, so at n=21 their 42-bit keys fit, and at n=31 two links pack 62
+    # bits, the set offsets do not fit and the materialised code is scanned
     for params, indexed in ((CodeParams(n=6, rate=1.6, seed=4), True),
-                            (CodeParams(n=21, rate=0.5, seed=4), False)):
+                            (CodeParams(n=21, rate=0.5, seed=4), True),
+                            (CodeParams(n=31, rate=0.3, seed=4), False)):
         monkeypatch.setattr(codec, "SYMBOL_BUDGET", 1 << 26)
         materialised = build_direct_code(skew, params)
         monkeypatch.setattr(codec, "SYMBOL_BUDGET", 64)
@@ -890,7 +913,7 @@ def test_streaming_decode_overwrite_matches_materialised(monkeypatch):
                 want, = decode_overwrite(materialised, erase(links, ()), MODEL)
                 assert decode_overwrite(streaming, erase(links, ()), MODEL) == [want]
                 verdicts.add(want.verdict)
-        index = materialised.cache[("restriction-index", unjammed)]
+        index = materialised.cache[("restriction-index", MINIMAL_SETS)]
         assert (index is not None) == indexed
     assert verdicts == {"innocent", "message", "error"}
 
@@ -918,3 +941,99 @@ def test_decode_erasure_memory_is_bounded_when_many_codewords_agree():
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+
+def _listed_by_every_set(code, links, model):
+    """(count capped at 2, smallest message) per word, over all of model.unjammed_sets."""
+    words = code.codeword_links(np.arange(1, code.message_count + 1))
+    out = []
+    for word in links:
+        hit = np.zeros(code.message_count, dtype=bool)
+        for jc in model.unjammed_sets:
+            hit |= (words[:, list(jc)] == word[list(jc)]).all(axis=(1, 2))
+        listed = np.flatnonzero(hit) + 1
+        out.append((min(listed.size, 2), int(listed[0]) if listed.size else 0))
+    return out
+
+
+def test_minimal_sets_list_what_every_set_lists(monkeypatch):
+    from stealthpath import codec
+    from stealthpath.codec import _verdict, build_affine_code
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 16)
+    # Z=1; Z=0, whose one set is every link; and Z=3, whose family holds the
+    # full jam set, so its one minimal set is the empty one
+    models = (MODEL, uniform_model(z=0),
+              NetworkModel(3, 3, (2, 2, 2), UNIFORM8, allow_symmetrizable=True))
+    assert [len(m.unjammed_sets) for m in models] == [4, 1, 8]
+    params = CodeParams(n=4, rate=1.6, seed=4)
+    materialised, streaming = _code_pair(monkeypatch, lambda: build_direct_code(SKEW8, params))
+    verdicts = set()
+    for code in (materialised, streaming, build_affine_code((2, 2, 2), params)):
+        rx = _overwrite_batch(code, 60)
+        for model in models:
+            want = [_verdict(*listed) for listed in _listed_by_every_set(code, rx.links, model)]
+            assert decode_overwrite(code, rx, model) == want
+            verdicts.update(r.verdict for r in want)
+    assert verdicts == {"innocent", "message", "error"}
+    assert ("restriction-index", ((),)) in materialised.cache
+
+
+@dataclasses.dataclass
+class _Mass:
+    """A stand-in for Distribution that keeps its mass without a copy."""
+
+    mass: np.ndarray
+
+
+def test_per_chunk_histograms_hold_one_space_sized_array(monkeypatch):
+    # a streaming code of 8 chunks with a 2^18 jammed space: each chunk is
+    # added to the histogram in place, so no second space-sized array is made
+    import tracemalloc
+    from stealthpath import codec, oracle
+    from stealthpath.adversary import JamSet
+    monkeypatch.setattr(codec, "CHUNK_MESSAGES", 64)
+    monkeypatch.setattr(codec, "SYMBOL_BUDGET", 0)
+    code = build_direct_code(UNIFORM8, CodeParams(n=18, rate=0.5, seed=1))
+    assert not code.materialized and code.message_count == 512
+    hist_bytes = 8 << 18
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            counts = run()
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.nbytes == hist_bytes and counts.sum() > 0
+        return top
+
+    def marginal():
+        return oracle.exact_active_marginal(code, JamSet((0,))).mass
+    assert peak(lambda: survey_restrictions(code, (0,), (1, 2)).counts_j) < 1.5 * hist_bytes
+    # the marginal with its Distribution, which validates a copy of the mass
+    assert peak(marginal) < 2.5 * hist_bytes
+    # and the histogram pass alone
+    monkeypatch.setattr(oracle, "Distribution", lambda size, mass: _Mass(mass))
+    assert peak(marginal) < 1.5 * hist_bytes
+
+
+def test_restriction_index_memory_is_bounded():
+    # the benchmark's materialised overwrite code, 131,071 x 10: three minimal
+    # sets, 22-bit keys in uint32 and int32 messages
+    import tracemalloc
+    from stealthpath import codec
+    code = build_direct_code(UNIFORM8, CodeParams(n=10, rate=1.6999995, seed=7))
+    count = code.message_count
+    assert code.materialized and count == 131071
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = codec._restriction_index(code, MINIMAL_SETS)
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert index.keys.dtype == np.uint32 and index.messages.dtype == np.int32
+    tables = index.tables.nbytes + index.weights.nbytes + index.offsets.nbytes
+    # beyond the arrays, a few kB of Python objects
+    assert kept <= 8 * len(MINIMAL_SETS) * count + tables + (16 << 10)
+    assert peak <= 64 * count
