@@ -10,9 +10,11 @@ auxiliary codeword is the transmitted word. The scheme picks the decoder:
 take one list step (`_listed`): it lists the codewords that equal a word on
 a set of links, by a search of a materialised code's restriction index, by
 GF(2) solves on an affine code, or else in one agreement pass over the code,
-and a word decodes only if exactly one is listed. Both take a batch of
-received words: one list step per erasure pattern in it, or one for the
-whole batch. `DecodeResult.decodes` scores a verdict.
+and a word decodes only if exactly one is listed. A restriction index covers
+one link set and is kept in the code's cache, so the two decoders share the
+index of any set they both ask about. Both take a batch of received words:
+one list step per erasure pattern in it, or one for the whole batch.
+`DecodeResult.decodes` scores a verdict.
 
 Codebooks above the in-memory symbol budget fall back to streaming chunked
 regeneration: chunk c of CHUNK_MESSAGES codewords is reproducible from the
@@ -43,7 +45,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2, indexing
-from .probkit import ConditionalKernel, Distribution, JointDistribution, inverse_cdf
+from .probkit import ConditionalKernel, Distribution, JointDistribution, inverse_cdf, is_uniform
 from .ratesolver import OPT_TOL, NetworkModel, SolutionB, check_feasibility_b
 from .rng import generator, streams
 
@@ -166,7 +168,7 @@ class _ChunkedStore:
         self.count = count
         self.label = label
         self.alphabet = mass.size
-        self._uniform = bool(np.allclose(mass, mass[0], atol=1e-12))
+        self._uniform = is_uniform(mass)
         self._cdf = np.cumsum(mass[:np.flatnonzero(mass)[-1] + 1])
         self._dtype = np.min_scalar_type(self.alphabet - 1)
         self._all: Optional[np.ndarray] = None
@@ -619,71 +621,68 @@ def _verdict(listed: int, message: int) -> DecodeResult:
 
 @dataclass(frozen=True)
 class _RestrictionIndex:
-    """Every codeword's restriction to each of S link sets, searchable at once.
+    """Every codeword's restriction to one link set, sorted for search.
 
-    The sets are the minimal ones a list step is asked about (`_listed`).
-    Set s restricts product code x at position t to tables[s, x], and packs a
-    word's n restrictions with weights[s]. keys holds every message's packed
-    restriction plus offsets[s] = s << bits, sorted within each set and the
-    sets concatenated, so the whole array is sorted; it is stored in the
-    narrowest unsigned dtype that holds the largest offset key. messages
-    holds the 1-based message of each key. Equal keys keep no particular
-    message order: the messages of one set are distinct, so the first and
-    last places of a run longer than one hold two messages whatever that
-    order is, and no verdict depends on it.
+    `table` maps a product code to its restriction letter on the set, one of
+    `alphabet`. keys holds every codeword's restriction folded by
+    `indexing.fold_sequences` with that table, sorted, in the narrowest
+    unsigned dtype that holds alphabet**n - 1; messages holds the 1-based
+    message of each key. Equal keys keep no particular message order: the
+    messages are distinct, so the first and last places of a run longer than
+    one hold two messages whatever that order is, and no verdict depends on
+    it.
     """
 
-    tables: np.ndarray    # (S, product alphabet) int64
-    weights: np.ndarray   # (S, n) int64
-    offsets: np.ndarray   # (S,) int64
-    keys: np.ndarray      # (S * N,) unsigned, at most 64 bits
-    messages: np.ndarray  # (S * N,) int32
+    table: np.ndarray     # (product alphabet,) int64
+    alphabet: int
+    keys: np.ndarray      # (N,) unsigned, at most 64 bits
+    messages: np.ndarray  # (N,) int32
 
-    def search(self, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """[lo, hi) of the keys equal to each target, searched in the keys' dtype."""
-        targets = targets.astype(self.keys.dtype)
-        return (np.searchsorted(self.keys, targets, side="left"),
-                np.searchsorted(self.keys, targets, side="right"))
+    def listed(self, x: np.ndarray) -> np.ndarray:
+        """(2, T) first and last message agreeing on the set with each (T, n) word, 0 for none.
+
+        The words' product codes are folded as the codewords were, then
+        searched in the keys' dtype by one `searchsorted` pair.
+        """
+        targets = indexing.fold_sequences(x, self.table, self.alphabet).astype(self.keys.dtype)
+        lo = np.searchsorted(self.keys, targets, side="left")
+        hi = np.searchsorted(self.keys, targets, side="right")
+        hit = hi > lo
+        listed = np.zeros((2, targets.size), dtype=np.int64)
+        listed[:, hit] = self.messages[lo[hit]], self.messages[hi[hit] - 1]
+        return listed
 
 
-def _restriction_index(code: DirectCode, sets: tuple) -> Optional[_RestrictionIndex]:
-    """The index of a materialised i.i.d. code on a tuple of link sets, cached.
+def _indexable(code: DirectCode, links: tuple) -> bool:
+    """Whether the code is materialised (so i.i.d.) and its keys on `links` fit 63 bits."""
+    alphabet = math.prod(code.link_sizes[i] for i in links)
+    return code.materialized and alphabet ** code.params.n <= 1 << 63
 
-    None when the code streams or is affine, or when the offset keys do not
-    fit in 63 bits. One chunk pass folds every set's offset keys into one
-    preallocated array; then one sort per set orders them. Beyond its S·N
-    keys and int32 messages, the build holds one set's sort order and
-    chunk-sized temporaries.
+
+def _restriction_index(code: DirectCode, links: tuple) -> Optional[_RestrictionIndex]:
+    """The index of one link set, cached under ("restriction-index", links), or None.
+
+    None where the set is not `_indexable`. One chunk pass folds every
+    codeword's key into one preallocated array, then one argsort orders
+    them. Beyond its N keys and int32 messages, the build holds the sort
+    order and chunk-sized temporaries.
     """
     def build():
-        n = code.params.n
-        alphas = [math.prod(code.link_sizes[i] for i in links) for links in sets]
-        bits = max((a ** n - 1).bit_length() for a in alphas)
-        if bits + (len(sets) - 1).bit_length() > 63:
-            return None
-        tables = np.stack([indexing.restrict_codes(code.link_sizes, links) for links in sets])
-        weights = np.stack([indexing.sequence_weights(a, n) for a in alphas])
-        offsets = np.arange(len(sets), dtype=np.int64) << bits
-        keys = np.empty((len(sets), code.message_count),
-                        dtype=np.min_scalar_type((len(sets) << bits) - 1))
+        alphabet = math.prod(code.link_sizes[i] for i in links)
+        table = indexing.restrict_codes(code.link_sizes, links)
+        keys = np.empty(code.message_count,
+                        dtype=np.min_scalar_type(alphabet ** code.params.n - 1))
+        for start, part in code.chunks(
+                lambda block: indexing.fold_sequences(block, table, alphabet)):
+            keys[start:start + part.size] = part
+        order = np.argsort(keys)
+        messages = order.astype(np.int32)
+        messages += 1
+        return _RestrictionIndex(table, alphabet, keys[order], messages)
 
-        def fold(block):
-            return [indexing.fold_sequences(block, table, a) + offset
-                    for table, a, offset in zip(tables, alphas, offsets)]
-        for start, values in code.chunks(fold):
-            for row, part in zip(keys, values):
-                row[start:start + part.size] = part
-        messages = np.empty(keys.shape, dtype=np.int32)
-        for row, message in zip(keys, messages):
-            order = np.argsort(row)
-            row[:] = row[order]
-            message[:] = order
-            message += 1
-        return _RestrictionIndex(tables, weights, offsets, keys.ravel(), messages.ravel())
-
-    if code.affine is not None or not code.materialized:
+    if not _indexable(code, links):
         return None
-    return code_cached(code, ("restriction-index", sets), build)
+    return code_cached(code, ("restriction-index", links), build)
 
 
 def _targets(code: DirectCode, links: np.ndarray, sets: tuple) -> np.ndarray:
@@ -692,11 +691,9 @@ def _targets(code: DirectCode, links: np.ndarray, sets: tuple) -> np.ndarray:
     Target k is word k // S on set k % S: a letter agrees with it at position
     t where the letter's restriction to the set equals the word's there.
     """
-    sizes = code.link_sizes
-    y = np.stack([indexing.pack_links(links[:, list(jc)], [sizes[i] for i in jc])
-                  for jc in sets], axis=1)  # (T, S, n)
-    allowed = np.stack([(indexing.restriction_matrix(sizes, jc) > 0)[y[:, s]]
-                        for s, jc in enumerate(sets)], axis=1)
+    x = indexing.pack_links(links, code.link_sizes)
+    allowed = np.stack([table[x][..., None] == table for table in
+                        (indexing.restrict_codes(code.link_sizes, jc) for jc in sets)], axis=1)
     return allowed.reshape(-1, *allowed.shape[2:])
 
 
@@ -709,26 +706,21 @@ def _listed(code: DirectCode, links: np.ndarray, sets: tuple) -> Tuple[np.ndarra
     strictly contain no other set of `sets`, are searched: they list the same
     messages. Its count is exact below two and 2 from there on, which
     already makes the verdict an error; its message is 0 where none is
-    listed. A materialised i.i.d. code answers every (word, set) target by
-    one search of its restriction index on the minimal sets, and lists the
-    first and last message of each run of equal keys; an affine code lists
-    at most two messages per set, by one solve each, set by set until the
-    word lists two. Any other code is read in one agreement pass, which stops
-    once every word has listed two messages. Every message agrees with a word
-    on an empty set, so that set lists min(N, 2) messages or more.
+    listed. Where every minimal set is `_indexable` (checked before any index
+    is built), each (word, set) target is one search of that set's
+    restriction index, which lists the first and last message of its run of
+    equal keys. Otherwise an affine code lists at most two messages per set,
+    by one solve each, set by set until the word lists two, and any other
+    code is read in one agreement pass, which stops once every word has
+    listed two messages. Every message agrees with a word on an empty set,
+    so that set lists min(N, 2) messages or more.
     """
     words, c, _ = links.shape  # a one-word (C, n) call raises here
     sets = tuple(s for s in sets if not any(set(t) < set(s) for t in sets))
-    index = _restriction_index(code, sets)
     affine = code.affine
-    if index is not None:
+    if all(_indexable(code, s) for s in sets):
         x = indexing.pack_links(links, code.link_sizes)
-        lo, hi = index.search(
-            (index.tables[:, x] * index.weights[:, None]).sum(axis=2) + index.offsets[:, None])
-        hit = hi > lo
-        listed = np.zeros((2, *lo.shape), dtype=np.int64)
-        listed[:, hit] = index.messages[lo[hit]], index.messages[hi[hit] - 1]
-        listed = listed.reshape(2 * len(sets), words)
+        listed = np.concatenate([_restriction_index(code, s).listed(x) for s in sets])
     elif affine is not None:
         listed = np.zeros((2, words), dtype=np.int64)
         for w in range(words):

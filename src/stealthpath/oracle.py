@@ -33,6 +33,7 @@ from .probkit import (
     JointDistribution,
     TypicalityParams,
     entropy_of_mass,
+    is_uniform,
     typical_rows,
     variational_distance,
 )
@@ -64,12 +65,10 @@ _DECODE_BATCH = 1 << 12
 
 def _jam_space(sizes: Sequence[int], j: JamSet, n: int, budget: int) -> int:
     """Size of j's n-letter observation space, given the link sizes; raises above `budget`."""
-    aj = int(np.prod([sizes[i] for i in j.links])) if j.links else 1
-    if n * math.log2(max(aj, 2)) > 62:
-        raise ResourceBudgetError("observation space exceeds 63-bit indexing")
+    aj = math.prod(sizes[i] for i in j.links)
     space = aj ** n
     if space > budget:
-        raise ResourceBudgetError(f"observation space {space} exceeds budget {budget}")
+        raise ResourceBudgetError(f"observation space {aj}^{n} exceeds budget {budget}")
     return space
 
 
@@ -96,7 +95,7 @@ def exact_active_marginal(code: DirectCode, j: JamSet) -> Distribution:
     """
     sizes = code.link_sizes
     n = code.params.n
-    aj = int(np.prod([sizes[i] for i in j.links])) if j.links else 1
+    aj = math.prod(sizes[i] for i in j.links)
     space = _jam_space(sizes, j, n, MARGINAL_BUDGET)
     count = code.message_count
     if not j.links:
@@ -130,7 +129,7 @@ def exact_stealth_gap(code: DirectCode, model: NetworkModel, j: JamSet) -> float
     """
     if code.affine is not None and j.links:
         single = model.innocent_marginal(j.links)
-        if np.allclose(single, 1.0 / single.size, rtol=0.0, atol=1e-12):
+        if is_uniform(single):
             return _affine_uniform_gap(code, j)
     active = cached_active_marginal(code, j)
     innocent = exact_innocent_marginal(model, j, code.params.n)

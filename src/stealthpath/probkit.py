@@ -253,6 +253,11 @@ def mutual_information(j: JointDistribution, part_a: Iterable[int], part_b: Iter
     return max(mi, 0.0)
 
 
+def is_uniform(mass: np.ndarray) -> bool:
+    """Whether every letter's mass is within MASS_TOL of 1/A, with no relative slack."""
+    return bool(np.allclose(mass, 1.0 / mass.size, rtol=0.0, atol=MASS_TOL))
+
+
 def variational_distance(p: Distribution, q: Distribution) -> float:
     if p.alphabet_size != q.alphabet_size:
         raise ValueError("alphabet size mismatch")

@@ -44,6 +44,15 @@ def test_oracle_stealth_gap(tmp_path, capsys):
     assert 0.0 <= payload["stealth_gap"] <= 1.0
 
 
+def test_oracle_stealth_gap_of_the_empty_jam_set_at_n_64(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"schema": 1, "model": model_obj(),
+                                  "scheme": "overwrite-direct",
+                                  "code": {"n": 64, "rate_bits": 0.2}, "jam_set": []})
+    assert main(["oracle", "stealth-gap", "--config", cfg]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 64 and payload["stealth_gap"] == 0.0
+
+
 def test_oracle_detector_identity(tmp_path, capsys):
     cfg = write_config(tmp_path, {"schema": 1, "model": model_obj(),
                                   "scheme": "overwrite-direct",

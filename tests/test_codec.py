@@ -434,6 +434,17 @@ def test_a_draw_past_the_last_letter_of_positive_mass_is_that_letter():
     np.testing.assert_array_equal(store._draw(Largest(), 3), np.full((3, 4), 6))
 
 
+def test_a_mass_off_uniform_past_float_dust_is_drawn_by_inverse_cdf():
+    # 9e-7 off uniform is within a relative 1e-5 of 1/8, not within the
+    # absolute 1e-12 that makes a mass uniform
+    mass = Distribution(8, np.r_[1 / 8, 1 / 8 + 9e-7, 1 / 8 - 9e-7, np.full(5, 1 / 8)]).mass
+    store = _ChunkedStore(mass=mass, n=5, seed=3, count=40, label="codeword-chunk",
+                          materialize=False)
+    u = generator(3, "codeword-chunk", 0).random((40, 5))
+    np.testing.assert_array_equal(store.codeword(np.arange(40)),
+                                  inverse_cdf(np.cumsum(mass), u))
+
+
 def test_transmission_status_message_consistency():
     links = np.zeros((3, 4), dtype=np.int64)
     with pytest.raises(ValueError):
@@ -761,16 +772,19 @@ def test_decode_overwrite_constructed_ambiguity():
     y[0] = code.codeword_links(mp)[0]
     rx = erase(y, ())
     assert decode_overwrite(code, rx, MODEL) == [DecodeResult("error")]
-    # whatever order the index leaves equal keys in: messages ascending, then
+    # whatever order the indices leave equal keys in: messages ascending, then
     # descending, within each run of equal keys
-    # the index covers the minimal sets only: the full set (0, 1, 2) goes
-    key = ("restriction-index", MINIMAL_SETS)
-    index = code.cache[key]
-    orders = [index.messages[np.lexsort((sign * index.messages, index.keys))]
-              for sign in (1, -1)]
-    assert not np.array_equal(*orders)
-    for messages in orders:
-        code.cache[key] = dataclasses.replace(index, messages=messages)
+    # the indices cover the minimal sets only: the full set (0, 1, 2) has none
+    assert {k for k in code.cache if k[0] == "restriction-index"} == \
+        {("restriction-index", s) for s in MINIMAL_SETS}
+    indices = {s: code.cache[("restriction-index", s)] for s in MINIMAL_SETS}
+    orders = {s: [index.messages[np.lexsort((sign * index.messages, index.keys))]
+                  for sign in (1, -1)] for s, index in indices.items()}
+    assert not all(np.array_equal(*o) for o in orders.values())
+    for sign in (0, 1):
+        for s, index in indices.items():
+            code.cache[("restriction-index", s)] = dataclasses.replace(
+                index, messages=orders[s][sign])
         assert decode_overwrite(code, rx, MODEL) == [DecodeResult("error")]
 
 
@@ -837,8 +851,9 @@ def test_decode_overwrite_indexed_and_scanned_honest_words():
         m = 3
         assert decode_overwrite(code, erase(code.codeword_links(m), ()), MODEL) == \
             [DecodeResult("message", message=m)]
-        index = code.cache[("restriction-index", MINIMAL_SETS)]
-        assert (index is not None) == indexed
+        for links in MINIMAL_SETS:
+            index = code.cache.get(("restriction-index", links))
+            assert (index is not None) == indexed
 
 
 def test_scan_budget_refuses_only_a_streaming_scan(monkeypatch):
@@ -893,12 +908,13 @@ def test_streaming_decode_overwrite_matches_materialised(monkeypatch):
                                           [Distribution.uniform(2)] * 2)
     strategy = get_strategy("uniform-random")
     verdicts = set()
-    # 776 messages: spurious matches occur; the index holds only the two-link
-    # sets, so at n=21 their 42-bit keys fit, and at n=31 two links pack 62
-    # bits, the set offsets do not fit and the materialised code is scanned
+    # 776 messages: spurious matches occur; the indices cover only the two-link
+    # sets, so at n=21 their 42-bit keys fit, at n=31 their 62-bit keys fit,
+    # and at n=32 two links pack 64 bits and the materialised code is scanned
     for params, indexed in ((CodeParams(n=6, rate=1.6, seed=4), True),
                             (CodeParams(n=21, rate=0.5, seed=4), True),
-                            (CodeParams(n=31, rate=0.3, seed=4), False)):
+                            (CodeParams(n=31, rate=0.3, seed=4), True),
+                            (CodeParams(n=32, rate=0.3, seed=4), False)):
         monkeypatch.setattr(codec, "SYMBOL_BUDGET", 1 << 26)
         materialised = build_direct_code(skew, params)
         monkeypatch.setattr(codec, "SYMBOL_BUDGET", 64)
@@ -913,8 +929,9 @@ def test_streaming_decode_overwrite_matches_materialised(monkeypatch):
                 want, = decode_overwrite(materialised, erase(links, ()), MODEL)
                 assert decode_overwrite(streaming, erase(links, ()), MODEL) == [want]
                 verdicts.add(want.verdict)
-        index = materialised.cache[("restriction-index", MINIMAL_SETS)]
-        assert (index is not None) == indexed
+        for links in MINIMAL_SETS:
+            index = materialised.cache.get(("restriction-index", links))
+            assert (index is not None) == indexed
     assert verdicts == {"innocent", "message", "error"}
 
 
@@ -975,7 +992,7 @@ def test_minimal_sets_list_what_every_set_lists(monkeypatch):
             assert decode_overwrite(code, rx, model) == want
             verdicts.update(r.verdict for r in want)
     assert verdicts == {"innocent", "message", "error"}
-    assert ("restriction-index", ((),)) in materialised.cache
+    assert ("restriction-index", ()) in materialised.cache
 
 
 @dataclasses.dataclass
@@ -1018,22 +1035,44 @@ def test_per_chunk_histograms_hold_one_space_sized_array(monkeypatch):
 
 
 def test_restriction_index_memory_is_bounded():
-    # the benchmark's materialised overwrite code, 131,071 x 10: three minimal
-    # sets, 22-bit keys in uint32 and int32 messages
+    # the benchmark's materialised overwrite code, 131,071 x 10: one index per
+    # minimal set, each of 20-bit keys in uint32 and int32 messages
     import tracemalloc
     from stealthpath import codec
     code = build_direct_code(UNIFORM8, CodeParams(n=10, rate=1.6999995, seed=7))
     count = code.message_count
     assert code.materialized and count == 131071
+    rx = erase(code.codeword_links(5), ())
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        index = codec._restriction_index(code, MINIMAL_SETS)
-        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        assert decode_overwrite(code, rx, MODEL) == [DecodeResult("message", message=5)]
+        peak = tracemalloc.get_traced_memory()[1] - before
+        for links in MINIMAL_SETS:
+            code.cache.pop(("restriction-index", links))
+            before = tracemalloc.get_traced_memory()[0]
+            index = codec._restriction_index(code, links)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            assert index.keys.dtype == np.uint32 and index.messages.dtype == np.int32
+            # beyond the arrays, a few kB of Python objects
+            assert kept <= 8 * count + index.table.nbytes + (16 << 10)
     finally:
         tracemalloc.stop()
-    assert index.keys.dtype == np.uint32 and index.messages.dtype == np.int32
-    tables = index.tables.nbytes + index.weights.nbytes + index.offsets.nbytes
-    # beyond the arrays, a few kB of Python objects
-    assert kept <= 8 * len(MINIMAL_SETS) * count + tables + (16 << 10)
     assert peak <= 64 * count
+
+
+def test_decoders_share_one_index_per_link_set():
+    # decode_erasure with link 0 erased indexes (1, 2); decode_overwrite then
+    # adds the other two-link sets and reuses that index
+    code = build_direct_code(UNIFORM8, CodeParams(n=6, rate=1.6, seed=4))
+    links = np.stack([code.codeword_links(m) for m in (1, 2, 3)])
+    erased = np.zeros((3, 3), dtype=bool)
+    erased[:, 0] = True
+    assert decode_erasure(code, ReceivedWord(np.where(erased[:, :, None], 0, links), erased),
+                          MODEL) == [DecodeResult("message", message=m) for m in (1, 2, 3)]
+    shared = code.cache[("restriction-index", (1, 2))]
+    assert list(code.cache) == [("restriction-index", (1, 2))]
+    assert decode_overwrite(code, ReceivedWord(links, np.zeros((3, 3), dtype=bool)), MODEL) == \
+        [DecodeResult("message", message=m) for m in (1, 2, 3)]
+    assert sorted(code.cache) == sorted(("restriction-index", s) for s in MINIMAL_SETS)
+    assert code.cache[("restriction-index", (1, 2))] is shared

@@ -398,7 +398,7 @@ GOLDEN_DIGESTS = {
     "resample-innocent": "dec72050e8947cda2ebb8156697afd5aff764c613d959cda9d7720bb8fdb100e",
     "spoof-codeword": "aa96135d602b6d145cf4929e91bca0c95f0f89ff70473b067394df296534f91b",
     "spoof-consistent": "f438fefcc7b96f8f2c49008895b24720f2dc07c421d07ee7d2ea40ca2838f1d0",
-    "symmetrize-c2": "20347ee965c5d069e7658464cc6f68afb59e1f5e5edc360603aa3a8e37f727a1",
+    "symmetrize-c2": "dd2c269a5defa9e09645cc7782d60f2254aa329890b35f9fcc09812822e17dc4",
     "affine": "b2e6b96f7538e8f4c945a34e0652d171bf5a037d3521675c74fc4cc74a9ea69a",
     "ternary-1": "5b21a39ac67e2f5f5ac64bd82cf382a01c35fbc7757644550f7f79a369f95521",
     "ternary-256": "c66f501ee162e1311e502e1a28589e91ebcda63e967b60d72ef9c0f89e6b3128",

@@ -1,8 +1,10 @@
 """Static checks on the package source, by `ast` alone, and on the names the
-benchmark's tracer wraps."""
+benchmark's tracer wraps and the README cites."""
 import ast
+import functools
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,3 +160,19 @@ def test_no_unused_parameters():
             unused += [f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p})"
                        for p in params if p not in read]
     assert unused == []
+
+
+def test_readme_code_references_resolve():
+    # a backticked `module.name` in README.md names a stealthpath attribute
+    # that exists, so renaming or deleting one leaves no stale reference
+    modules = {path.stem for path in SRC.glob("*.py") if path.stem != "__init__"}
+    refs = [ref for ref in re.findall(r"`(\w+(?:\.\w+)+)`", (ROOT / "README.md").read_text())
+            if ref.split(".")[0] in modules]
+    missing = []
+    for ref in refs:
+        module, *path = ref.split(".")
+        try:
+            functools.reduce(getattr, path, importlib.import_module(f"stealthpath.{module}"))
+        except AttributeError:
+            missing.append(ref)
+    assert refs and missing == []

@@ -60,6 +60,19 @@ def test_exact_marginal_budget(monkeypatch):
         oracle.exact_active_marginal(code, JamSet((0,)))
 
 
+def test_empty_jam_set_marginals_at_long_blocklengths():
+    # the empty set's observation space is 1 at any n; a linked set at n=64
+    # is refused by the budget
+    code = build_direct_code(MODEL.innocent, CodeParams(n=64, rate=0.2, seed=1))
+    for marg in (oracle.exact_innocent_marginal(MODEL, JamSet(()), 64),
+                 oracle.exact_active_marginal(code, JamSet(()))):
+        assert marg.alphabet_size == 1 and marg.mass.tolist() == [1.0]
+    with pytest.raises(ResourceBudgetError, match=r"2\^64 exceeds budget"):
+        oracle.exact_innocent_marginal(MODEL, JamSet((0,)), 64)
+    with pytest.raises(ResourceBudgetError, match="exceeds budget"):
+        oracle.exact_active_marginal(code, JamSet((0,)))
+
+
 def test_stealth_gap_zero_for_full_enumeration_code():
     # n=1 over one binary link: the 2-message code at seed swept until it
     # enumerates both symbols equally weights the alphabet, giving gap 0
